@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 check/validation failure, 2 usage or parse error.
 The enumeration budget defaults to 8 and can be overridden with the
-GRASS_BUDGET environment variable.
+GRASS_BUDGET environment variable; a value that is not an integer is a
+usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import sys
 
 from .derivation import Derivation, check_derivation, elaborate
-from .errors import GrassError, ParseError
+from .errors import GrassError, ParseError, UsageError
 from .grades import (
     DEFAULT_BUDGET,
     GradeAlgebra,
@@ -45,10 +46,13 @@ from .grades import _closure as _order_closure
 
 
 def _budget() -> int:
-    try:
-        return int(os.environ.get("GRASS_BUDGET", DEFAULT_BUDGET))
-    except ValueError:
+    raw = os.environ.get("GRASS_BUDGET")
+    if raw is None:
         return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"GRASS_BUDGET must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +451,16 @@ def cmd_modes_validate(args) -> int:
 def cmd_oracle(args) -> int:
     space, backend = load_modes_file(args.modes)
     _validate_space(space, args)
+    # the smaller suites run at least one case, unless none was asked for
+    sub_count = max(1, args.count // 2) if args.count > 0 else 0
+    comp_count = max(1, args.count // 3) if args.count > 0 else 0
     results = [
         preservation_suite(space, args.seed, args.count, args.max_depth),
-        substitution_suite(space, args.seed + 1, max(1, args.count // 2), min(args.max_depth, 4)),
+        substitution_suite(space, args.seed + 1, sub_count, min(args.max_depth, 4)),
     ]
     if backend is not None:
         results.append(semantic_suite(backend, args.seed + 2, args.count, args.max_depth))
-        results.append(subst_comp_suite(backend, args.seed + 3, max(1, args.count // 3)))
+        results.append(subst_comp_suite(backend, args.seed + 3, comp_count))
     failures = 0
     for r in results:
         print(r.render())
@@ -524,9 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return 2
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

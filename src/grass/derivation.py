@@ -411,25 +411,37 @@ def rebuild(space: ModeSpace, rule: str, premises, payload) -> Derivation:
     return builder(space, tuple(premises), tuple(payload))
 
 
-def check_derivation(d: Derivation, space: ModeSpace) -> Judgment:
+def check_derivation(d: Derivation, space: ModeSpace, memo: dict | None = None) -> Judgment:
     """Validate every side condition in the tree; returns the conclusion.
 
     Deterministic and total on well-formed trees; each violation raises a
     CheckError naming the rule, the condition, and the node position.
+
+    Each node object is checked once per `memo` (id(node) -> node; the
+    node is kept so that its id is not reused while the memo lives).  A
+    node enters the memo only after its premises, side conditions and
+    stored conclusion have passed; a node found there is not descended
+    into.  Without a memo the call uses a fresh one, so a subtree shared
+    inside `d` is checked once.  Callers that check trees built from one
+    another (`normalize`) share one memo, started empty and dropped
+    when the call ends.
     """
-    checked = []
+    if memo is None:
+        memo = {}
+    if id(d) in memo:
+        return d.conclusion
     for i, p in enumerate(d.premises):
         try:
-            check_derivation(p, space)
+            check_derivation(p, space, memo)
         except CheckError as e:
             raise e.at(i) from None
-        checked.append(p)
-    rebuilt = rebuild(space, d.rule, checked, d.payload)
+    rebuilt = rebuild(space, d.rule, d.premises, d.payload)
     c, r = d.conclusion, rebuilt.conclusion
     if (c.rho, c.modes, c.ctx, c.mode, c.ty) != (r.rho, r.modes, r.ctx, r.mode, r.ty):
         _fail(d.rule, "stored conclusion does not match the rule application")
     if not alpha_eq(c.term, r.term):
         _fail(d.rule, "stored conclusion term does not match the rule application")
+    memo[id(d)] = d
     return d.conclusion
 
 

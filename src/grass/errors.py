@@ -29,6 +29,10 @@ class SizeLimitError(GrassError):
     """A relational computation would materialize too many elements."""
 
 
+class UsageError(GrassError):
+    """A command-line argument or environment setting is malformed."""
+
+
 class CheckError(GrassError):
     """A derivation violates a side condition of its rule.
 

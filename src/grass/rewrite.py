@@ -546,9 +546,13 @@ def preservation_check(before: Derivation, after: Derivation) -> bool:
 def normalize(d: Derivation, fuel: int, space: ModeSpace):
     """Apply beta steps until normal or out of fuel.
 
-    Returns (derivation, steps_taken, normal?).  Every intermediate step
-    is preservation-checked and re-checked by check_derivation.
+    Returns (derivation, steps_taken, normal?).  Every reduct is
+    preservation-checked and checked by check_derivation, every node
+    included; the checks share one memo, so each node object of every
+    reduct is checked once per call.  The memo starts empty: `d` itself
+    is not checked, but its nodes that survive into the first reduct are.
     """
+    memo: dict = {}
     steps = 0
     current = d
     while steps < fuel:
@@ -558,7 +562,7 @@ def normalize(d: Derivation, fuel: int, space: ModeSpace):
         nxt, _path = step
         if not preservation_check(current, nxt):
             raise InputError("beta step changed the conclusion judgment")
-        check_derivation(nxt, space)
+        check_derivation(nxt, space, memo)
         current = nxt
         steps += 1
     return current, steps, beta_step(current, space) is None

@@ -25,8 +25,7 @@ from .rewrite import (
 )
 from .semantics import (
     ModelBackend,
-    interp_ctx,
-    interp_type,
+    _Interpretation,
     semantic_eq,
     subst_comp_check,
 )
@@ -79,16 +78,17 @@ def preservation_suite(space: ModeSpace, seed: int, count: int, max_depth: int =
     for i in range(count):
         d = gen.gen_derivation(max_depth)
         res.cases += 1
+        memo: dict = {}  # one per case: its beta trace and eta pairs share nodes
         try:
-            check_derivation(d, space)
+            check_derivation(d, space, memo)
             for before, after in _beta_trace(d, space):
                 if not preservation_check(before, after):
                     res.failures.append(f"case {i}: beta step changed the judgment")
-                check_derivation(after, space)
+                check_derivation(after, space, memo)
             for before, after, rule in _eta_pairs(d, space):
                 if not preservation_check(before, after):
                     res.failures.append(f"case {i}: eta-{rule} changed the judgment")
-                check_derivation(after, space)
+                check_derivation(after, space, memo)
         except GrassError as e:
             res.failures.append(f"case {i}: {e}")
     return res
@@ -184,11 +184,12 @@ def semantic_suite(backend: ModelBackend, seed: int, count: int, max_depth: int 
               max_obj_size=max_obj,
               base_sizes={b: len(c) for b, c in backend.base_carriers.items()})
     res = SuiteResult("semantic-soundness")
+    sizes = _Interpretation(backend)  # object sizes only, never enumerated
     for i in range(count):
         d = gen.gen_derivation(max_depth)
         try:
-            if (len(interp_ctx(backend, d.conclusion)) > max_obj
-                    or len(interp_type(backend, d.conclusion.ty)) > max_obj):
+            if (sizes.ctx_size(d.conclusion) > max_obj
+                    or sizes.size(d.conclusion.ty) > max_obj):
                 continue
         except SizeLimitError:
             continue
@@ -222,13 +223,14 @@ def subst_comp_suite(backend: ModelBackend, seed: int, count: int, max_depth: in
               max_obj_size=max_obj,
               base_sizes={b: len(c) for b, c in backend.base_carriers.items()})
     res = SuiteResult("subst-comp")
+    sizes = _Interpretation(backend)  # object sizes only, never enumerated
     for i in range(count):
         bundle = gen.gen_bundle(max_depth)
         try:
-            out_sizes = [len(interp_ctx(backend, r.conclusion)) for r in bundle.replacements]
+            out_sizes = [sizes.ctx_size(r.conclusion) for r in bundle.replacements]
             if any(s > max_obj for s in out_sizes):
                 continue
-            if len(interp_ctx(backend, bundle.target.conclusion)) > max_obj:
+            if sizes.ctx_size(bundle.target.conclusion) > max_obj:
                 continue
         except SizeLimitError:
             continue

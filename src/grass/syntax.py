@@ -336,6 +336,9 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
     """Equality up to consistent renaming of bound variables."""
 
     def go(a: Term, b: Term, env1: dict[str, int], env2: dict[str, int], depth: int) -> bool:
+        # one term object under equal binder environments: no need to descend
+        if a is b and env1 == env2:
+            return True
         if type(a) is not type(b):
             return False
         match a, b:

@@ -195,6 +195,24 @@ def test_grass_budget_env_var(tmp_path, monkeypatch):
     assert main(["check", modes, prog]) == 0
 
 
+def test_grass_budget_env_var_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GRASS_BUDGET", "abc")
+    modes = _write(tmp_path, "m.modes", LNL)
+    prog = _write(tmp_path, "p.prog", "derivation ax = (var x P)\n")
+    assert main(["check", modes, prog]) == 2
+    captured = capsys.readouterr()
+    assert "GRASS_BUDGET must be an integer, got 'abc'" in captured.err
+    assert captured.out == ""
+
+
+def test_oracle_count_zero_runs_no_cases(capsys):
+    path = str(ROOT / "systems" / "lnl.modes")
+    assert main(["oracle", path, "--seed", "1", "--count", "0"]) == 0
+    heads = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert len(heads) == 4
+    assert all(" cases=0 " in line for line in heads)
+
+
 def test_shipped_demo_program_checks():
     modes = str(ROOT / "systems" / "lnl.modes")
     prog = str(ROOT / "systems" / "demo.prog")

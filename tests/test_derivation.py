@@ -139,6 +139,38 @@ def test_checker_is_deterministic(lu):
         assert check_derivation(d, lu) == check_derivation(d, lu) == d.conclusion
 
 
+def test_checker_checks_a_shared_subtree_once(lu, monkeypatch):
+    import grass.derivation as derivation
+
+    unit = mk_unitI(lu, "L")
+    d = mk_pairI(lu, unit, unit)
+    rules = []
+    real = derivation.rebuild
+
+    def counting(space, rule, premises, payload):
+        rules.append(rule)
+        return real(space, rule, premises, payload)
+
+    monkeypatch.setattr(derivation, "rebuild", counting)
+    assert check_derivation(d, lu) == d.conclusion
+    assert rules == ["unitI", "pairI"]
+
+
+def test_checker_memo_holds_only_nodes_that_passed(lu):
+    good = mk_arrowI(lu, mk_var(lu, "x", P))
+    bad = good.premises[0]
+    tampered = type(bad)(bad.rule, bad.premises, ("x", Q), bad.conclusion)
+    wrapped = type(good)(good.rule, (tampered,), good.payload, good.conclusion)
+    memo = {}
+    for _ in range(2):
+        with pytest.raises(CheckError):
+            check_derivation(wrapped, lu, memo)
+        assert memo == {}
+    assert check_derivation(good, lu, memo) == good.conclusion
+    assert set(memo) == {id(good), id(bad)}
+    assert check_derivation(good, lu, memo) == good.conclusion
+
+
 # -- elaboration ------------------------------------------------------------------
 
 

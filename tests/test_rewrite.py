@@ -1,9 +1,11 @@
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from grass.derivation import (
+    Derivation,
     check_derivation,
     mk_arrowE,
     mk_arrowI,
@@ -19,7 +21,7 @@ from grass.derivation import (
     mk_var,
     mk_weak,
 )
-from grass.errors import InputError
+from grass.errors import CheckError, InputError
 from grass.gen import Gen
 from grass.grades import Grade
 from grass.oracles import ln_normalize, term_subst_oracle, to_locally_nameless
@@ -190,6 +192,110 @@ def test_normalization_matches_term_level_evaluator(lu):
             continue
         ln_nf, _ = ln_normalize(to_locally_nameless(d.conclusion.term), 90)
         assert to_locally_nameless(nf.conclusion.term) == ln_nf
+
+
+def _identity_chain(space, depth):
+    """(app (lam x1 x1) (app (lam x2 x2) ... y)) at type P."""
+    d = mk_var(space, "y", P)
+    for i in range(depth, 0, -1):
+        d = mk_arrowE(space, mk_arrowI(space, mk_var(space, f"x{i}", P)), d)
+    return d
+
+
+def _with_term(d, term):
+    """A copy of d whose stored conclusion claims another term."""
+    return Derivation(d.rule, d.premises, d.payload, replace(d.conclusion, term=term))
+
+
+def test_normalize_checks_the_nodes_of_d_that_survive(lu):
+    # the first reduct of (app (lam x1 x1) arg) is arg itself, a node of d
+    arg = _identity_chain(lu, 1)
+    lying = _with_term(arg, Var("y"))
+    d = mk_arrowE(lu, mk_arrowI(lu, mk_var(lu, "x0", P)), lying)
+    with pytest.raises(CheckError, match="stored conclusion term"):
+        normalize(d, 10, lu)
+
+
+def test_normalize_checks_a_bad_node_among_checked_ones(lu, monkeypatch):
+    # The second reduct is a new node over premises the first step's check
+    # already passed; its stored term claims the normal form early.
+    import grass.rewrite as rewrite
+
+    real = rewrite.beta_step
+    calls = []
+
+    def corrupting(d, space):
+        calls.append(d)
+        out = real(d, space)
+        if len(calls) == 2:
+            reduct, path = out
+            assert not isinstance(reduct.conclusion.term, Var)
+            return _with_term(reduct, Var("y")), path
+        return out
+
+    monkeypatch.setattr(rewrite, "beta_step", corrupting)
+    with pytest.raises(CheckError, match="stored conclusion term"):
+        normalize(_identity_chain(lu, 3), 10, lu)
+    assert len(calls) == 2
+
+
+def test_normalize_checks_every_reduct_node_once(lu, monkeypatch):
+    import grass.derivation as derivation
+    import grass.rewrite as rewrite
+
+    real = derivation.check_derivation
+    reducts, checked = [], []
+
+    def top_level(d, space, memo):
+        # normalize's own call: d is the reduct of one step
+        reducts.append(d)
+        return recording(d, space, memo)
+
+    def recording(d, space, memo=None):
+        if memo is None or id(d) not in memo:
+            checked.append(id(d))
+        return real(d, space, memo)
+
+    monkeypatch.setattr(rewrite, "check_derivation", top_level)
+    monkeypatch.setattr(derivation, "check_derivation", recording)
+    gen = Gen(space=lu, rng=random.Random(22))
+    inputs = [_identity_chain(lu, 6)] + [gen.gen_derivation(4) for _ in range(40)]
+    total_steps = 0
+    for d in inputs:
+        reducts.clear()
+        checked.clear()
+        _out, steps, _normal = normalize(d, 30, lu)
+        assert len(reducts) == steps
+        total_steps += steps
+        nodes = {id(n) for r in reducts for n in r.walk()}
+        assert sorted(checked) == sorted(nodes)
+    assert total_steps >= 20
+
+
+def test_normalize_checker_work_grows_linearly_on_chains(lu, monkeypatch):
+    import grass.derivation as derivation
+
+    real = derivation.rebuild
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    def rebuilds(depth):
+        d = _identity_chain(lu, depth)
+        calls[0] = 0
+        monkeypatch.setattr(derivation, "rebuild", counting)
+        try:
+            out, steps, normal = normalize(d, depth + 1, lu)
+        finally:
+            monkeypatch.setattr(derivation, "rebuild", real)
+        assert (out.conclusion.term, steps, normal) == (Var("y"), depth, True)
+        return calls[0]
+
+    small, large = rebuilds(80), rebuilds(160)
+    assert small > 0
+    assert large / small <= 2.5
 
 
 # -- eta -----------------------------------------------------------------------

@@ -99,6 +99,15 @@ def test_alpha_examples():
     assert not alpha_eq(t1, t3)
 
 
+def test_alpha_shared_subterm_under_swapped_binders():
+    # one Var object in both terms, bound by different binders
+    x = Var("x")
+    assert not alpha_eq(Lam("x", Lam("y", x)), Lam("y", Lam("x", x)))
+    body = Lam("y", x)
+    assert alpha_eq(Lam("x", body), Lam("x", body))
+    assert alpha_eq(Lam("x", body), Lam("z", Lam("y", Var("z"))))
+
+
 def test_alpha_matches_de_bruijn_oracle(space):
     gen = Gen(space=space, rng=random.Random(3))
     terms = [gen.gen_derivation(4).conclusion.term for _ in range(80)]
