@@ -1,9 +1,9 @@
 """Batch front end: mode-system declarations, program files, and commands.
 
-Exit codes: 0 success, 1 check/validation failure, 2 usage or parse error.
-The enumeration budget defaults to 8 and can be overridden with the
-GRASS_BUDGET environment variable; a value that is not an integer is a
-usage error.
+Exit codes: 0 success, 1 check/validation failure, 2 usage or parse error
+or input nested too deeply.  The enumeration budget defaults to 8 and can
+be overridden with the GRASS_BUDGET environment variable; a value that is
+not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .grades import (
     ModeMorphism,
     NAT_IDEALS,
     builtin_algebra,
+    order_closure,
 )
 from .modespace import ModeSpace, modespace_validate
 from .rewrite import normalize
@@ -42,7 +43,6 @@ from .suites import (
     substitution_suite,
 )
 from .syntax import Judgment, mode_of
-from .grades import _closure as _order_closure
 
 
 def _budget() -> int:
@@ -266,7 +266,7 @@ def _build_algebra(name: str, decl: dict) -> GradeAlgebra:
         id=name, kind="finite", carrier=carrier,
         zero=decl.get("zero", 0), one=decl.get("one", 1),
         add_table=decl["add"], mul_table=decl["mul"],
-        order=_order_closure(decl["order"], carrier),
+        order=order_closure(decl["order"], carrier),
     )
 
 
@@ -524,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-depth", type=int, default=5)
-    p.add_argument("--max-size", type=int, default=3)
     p.add_argument("--no-validate", action="store_true")
     p.set_defaults(fn=cmd_oracle)
     return parser
@@ -549,6 +548,9 @@ def main(argv=None) -> int:
     except GrassError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

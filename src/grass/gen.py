@@ -35,6 +35,7 @@ from .errors import GrassError
 from .grades import Grade, GradeValue
 from .modespace import ModeSpace
 from .rewrite import SubstitutionBundle
+from .semantics import default_arity
 from .syntax import TBase, TDrop, TFun, TRaise, TSum, TTensor, TUnit, Type, mode_of
 
 
@@ -85,20 +86,12 @@ class Gen:
                 return self.obj_size(a) + self.obj_size(b)
             case TFun(a, g, b):
                 m = mode_of(a)
-                return self.obj_size(a) ** self._arity(m, g.value) * self.obj_size(b)
+                return self.obj_size(a) ** default_arity(self.space, m, g.value) * self.obj_size(b)
             case TDrop(g, _lo, hi, a):
-                return self.obj_size(a) ** self._arity(hi, g.value)
+                return self.obj_size(a) ** default_arity(self.space, hi, g.value)
             case TRaise(_lo, _hi, a):
                 return self.obj_size(a)
         raise GrassError(f"not a type: {ty!r}")
-
-    def _arity(self, mode: str, value: GradeValue) -> int:
-        alg = self.space.mode(mode).algebra
-        if alg.kind == "nat":
-            return int(value)
-        if value == alg.zero and alg.zero != alg.one:
-            return 0
-        return 1
 
     def _fits(self, ty: Type) -> bool:
         try:

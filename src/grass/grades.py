@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import ConfigError, InputError, Report
 
@@ -23,19 +23,17 @@ NAT_IDEALS = ("all", "zero-only", "all-except-one")
 NAT_MAPS = ("identity", "to-top", "clamp-01w", "clamp-01")
 
 
-def _closure(pairs: set[tuple[GradeValue, GradeValue]], elems: Iterable[GradeValue]):
-    """Reflexive-transitive closure of a relation on a finite set."""
-    rel = set(pairs)
-    elems = list(elems)
-    rel.update((x, x) for x in elems)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(rel), repeat=2):
-            if b == c and (a, d) not in rel:
-                rel.add((a, d))
-                changed = True
-    return frozenset(rel)
+def order_closure(pairs: Iterable[tuple], elems: Iterable) -> frozenset[tuple]:
+    """Reflexive-transitive closure of a relation on a finite set (Warshall)."""
+    succ: dict = {x: {x} for x in elems}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+        succ.setdefault(b, set())
+    for k in succ:
+        for above in succ.values():
+            if k in above:
+                above |= succ[k]
+    return frozenset((a, b) for a, above in succ.items() for b in above)
 
 
 @dataclass(frozen=True)
@@ -222,14 +220,14 @@ def builtin_algebra(name: str) -> GradeAlgebra:
             id=name, kind="finite", carrier=carrier, zero=0, one=1,
             add_table=_table(carrier, lambda x, y: min(x + y, 1)),
             mul_table=_table(carrier, lambda x, y: x * y),
-            order=_closure({(0, 1)}, carrier),
+            order=order_closure({(0, 1)}, carrier),
         )
     if name == "bool-discrete":
         base = builtin_algebra("bool")
         return GradeAlgebra(
             id=name, kind="finite", carrier=base.carrier, zero=0, one=1,
             add_table=base.add_table, mul_table=base.mul_table,
-            order=_closure(set(), base.carrier),
+            order=order_closure(set(), base.carrier),
         )
     if name == "none-one-tons":
         carrier = (0, 1, "w")
@@ -253,7 +251,7 @@ def builtin_algebra(name: str) -> GradeAlgebra:
         return GradeAlgebra(
             id=name, kind="finite", carrier=carrier, zero=0, one=1,
             add_table=_table(carrier, add), mul_table=_table(carrier, mul),
-            order=_closure({(0, "w"), (1, "w")}, carrier),
+            order=order_closure({(0, "w"), (1, "w")}, carrier),
         )
     if name == "top":
         carrier = ("t",)
@@ -425,12 +423,3 @@ def mode_morphism_check(
         report.add("preserves-weak", (source.id, target.id), "Weak(source) -> Weak(target) is false")
     return report
 
-
-def compose_morphisms(
-    first: ModeMorphism, second: ModeMorphism, mid_algebra: GradeAlgebra,
-    target_algebra: GradeAlgebra, budget: int = DEFAULT_BUDGET,
-) -> Callable[[GradeValue], GradeValue]:
-    """Pointwise composition second . first as a plain function."""
-    if first.target != second.source:
-        raise InputError("morphisms not composable")
-    return lambda x: second.apply(first.apply(x, mid_algebra), target_algebra)

@@ -6,7 +6,6 @@ the independence check that every typing judgment must satisfy.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InputError, ModeOrderError, Report
@@ -17,23 +16,11 @@ from .grades import (
     Mode,
     ModeMorphism,
     mode_morphism_check,
+    order_closure,
 )
 
 GradeVector = tuple[Grade, ...]
 ModeVector = tuple[str, ...]
-
-
-def _order_closure(pairs: set[tuple[str, str]], ids: list[str]) -> frozenset[tuple[str, str]]:
-    rel = set(pairs)
-    rel.update((i, i) for i in ids)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(rel), repeat=2):
-            if b == c and (a, d) not in rel:
-                rel.add((a, d))
-                changed = True
-    return frozenset(rel)
 
 
 @dataclass
@@ -41,7 +28,8 @@ class ModeSpace:
     """Finite preordered set of modes with a morphism for each comparable pair.
 
     The order is closed reflexively and transitively on construction.
-    `base_types` maps user-declared base type names to their mode.
+    `base_types` maps user-declared base type names to their mode.  The
+    dicts passed in are copied, never written to.
     """
 
     modes: dict[str, Mode]
@@ -50,11 +38,14 @@ class ModeSpace:
     base_types: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.modes = dict(self.modes)
+        self.morphisms = dict(self.morphisms)
+        self.base_types = dict(self.base_types)
         ids = list(self.modes)
         for a, b in self.order_pairs:
             if a not in self.modes or b not in self.modes:
                 raise ConfigError(f"mode order mentions unknown mode {(a, b)}")
-        self.order_pairs = _order_closure(set(self.order_pairs), ids)
+        self.order_pairs = order_closure(self.order_pairs, ids)
         for (a, b) in self.morphisms:
             if (a, b) not in self.order_pairs:
                 raise ConfigError(f"morphism {a}->{b} given for an incomparable pair")

@@ -100,72 +100,59 @@ def term_subst_oracle(t: Term, mapping: dict[str, Term]) -> "tuple":
 # Term-level beta evaluation (independent of derivations)
 
 
-def _open(body, graft):
-    """Replace bound index 0 of an opened binder body with a graft."""
-
-    def go(t, depth):
-        head = t[0]
-        if head == "bound":
-            return graft if t[1] == depth else t
-        if head in ("free", "star"):
-            return t
-        if head == "lam":
-            return ("lam", go(t[1], depth + 1))
-        if head == "letp":
-            return ("letp", t[1], go(t[2], depth), go(t[3], depth + 2))
-        if head == "case":
-            return ("case", t[1], go(t[2], depth), go(t[3], depth + 1), go(t[4], depth + 1))
-        if head == "letd":
-            return ("letd", t[1], t[2], t[3], go(t[4], depth), go(t[5], depth + 1))
-        if head == "let*":
-            return ("let*", t[1], go(t[2], depth), go(t[3], depth))
-        return (head,) + tuple(go(p, depth) if isinstance(p, tuple) else p for p in t[1:])
-
-    return go(body, 0)
+# head -> {position of a part: number of binders that part sits under}
+_BINDERS = {"lam": {1: 1}, "letp": {3: 2}, "case": {3: 1, 4: 1}, "letd": {5: 1}}
 
 
-def _open2(body, graft1, graft2):
-    # under two binders the earlier variable is index 1, the later index 0
-    return _open(_shift_once(body, graft1), graft2)
+def _map_bound(t, leaf, depth: int = 0):
+    """Replace every ("bound", i) of t with leaf(i, depth), where depth
+    counts the binders of t around that occurrence."""
+    head = t[0]
+    if head == "bound":
+        return leaf(t[1], depth)
+    if head in ("free", "star"):
+        return t
+    under = _BINDERS.get(head, {})
+    return (head,) + tuple(
+        _map_bound(part, leaf, depth + under.get(n, 0)) if isinstance(part, tuple) else part
+        for n, part in enumerate(t[1:], start=1)
+    )
 
 
-def _shift_once(body, graft):
-    # replace bound index depth+1, i.e. the outer of two binders
-    def go(t, depth):
-        head = t[0]
-        if head == "bound":
-            return graft if t[1] == depth + 1 else t
-        if head in ("free", "star"):
-            return t
-        if head == "lam":
-            return ("lam", go(t[1], depth + 1))
-        if head == "letp":
-            return ("letp", t[1], go(t[2], depth), go(t[3], depth + 2))
-        if head == "case":
-            return ("case", t[1], go(t[2], depth), go(t[3], depth + 1), go(t[4], depth + 1))
-        if head == "letd":
-            return ("letd", t[1], t[2], t[3], go(t[4], depth), go(t[5], depth + 1))
-        if head == "let*":
-            return ("let*", t[1], go(t[2], depth), go(t[3], depth))
-        return (head,) + tuple(go(p, depth) if isinstance(p, tuple) else p for p in t[1:])
+def _instantiate(body, grafts):
+    """Open the binders just outside `body`: index j of them (0 innermost)
+    becomes grafts[j], shifted past the binders of `body` it lands under,
+    and indices past them drop by len(grafts)."""
+    k = len(grafts)
 
-    return go(body, 0)
+    def shift(graft, by):
+        return _map_bound(graft, lambda i, depth: ("bound", i + by if i >= depth else i))
+
+    def leaf(i, depth):
+        if i < depth:
+            return ("bound", i)
+        if i - depth < k:
+            return shift(grafts[i - depth], depth)
+        return ("bound", i - k)
+
+    return _map_bound(body, leaf)
 
 
 def ln_beta_step(t):
     """Leftmost-outermost beta step on a locally-nameless term, or None."""
     head = t[0]
     if head == "app" and t[1][0] == "lam":
-        return _open(t[1][1], t[2])
+        return _instantiate(t[1][1], [t[2]])
     if head == "let*" and t[2][0] == "star":
         return t[3]
     if head == "letp" and t[2][0] == "pair":
-        return _open2(t[3], t[2][1], t[2][2])
+        # the later binder is index 0, the earlier index 1
+        return _instantiate(t[3], [t[2][2], t[2][1]])
     if head == "case" and t[2][0] in ("inl", "inr"):
         branch = t[3] if t[2][0] == "inl" else t[4]
-        return _open(branch, t[2][1])
+        return _instantiate(branch, [t[2][1]])
     if head == "letd" and t[4][0] == "drop":
-        return _open(t[5], t[4][4])
+        return _instantiate(t[5], [t[4][4]])
     if head == "unraise" and t[3][0] == "raise":
         return t[3][3]
     if head in ("bound", "free", "star"):

@@ -7,7 +7,7 @@ is the file-handle mode over the none-one-tons semiring.
 from __future__ import annotations
 
 from .errors import ConfigError
-from .grades import Ideal, Mode, ModeMorphism, builtin_algebra
+from .grades import Ideal, Mode, ModeMorphism, builtin_algebra, order_closure
 from .modespace import ModeSpace
 
 _TOP = builtin_algebra("top")
@@ -55,15 +55,7 @@ def standard_space(
 ) -> ModeSpace:
     """Assemble a mode space from the stock modes with the stock morphisms."""
     modes = {m: MODE_FACTORIES[m]() for m in mode_ids}
-    pairs = set(order)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(pairs):
-            for c, d in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
+    pairs = order_closure(order, mode_ids)
     morphisms = {}
     for a, b in pairs:
         if a == b:
@@ -71,8 +63,8 @@ def standard_space(
         if (a, b) not in _MORPHISMS:
             raise ConfigError(f"no stock morphism for {a} <= {b}")
         morphisms[(a, b)] = _MORPHISMS[(a, b)]
-    return ModeSpace(modes=modes, order_pairs=frozenset(pairs), morphisms=morphisms,
-                     base_types=dict(base_types or {}))
+    return ModeSpace(modes=modes, order_pairs=pairs, morphisms=morphisms,
+                     base_types=base_types or {})
 
 
 _SYSTEMS = {

@@ -565,7 +565,7 @@ def normalize(d: Derivation, fuel: int, space: ModeSpace):
         check_derivation(nxt, space, memo)
         current = nxt
         steps += 1
-    return current, steps, beta_step(current, space) is None
+    return current, steps, not any(_is_redex(node) for node in current.walk())
 
 
 def all_single_steps(d: Derivation, space: ModeSpace) -> list[tuple[Derivation, tuple]]:

@@ -101,28 +101,6 @@ def rel_tensor(f: Rel, g: Rel) -> Rel:
     )
 
 
-def rel_hom_object(x_obj: FinSetObj, y_obj: FinSetObj) -> FinSetObj:
-    """The compact-closed hom of relations, X x Y; function types denote
-    function spaces (`fun_obj`) instead."""
-    return tensor_obj(x_obj, y_obj)
-
-
-def rel_eval(x_obj: FinSetObj, y_obj: FinSetObj) -> Rel:
-    hom = rel_hom_object(x_obj, y_obj)
-    dom = tensor_obj(hom, x_obj)
-    pairs = frozenset((((x, y), x2), y) for (x, y) in hom.elements for x2 in x_obj.elements if x2 == x)
-    return Rel(dom, y_obj, pairs)
-
-
-def rel_curry(f: Rel, z_obj: FinSetObj, x_obj: FinSetObj, y_obj: FinSetObj) -> Rel:
-    """Transpose f : Z (x) X -> Y to Z -> (X -o Y)."""
-    if f.dom != tensor_obj(z_obj, x_obj) or f.cod != y_obj:
-        raise ShapeError("rel_curry: signature mismatch")
-    hom = rel_hom_object(x_obj, y_obj)
-    pairs = frozenset((z, (x, y)) for ((z, x), y) in f.pairs)
-    return Rel(z_obj, hom, pairs)
-
-
 ELEMENT_LIMIT = 200_000
 
 
@@ -180,30 +158,31 @@ def spread_rel(x_obj: FinSetObj, s: int, r: int) -> Rel:
 # Backend
 
 
+def default_arity(space: ModeSpace, mode: str, value: GradeValue) -> int:
+    """The number of tuple components of q (.) X when no arity is declared:
+    the value itself over the naturals, 0 at a zero distinct from one, else 1."""
+    alg = space.mode(mode).algebra
+    if alg.kind == "nat":
+        return int(value)
+    if value == alg.zero and alg.zero != alg.one:
+        return 0
+    return 1
+
+
 @dataclass
 class ModelBackend:
-    """Arity tables and base-type carriers over a validated mode space.
-
-    `corrupt` deliberately damages one structure map family; it exists for
-    the mutation checks of the coherence validator.
-    """
+    """Arity tables and base-type carriers over a validated mode space."""
 
     space: ModeSpace
     arities: dict[tuple[str, GradeValue], int] = field(default_factory=dict)
     base_carriers: dict[str, tuple] = field(default_factory=dict)
     nat_budget: int = 4
-    corrupt: str | None = None
 
     def arity(self, mode: str, value: GradeValue) -> int:
         key = (mode, value)
         if key in self.arities:
             return self.arities[key]
-        alg = self.space.mode(mode).algebra
-        if alg.kind == "nat":
-            return int(value)
-        if value == alg.zero and alg.zero != alg.one:
-            return 0
-        return 1
+        return default_arity(self.space, mode, value)
 
     # -- structure maps ----------------------------------------------------
 
@@ -220,9 +199,6 @@ class ModelBackend:
             raise ConfigError(f"mode {mode}: arity of 1 must be 1 for the counit, got {a1}")
         dom = power_obj(x_obj, 1)
         pairs = frozenset(((x,), x) for x in x_obj.elements)
-        if self.corrupt == "eps" and len(x_obj) > 1:
-            rot = dict(zip(x_obj.elements, x_obj.elements[1:] + x_obj.elements[:1]))
-            pairs = frozenset(((x,), rot[x]) for x in x_obj.elements)
         return Rel(dom, x_obj, pairs)
 
     def delta(self, mode: str, r: GradeValue, q: GradeValue, x_obj: FinSetObj) -> Rel:
@@ -235,10 +211,7 @@ class ModelBackend:
         dom = power_obj(x_obj, arq)
         cod = power_obj(power_obj(x_obj, aq), ar)
         def chunk(xs):
-            groups = tuple(xs[i * aq:(i + 1) * aq] for i in range(ar))
-            if self.corrupt == "delta":
-                groups = tuple(reversed(groups))
-            return groups
+            return tuple(xs[i * aq:(i + 1) * aq] for i in range(ar))
         pairs = frozenset((xs, chunk(xs)) for xs in dom.elements)
         return Rel(dom, cod, pairs)
 
@@ -257,30 +230,19 @@ class ModelBackend:
         """The image of one element under `tau_many`: a tuple of a(q)-tuples,
         one per factor, transposed into a(q) tuples over the factors."""
         a = self.arity(mode, value)
-        out = tuple(tuple(part[j] for part in entry) for j in range(a))
-        if self.corrupt == "tau":
-            out = tuple(reversed(out))
-        return out
+        return tuple(tuple(part[j] for part in entry) for j in range(a))
 
     def tau_pair(self, mode: str, value: GradeValue, x_obj: FinSetObj, y_obj: FinSetObj) -> Rel:
         """(q (.) X) (x) (q (.) Y) -> q (.) (X (x) Y) on genuine pair objects."""
         a = self.arity(mode, value)
         dom = tensor_obj(power_obj(x_obj, a), power_obj(y_obj, a))
         cod = power_obj(tensor_obj(x_obj, y_obj), a)
-        def zip_(e):
-            xs, ys = e
-            out = tuple((xs[j], ys[j]) for j in range(a))
-            if self.corrupt == "tau":
-                out = tuple(reversed(out))
-            return out
-        pairs = frozenset((e, zip_(e)) for e in dom.elements)
+        pairs = frozenset((e, self.tau_element(mode, value, e)) for e in dom.elements)
         return Rel(dom, cod, pairs)
 
     def iota(self, mode: str, value: GradeValue) -> Rel:
         a = self.arity(mode, value)
         cod = power_obj(UNIT_OBJ, a)
-        if self.corrupt == "iota":
-            return Rel(UNIT_OBJ, cod, frozenset())
         return Rel(UNIT_OBJ, cod, frozenset({(UNIT_ELEM, (UNIT_ELEM,) * a)}))
 
     def c_map(self, mode: str, r: GradeValue, q: GradeValue, x_obj: FinSetObj) -> Rel:
@@ -291,12 +253,8 @@ class ModelBackend:
         arq = self.arity(mode, alg.add(r, q))
         dom = power_obj(x_obj, arq)
         cod = tensor_obj(power_obj(x_obj, ar), power_obj(x_obj, aq))
-        rot = dict(zip(x_obj.elements, x_obj.elements[1:] + x_obj.elements[:1]))
         def split(xs):
-            left, right = xs[:ar], xs[ar:]
-            if self.corrupt == "c":
-                left = tuple(rot[v] for v in left)
-            return (left, right)
+            return (xs[:ar], xs[ar:])
         if arq == ar + aq:
             pairs = frozenset((xs, split(xs)) for xs in dom.elements)
         else:
@@ -308,8 +266,6 @@ class ModelBackend:
         alg = self.space.mode(mode).algebra
         a0 = self.arity(mode, alg.zero)
         dom = power_obj(x_obj, a0)
-        if self.corrupt == "w":
-            return Rel(dom, UNIT_OBJ, frozenset())
         return Rel(dom, UNIT_OBJ, frozenset((xs, UNIT_ELEM) for xs in dom.elements))
 
     def preorder_map(self, mode: str, low: GradeValue, high: GradeValue, x_obj: FinSetObj) -> Rel:
@@ -324,9 +280,8 @@ class ModelBackend:
         phi_q = self.space.phi(low_mode, high_mode, value)
         return spread_rel(x_obj, self.arity(high_mode, phi_q), self.arity(low_mode, value))
 
-    def lineator(self, low_mode: str, high_mode: str, value: GradeValue, x_obj: FinSetObj) -> Rel:
-        """phi(q) (.) G(X) -> G(q (.) X); identical to mu here since F = G = id."""
-        return self.mu(low_mode, high_mode, value, x_obj)
+    # phi(q) (.) G(X) -> G(q (.) X), the lineator, is mu here since F = G = id
+    lineator = mu
 
 
 # ---------------------------------------------------------------------------
@@ -1223,72 +1178,59 @@ def model_coherence_validate(
                         )
                         _square(report, "w counit on the right of c", (m, r, size), lhs, rel_id(rx))
 
-    # lineator / mu coherence across every comparable pair
+    # mu coherence across every comparable pair (the lineator is mu here)
     for (mlo, mhi) in sorted(space.order_pairs):
         if mlo not in modes or mhi not in modes:
             continue
         mode_lo = space.mode(mlo)
-        alg_lo, alg_hi = mode_lo.algebra, space.mode(mhi).algebra
+        alg_lo = mode_lo.algebra
         grades_lo = list(alg_lo.elements(budget))
-        for name, builder in (("lineator", backend.lineator), ("mu", backend.mu)):
-            for x_obj in test_objs:
-                size = len(x_obj)
-                for r in grades_lo:
-                    ar = backend.arity(mlo, r)
-                    aphi = backend.arity(mhi, space.phi(mlo, mhi, r))
-                    if not _fits_size(size, max(ar, aphi)):
-                        continue
-                    # unit square
-                    if r == alg_lo.one:
-                        lhs = _chain(builder(mlo, mhi, r, x_obj), backend.eps(mlo, x_obj))
-                        _square(report, f"{name} unit square", (mlo, mhi, size), lhs,
-                                backend.eps(mhi, x_obj))
-                    # zero square
-                    if mode_lo.weak and r == alg_lo.zero:
-                        lhs = _chain(builder(mlo, mhi, r, x_obj), backend.w_map(mlo, x_obj))
-                        _square(report, f"{name} zero square", (mlo, mhi, size), lhs,
-                                backend.w_map(mhi, x_obj))
-                for q, r in itertools.product(grades_lo, repeat=2):
-                    aq, ar = backend.arity(mlo, q), backend.arity(mlo, r)
-                    aphi_q = backend.arity(mhi, space.phi(mlo, mhi, q))
-                    aphi_r = backend.arity(mhi, space.phi(mlo, mhi, r))
-                    if not _fits_size(size, aq * ar, aphi_q * aphi_r,
-                                      ar * aphi_q, ar * aq, aphi_q * max(aphi_r, ar)):
-                        continue
-                    # multiplication square
+        for x_obj in test_objs:
+            size = len(x_obj)
+            for r in grades_lo:
+                ar = backend.arity(mlo, r)
+                aphi = backend.arity(mhi, space.phi(mlo, mhi, r))
+                if not _fits_size(size, max(ar, aphi)):
+                    continue
+                # unit square
+                if r == alg_lo.one:
+                    lhs = _chain(backend.mu(mlo, mhi, r, x_obj), backend.eps(mlo, x_obj))
+                    _square(report, "mu unit square", (mlo, mhi, size), lhs,
+                            backend.eps(mhi, x_obj))
+                # zero square
+                if mode_lo.weak and r == alg_lo.zero:
+                    lhs = _chain(backend.mu(mlo, mhi, r, x_obj), backend.w_map(mlo, x_obj))
+                    _square(report, "mu zero square", (mlo, mhi, size), lhs,
+                            backend.w_map(mhi, x_obj))
+            for q, r in itertools.product(grades_lo, repeat=2):
+                aq, ar = backend.arity(mlo, q), backend.arity(mlo, r)
+                aphi_q = backend.arity(mhi, space.phi(mlo, mhi, q))
+                aphi_r = backend.arity(mhi, space.phi(mlo, mhi, r))
+                if not _fits_size(size, aq * ar, aphi_q * aphi_r,
+                                  ar * aphi_q, ar * aq, aphi_q * max(aphi_r, ar)):
+                    continue
+                # multiplication square
+                lhs = _chain(
+                    backend.mu(mlo, mhi, alg_lo.mul(q, r), x_obj),
+                    backend.delta(mlo, q, r, x_obj),
+                )
+                rhs = _chain(
+                    backend.delta(mhi, space.phi(mlo, mhi, q), space.phi(mlo, mhi, r), x_obj),
+                    backend.act_rel(mhi, space.phi(mlo, mhi, q), backend.mu(mlo, mhi, r, x_obj)),
+                    backend.mu(mlo, mhi, q, backend.act_obj(mlo, r, x_obj)),
+                )
+                _square(report, "mu multiplication square", (mlo, mhi, q, r, size), lhs, rhs)
+                # addition square
+                if mode_lo.cont.contains(q) and mode_lo.cont.contains(r):
                     lhs = _chain(
-                        builder(mlo, mhi, alg_lo.mul(q, r), x_obj),
-                        backend.delta(mlo, q, r, x_obj),
+                        backend.mu(mlo, mhi, alg_lo.add(q, r), x_obj),
+                        backend.c_map(mlo, q, r, x_obj),
                     )
                     rhs = _chain(
-                        backend.delta(mhi, space.phi(mlo, mhi, q), space.phi(mlo, mhi, r), x_obj),
-                        backend.act_rel(mhi, space.phi(mlo, mhi, q), builder(mlo, mhi, r, x_obj)),
-                        builder(mlo, mhi, q, backend.act_obj(mlo, r, x_obj)),
+                        backend.c_map(mhi, space.phi(mlo, mhi, q), space.phi(mlo, mhi, r), x_obj),
+                        rel_tensor(backend.mu(mlo, mhi, q, x_obj), backend.mu(mlo, mhi, r, x_obj)),
                     )
-                    _square(report, f"{name} multiplication square", (mlo, mhi, q, r, size), lhs, rhs)
-                    # addition square
-                    if mode_lo.cont.contains(q) and mode_lo.cont.contains(r):
-                        lhs = _chain(
-                            builder(mlo, mhi, alg_lo.add(q, r), x_obj),
-                            backend.c_map(mlo, q, r, x_obj),
-                        )
-                        rhs = _chain(
-                            backend.c_map(mhi, space.phi(mlo, mhi, q), space.phi(mlo, mhi, r), x_obj),
-                            rel_tensor(builder(mlo, mhi, q, x_obj), builder(mlo, mhi, r, x_obj)),
-                        )
-                        _square(report, f"{name} addition square", (mlo, mhi, q, r, size), lhs, rhs)
-                # the mu induced from the lineator must agree with mu
-                for r in grades_lo:
-                    if not _fits_size(size, max(backend.arity(mlo, r), 1)):
-                        continue
-                    _square(
-                        report, "mu agrees with its lineator transpose", (mlo, mhi, r, size),
-                        backend.mu(mlo, mhi, r, x_obj), backend.lineator(mlo, mhi, r, x_obj),
-                    )
-        # adjunction triangles are between identity functors here
-        for x_obj in test_objs:
-            _square(report, "adjunction triangle", (mlo, mhi, len(x_obj)),
-                    rel_id(x_obj), rel_id(x_obj))
+                    _square(report, "mu addition square", (mlo, mhi, q, r, size), lhs, rhs)
 
     return report
 

@@ -62,12 +62,8 @@ def _beta_trace(d: Derivation, space: ModeSpace, fuel: int = 24):
 
 
 def _eta_pairs(d: Derivation, space: ModeSpace):
-    pairs = []
-    for node in (d,):
-        rule = eta_rule_for(node)
-        if rule is not None:
-            pairs.append((node, eta_expand(node, rule, space), rule))
-    return pairs
+    rule = eta_rule_for(d)
+    return [] if rule is None else [(d, eta_expand(d, rule, space), rule)]
 
 
 def preservation_suite(space: ModeSpace, seed: int, count: int, max_depth: int = 5) -> SuiteResult:

@@ -328,10 +328,6 @@ def _freshen_binder(x: str, body: Term, mapping: dict[str, Term], avoid: set[str
     return x2, subst(body, {x: Var(x2)})
 
 
-def rename(t: Term, old: str, new: str) -> Term:
-    return subst(t, {old: Var(new)})
-
-
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Equality up to consistent renaming of bound variables."""
 

@@ -41,6 +41,8 @@ from grass.suites import (
 )
 from grass.syntax import Judgment, Lam, Pair, Star, TBase, TFun, TTensor, TUnit, Var
 
+from corrupted_backend import CORRUPTIONS, corrupted
+
 
 def _report(number: int, name: str, ok: bool, started: float, budget: float, detail: str = ""):
     elapsed = time.time() - started
@@ -237,15 +239,13 @@ def test_criterion_6_lemma_suites():
 
 def test_criterion_7_coherence_validation():
     started = time.time()
-    from dataclasses import replace
-
     backend = system("all")[1]
     report = model_coherence_validate(backend, max_size=3, budget=4)
     failures = [v.render() for v in report.violations]
 
     undetected = []
-    for which in ("delta", "eps", "tau", "iota", "c", "w"):
-        bad = replace(backend, corrupt=which)
+    for which in CORRUPTIONS:
+        bad = corrupted(backend, which)
         if model_coherence_validate(bad, max_size=3, budget=4).ok():
             undetected.append(which)
 

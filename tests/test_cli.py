@@ -213,6 +213,15 @@ def test_oracle_count_zero_runs_no_cases(capsys):
     assert all(" cases=0 " in line for line in heads)
 
 
+def test_deeply_nested_input_is_a_clean_error(tmp_path, capsys):
+    depth = 5000
+    prog = _write(tmp_path, "deep.prog", "type deep = " + "(* " * depth + "P" + " P)" * depth + "\n")
+    assert main(["check", str(ROOT / "systems" / "lnl.modes"), prog]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: input nested too deeply\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_shipped_demo_program_checks():
     modes = str(ROOT / "systems" / "lnl.modes")
     prog = str(ROOT / "systems" / "demo.prog")

@@ -22,6 +22,19 @@ def test_lnl_space_validates():
     assert modespace_validate(space).ok()
 
 
+def test_construction_leaves_the_callers_dicts_alone():
+    modes = {"L": mode_L(), "U": mode_U()}
+    morphisms = {("L", "U"): ModeMorphism("L", "U", named="to-top")}
+    base_types = {"P": "L"}
+    space = ModeSpace(modes=modes, order_pairs=frozenset({("L", "U")}),
+                      morphisms=morphisms, base_types=base_types)
+    assert list(morphisms) == [("L", "U")]
+    assert list(modes) == ["L", "U"] and base_types == {"P": "L"}
+    assert len(space.morphisms) == 3
+    modes["A"], base_types["Q"] = mode_L(), "U"
+    assert list(space.modes) == ["L", "U"] and space.base_types == {"P": "L"}
+
+
 def test_single_mode_space_validates():
     space, _ = system("L")
     assert modespace_validate(space).ok()

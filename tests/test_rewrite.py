@@ -194,12 +194,43 @@ def test_normalization_matches_term_level_evaluator(lu):
         assert to_locally_nameless(nf.conclusion.term) == ln_nf
 
 
+@pytest.mark.parametrize("term, normal_form", [
+    # (let-pair x y s (let-pair u v (pair a b) (f y))): y points past the
+    # opened binders and must drop to index 0
+    (LetPair(1, "x", "y", Var("s"),
+             LetPair(1, "u", "v", Pair(Var("a"), Var("b")), App(Var("f"), Var("y")))),
+     LetPair(1, "x", "y", Var("s"), App(Var("f"), Var("y")))),
+    # (lam z (app (lam x (lam w x)) z)): the graft z lands under w
+    (Lam("z", App(Lam("x", Lam("w", Var("x"))), Var("z"))),
+     Lam("z", Lam("w", Var("z")))),
+])
+def test_ln_normalize_renumbers_indices_under_binders(term, normal_form):
+    nf, steps = ln_normalize(to_locally_nameless(term), 10)
+    assert (nf, steps) == (to_locally_nameless(normal_form), 1)
+
+
 def _identity_chain(space, depth):
     """(app (lam x1 x1) (app (lam x2 x2) ... y)) at type P."""
     d = mk_var(space, "y", P)
     for i in range(depth, 0, -1):
         d = mk_arrowE(space, mk_arrowI(space, mk_var(space, f"x{i}", P)), d)
     return d
+
+
+def test_normalize_out_of_fuel_contracts_only_the_steps_taken(lu, monkeypatch):
+    import grass.rewrite as rewrite
+
+    real = rewrite._contract
+    calls = []
+
+    def counting(space, d):
+        calls.append(d)
+        return real(space, d)
+
+    monkeypatch.setattr(rewrite, "_contract", counting)
+    _out, steps, normal = normalize(_identity_chain(lu, 3), 2, lu)
+    assert (steps, normal) == (2, False)
+    assert len(calls) == 2
 
 
 def _with_term(d, term):

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -29,9 +28,6 @@ from grass.semantics import (
     model_coherence_validate,
     power_obj,
     rel_compose,
-    rel_curry,
-    rel_eval,
-    rel_hom_object,
     rel_id,
     rel_tensor,
     scalar_act,
@@ -41,6 +37,8 @@ from grass.semantics import (
     v_identity_check,
 )
 from grass.syntax import Judgment, TBase, TFun, TTensor, TUnit, Var
+
+from corrupted_backend import CORRUPTIONS, corrupted
 
 P = TBase("P", "L")
 Q = TBase("Q", "U")
@@ -72,16 +70,6 @@ def test_identity_laws():
 def test_tensor_of_identities():
     x, y = FinSetObj(("a", "b")), FinSetObj((0,))
     assert rel_tensor(rel_id(x), rel_id(y)).pairs == rel_id(tensor_obj(x, y)).pairs
-
-
-def test_curry_eval_triangle_exhaustively():
-    # ev o (curry(f) (x) id) = f for every relation on sets of size <= 3
-    z, x, y = FinSetObj(("z1", "z2")), FinSetObj(("x1", "x2")), FinSetObj(("y1",))
-    ev = rel_eval(x, y)
-    for f in _all_rels(tensor_obj(z, x), y):
-        cur = rel_curry(f, z, x, y)
-        lhs = rel_compose(rel_tensor(cur, rel_id(x)), ev)
-        assert lhs.pairs == f.pairs
 
 
 def test_compose_signature_mismatch():
@@ -259,9 +247,9 @@ def test_coherence_clean(all_backend):
     assert report.ok(), report.render()
 
 
-@pytest.mark.parametrize("which", ["delta", "eps", "tau", "iota", "c", "w"])
+@pytest.mark.parametrize("which", CORRUPTIONS)
 def test_coherence_mutations_detected(all_backend, which):
-    bad = replace(all_backend, corrupt=which)
+    bad = corrupted(all_backend, which)
     report = model_coherence_validate(bad, max_size=3)
     assert not report.ok()
 
