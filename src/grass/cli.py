@@ -13,7 +13,7 @@ import os
 import sys
 
 from .derivation import Derivation, check_derivation, elaborate
-from .errors import GrassError, ParseError, UsageError
+from .errors import GrassError, NestingError, ParseError, UsageError
 from .grades import (
     DEFAULT_BUDGET,
     GradeAlgebra,
@@ -28,13 +28,12 @@ from .modespace import ModeSpace, modespace_validate
 from .rewrite import normalize
 from .semantics import ModelBackend, interp_derivation, model_coherence_validate
 from .sexpr import (
-    derivation_from_tree,
+    derivation_from_sexpr,
     grade_value,
-    read_sexpr,
     show_judgment,
-    term_from_tree,
+    term_from_sexpr,
     term_to_sexpr,
-    type_from_tree,
+    type_from_sexpr,
 )
 from .suites import (
     preservation_suite,
@@ -320,23 +319,23 @@ def parse_program_text(text: str, space: ModeSpace) -> dict[str, ProgramItem]:
         try:
             if kind == "type":
                 _expect_eq(rest, lineno)
-                items[name] = ProgramItem("type", name, type_from_tree(read_sexpr(rest[2:]), space))
+                items[name] = ProgramItem("type", name, type_from_sexpr(rest[2:], space))
             elif kind == "term":
                 if not rest.startswith(":"):
                     raise ParseError("term items look like `term name : TYPE = TERM`", lineno)
                 ty_text, _, tm_text = _split_top(rest[1:], "=")
-                ty = type_from_tree(read_sexpr(ty_text), space)
-                tm = term_from_tree(read_sexpr(tm_text))
+                ty = type_from_sexpr(ty_text, space)
+                tm = term_from_sexpr(tm_text)
                 items[name] = ProgramItem("term", name, (tm, ty))
             elif kind == "derivation":
                 _expect_eq(rest, lineno)
                 items[name] = ProgramItem(
-                    "derivation", name, derivation_from_tree(read_sexpr(rest[2:]), space))
+                    "derivation", name, derivation_from_sexpr(rest[2:], space))
             else:
                 raise ParseError(f"unknown item kind {kind!r}", lineno)
         except ParseError as e:
             if e.line is None:
-                raise ParseError(str(e), lineno) from None
+                raise type(e)(str(e), lineno) from None
             raise
         except GrassError as e:
             raise ParseError(f"{name}: {e}", lineno) from None
@@ -383,10 +382,9 @@ def cmd_check(args) -> int:
     space, _backend = load_modes_file(args.modes)
     _validate_space(space, args)
     items = load_program_file(args.program, space)
-    selected = _select(items, args.item)
     failed = False
-    for name in selected:
-        item = items[name]
+    for name in items if args.item is None else [args.item]:
+        item = _lookup(items, name)
         if item.kind == "type":
             print(f"{name}: type ok")
             continue
@@ -404,11 +402,7 @@ def cmd_normalize(args) -> int:
     space, _backend = load_modes_file(args.modes)
     _validate_space(space, args)
     items = load_program_file(args.program, space)
-    item = items.get(args.item)
-    if item is None:
-        print(f"no item named {args.item!r}", file=sys.stderr)
-        return 2
-    d = _item_derivation(item, space)
+    d = _item_derivation(_lookup(items, args.item), space)
     out, steps, is_normal = normalize(d, args.fuel, space)
     status = "normal" if is_normal else "fuel exhausted"
     print(f"{args.item}: {term_to_sexpr(out.conclusion.term)}")
@@ -423,11 +417,7 @@ def cmd_interp(args) -> int:
         print("no backend declared in the modes file", file=sys.stderr)
         return 2
     items = load_program_file(args.program, space)
-    item = items.get(args.item)
-    if item is None:
-        print(f"no item named {args.item!r}", file=sys.stderr)
-        return 2
-    d = _item_derivation(item, space)
+    d = _item_derivation(_lookup(items, args.item), space)
     rel = interp_derivation(backend, d)
     for a, b in sorted(rel.pairs, key=repr):
         print(f"{a!r} ~ {b!r}")
@@ -477,12 +467,11 @@ def _validate_space(space: ModeSpace, args) -> None:
         raise GrassError("mode system failed validation:\n" + report.render())
 
 
-def _select(items, wanted):
-    if wanted is None:
-        return list(items)
-    if wanted not in items:
-        raise GrassError(f"no item named {wanted!r}")
-    return [wanted]
+def _lookup(items: dict[str, ProgramItem], name: str) -> ProgramItem:
+    try:
+        return items[name]
+    except KeyError:
+        raise UsageError(f"no item named {name!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,13 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except SystemExit as e:
+        return 2 if e.code not in (0, None) else 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
-        return args.fn(args)
+    except (NestingError, RecursionError):
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
@@ -548,9 +539,6 @@ def main(argv=None) -> int:
     except GrassError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except RecursionError:
-        print("error: input nested too deeply", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

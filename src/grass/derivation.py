@@ -576,7 +576,7 @@ def elaborate(j: Judgment, space: ModeSpace) -> Derivation:
     if not independence_check(j.modes, j.mode, space):
         raise ElaborationError("goal judgment violates independence")
     env = {x: ty for x, ty in j.ctx}
-    d = _elab_check(space, j.term, j.ty, j.mode, env, list(env))
+    d = _elab(space, j.term, j.ty, j.mode, env, list(env))
 
     # Weaken in the unused entries, then match j's order and grades.
     for (name, ty), n, g in zip(j.ctx, j.modes, j.rho):
@@ -601,16 +601,6 @@ def elaborate(j: Judgment, space: ModeSpace) -> Derivation:
         d = mk_sub(space, d, tuple(g.value for g in j.rho))
     assert d.conclusion == j or alpha_eq(d.conclusion.term, j.term)
     return d
-
-
-def _elab_synth(space: ModeSpace, term: Term, mode: str, env: dict[str, Type],
-                env_names: list[str]) -> Derivation:
-    return _elab(space, term, None, mode, env, env_names)
-
-
-def _elab_check(space: ModeSpace, term: Term, ty: Type, mode: str, env: dict[str, Type],
-                env_names: list[str]) -> Derivation:
-    return _elab(space, term, ty, mode, env, env_names)
 
 
 def _elab(space: ModeSpace, term: Term, expected: Type | None, mode: str,

@@ -66,6 +66,10 @@ class ParseError(GrassError):
         super().__init__(message)
 
 
+class NestingError(ParseError):
+    """Input nested more deeply than the parser reads it."""
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed law instance, with the witness tuple that broke it."""

@@ -5,11 +5,15 @@ pairs, the unit is a fixed singleton, and the hom object of A -o{q} B is
 the set of total functions q (.) A -> B, each the tuple of its values in
 the element order of q (.) A (`fun_obj`); abstraction keeps every total
 function a relation contains, application evaluates.  Each mode acts
-by tupling: q (.) X = X^a(q) for a declared arity a(q), with delta and tau
-as tuple regroupings, contraction as a split where arities add up and as a
-diagonal otherwise, and weakening as the total projection.  The functors
-connecting modes are identities; the comparison maps between the actions
-of comparable modes are canonical spread (repeat/forget) relations.
+by tupling: q (.) X = X^a(q) for a declared arity a(q); the functors
+connecting modes are identities.  So every structure map only copies,
+permutes, forgets or repeats tuple positions, and each has one definition,
+a `Positions` map built from the arities alone: delta and tau regroup,
+contraction splits where arities add up and spreads otherwise, weakening
+forgets, and the comparison maps are spreads.  `ModelBackend`'s relations
+and the interpretation's index tables are both read off those positions,
+which fix the map at every carrier (parametricity: Wadler, "Theorems for
+free!", 1989), so neither view samples object sizes.
 
 Context objects are flat k-tuples, one component per entry, which makes
 the tensor of contexts strictly associative.
@@ -21,6 +25,8 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .derivation import Derivation
 from .errors import ConfigError, InputError, Report, ShapeError, SizeLimitError
@@ -139,19 +145,91 @@ def power_rel(f: Rel, k: int) -> Rel:
     return Rel(power_obj(f.dom, k), power_obj(f.cod, k), frozenset(pairs))
 
 
-def spread_rel(x_obj: FinSetObj, s: int, r: int) -> Rel:
-    """Canonical comparison X^s -> X^r: repeat the final coordinate to grow,
-    forget a suffix to shrink; from the empty power it is the diagonal."""
-    dom, cod = power_obj(x_obj, s), power_obj(x_obj, r)
-    if s >= 1:
-        pairs = frozenset(
-            (xs, tuple(xs[min(j, s - 1)] for j in range(r))) for xs in dom.elements
-        )
-    elif r == 0:
-        pairs = frozenset({(UNIT_ELEM, UNIT_ELEM)})
+# ---------------------------------------------------------------------------
+# Position maps
+
+
+@dataclass(frozen=True)
+class Positions:
+    """A map X^src -> X^len(out) that acts on positions alone: output
+    coordinate j copies source coordinate out[j], where out[j] == src
+    names one fresh coordinate that every such output shares and that
+    ranges over X.  Without it the map is a total function."""
+
+    src: int
+    out: tuple
+
+    @cached_property
+    def fresh(self) -> bool:
+        return self.src in self.out
+
+    @cached_property
+    def pick(self):
+        """The image of a source tuple, with the fresh value appended if
+        the map has one."""
+        out = self.out
+        return itemgetter(*out) if len(out) > 1 else lambda xs: tuple(xs[k] for k in out)
+
+    def place_values(self, weights) -> list[int]:
+        """The place value of each source coordinate, then of the fresh
+        one, when output coordinate j has place value weights[j]."""
+        place = [0] * (self.src + 1)
+        for k, w in zip(self.out, weights):
+            place[k] += w
+        return place
+
+    def table(self, n: int, weights) -> list:
+        """The map by index for |X| = n: entry i, for the i-th element of
+        X^src in mixed radix, is the sum of each output coordinate's digit
+        times weights[j], or the tuple of those sums over the fresh value
+        unless there is exactly one."""
+        *place, fresh_w = self.place_values(weights)
+        table = list(map(sum, itertools.product(*([d * w for d in range(n)] for w in place))))
+        if not self.fresh or n == 1:
+            return table
+        return [tuple(i + x * fresh_w for x in range(n)) for i in table]
+
+
+@lru_cache(maxsize=None)
+def spread(s: int, r: int) -> Positions:
+    """The canonical comparison X^s -> X^r: repeat the final coordinate to
+    grow, forget a suffix to shrink; out of the empty power, the diagonal."""
+    return Positions(s, tuple(min(j, s - 1) for j in range(r)) if s else (0,) * r)
+
+
+def positions_rel(p: Positions, x_obj: FinSetObj, dom: FinSetObj | None = None,
+                  cod: FinSetObj | None = None, regroup=tuple) -> Rel:
+    """p between dom (default X^src) and cod (default X^len(out)), element
+    by element: each source tuple to its images, regrouped into the
+    nesting of cod's elements, for X = x_obj."""
+    dom = power_obj(x_obj, p.src) if dom is None else dom
+    cod = power_obj(x_obj, len(p.out)) if cod is None else cod
+    pick = p.pick
+    if p.fresh:  # one image per value of the fresh coordinate
+        pairs = ((xs, regroup(pick(xs + (x,)))) for xs in dom.elements for x in x_obj.elements)
     else:
-        pairs = frozenset((UNIT_ELEM, (x,) * r) for x in x_obj.elements)
-    return Rel(dom, cod, pairs)
+        pairs = ((xs, regroup(pick(xs))) for xs in dom.elements)
+    return Rel(dom, cod, frozenset(pairs))
+
+
+# no caller in this package; kept because perfbench/tracer.py wraps it by name
+def spread_rel(x_obj: FinSetObj, s: int, r: int) -> Rel:
+    return positions_rel(spread(s, r), x_obj)
+
+
+@lru_cache(maxsize=None)
+def _transpose(a: int, k: int) -> Positions:
+    """k a-tuples, flat, to a k-tuples: coordinate j of tuple i goes to
+    coordinate i of tuple j."""
+    return Positions(k * a, tuple(i * a + j for j in range(a) for i in range(k)))
+
+
+@lru_cache(maxsize=None)
+def _chunker(width: int, count: int):
+    """Cuts a flat tuple into count consecutive tuples of width elements."""
+    if not width:
+        return lambda xs: ((),) * count
+    return lambda xs: tuple(zip(*[iter(xs)] * width))
 
 
 # ---------------------------------------------------------------------------
@@ -184,42 +262,74 @@ class ModelBackend:
             return self.arities[key]
         return default_arity(self.space, mode, value)
 
-    # -- structure maps ----------------------------------------------------
-
     def act_obj(self, mode: str, value: GradeValue, x_obj: FinSetObj) -> FinSetObj:
         return power_obj(x_obj, self.arity(mode, value))
 
     def act_rel(self, mode: str, value: GradeValue, f: Rel) -> Rel:
         return power_rel(f, self.arity(mode, value))
 
-    def eps(self, mode: str, x_obj: FinSetObj) -> Rel:
-        alg = self.space.mode(mode).algebra
-        a1 = self.arity(mode, alg.one)
+    # -- structure maps as positions ----------------------------------------
+
+    def eps_positions(self, mode: str) -> Positions:
+        """The counit 1 (.) X -> X, the identity."""
+        a1 = self.arity(mode, self.space.mode(mode).algebra.one)
         if a1 != 1:
             raise ConfigError(f"mode {mode}: arity of 1 must be 1 for the counit, got {a1}")
-        dom = power_obj(x_obj, 1)
-        pairs = frozenset(((x,), x) for x in x_obj.elements)
-        return Rel(dom, x_obj, pairs)
+        return spread(1, 1)
 
-    def delta(self, mode: str, r: GradeValue, q: GradeValue, x_obj: FinSetObj) -> Rel:
-        """(r.q) (.) X -> r (.) (q (.) X), a chunking bijection."""
+    def delta_positions(self, mode: str, r: GradeValue, q: GradeValue) -> Positions:
+        """(r.q) (.) X -> r (.) (q (.) X), the identity; the codomain
+        groups the coordinates into a(r) chunks of a(q)."""
         alg = self.space.mode(mode).algebra
         ar, aq, arq = self.arity(mode, r), self.arity(mode, q), self.arity(mode, alg.mul(r, q))
         if arq != ar * aq:
             raise ConfigError(
                 f"mode {mode}: arity is not multiplicative at ({r!r}, {q!r}): {arq} != {ar}*{aq}")
-        dom = power_obj(x_obj, arq)
-        cod = power_obj(power_obj(x_obj, aq), ar)
-        def chunk(xs):
-            return tuple(xs[i * aq:(i + 1) * aq] for i in range(ar))
-        pairs = frozenset((xs, chunk(xs)) for xs in dom.elements)
-        return Rel(dom, cod, pairs)
+        return spread(arq, arq)
+
+    def tau_positions(self, mode: str, value: GradeValue, k: int) -> Positions:
+        """(x)_{i<k} (q (.) X_i) -> q (.) ((x)_i X_i), the transpose."""
+        return _transpose(self.arity(mode, value), k)
+
+    def iota_positions(self, mode: str, value: GradeValue) -> Positions:
+        """I -> q (.) I, out of the empty power of I."""
+        return spread(0, self.arity(mode, value))
+
+    def c_positions(self, mode: str, r: GradeValue, q: GradeValue) -> Positions:
+        """(r+q) (.) X -> (r (.) X) (x) (q (.) X): a split where arities add
+        up (the spread is then the identity), a spread otherwise."""
+        alg = self.space.mode(mode).algebra
+        return spread(self.arity(mode, alg.add(r, q)), self.arity(mode, r) + self.arity(mode, q))
+
+    def w_positions(self, mode: str) -> Positions:
+        """0 (.) X -> I: forget every coordinate."""
+        return spread(self.arity(mode, self.space.mode(mode).algebra.zero), 0)
+
+    def preorder_positions(self, mode: str, low: GradeValue, high: GradeValue) -> Positions:
+        """The functorial action on low <= high: high (.) X -> low (.) X."""
+        if not self.space.mode(mode).algebra.leq(low, high):
+            raise InputError(f"preorder map needs {low!r} <= {high!r} in {mode}")
+        return spread(self.arity(mode, high), self.arity(mode, low))
+
+    def mu_positions(self, low_mode: str, high_mode: str, value: GradeValue) -> Positions:
+        """F(phi(q) (.) X) -> q (.) F(X) across low <= high; F is the identity."""
+        phi_q = self.space.phi(low_mode, high_mode, value)
+        return spread(self.arity(high_mode, phi_q), self.arity(low_mode, value))
+
+    # -- structure maps as relations, read off the positions ----------------
+
+    def eps(self, mode: str, x_obj: FinSetObj) -> Rel:
+        return positions_rel(self.eps_positions(mode), x_obj, cod=x_obj, regroup=itemgetter(0))
+
+    def delta(self, mode: str, r: GradeValue, q: GradeValue, x_obj: FinSetObj) -> Rel:
+        """(r.q) (.) X -> r (.) (q (.) X), a chunking bijection."""
+        p = self.delta_positions(mode, r, q)
+        ar, aq = self.arity(mode, r), self.arity(mode, q)
+        return positions_rel(p, x_obj, cod=power_obj(power_obj(x_obj, aq), ar),
+                             regroup=_chunker(aq, ar))
 
     def tau_many(self, mode: str, value: GradeValue, objs: list[FinSetObj]) -> Rel:
-        """(x)_i (q (.) X_i) -> q (.) ((x)_i X_i), the tuple transpose.
-
-        Domain and codomain are flat-tuple context-style objects.
-        """
+        """(x)_i (q (.) X_i) -> q (.) ((x)_i X_i) on flat-tuple objects."""
         a = self.arity(mode, value)
         dom = FinSetObj(tuple(itertools.product(*(power_obj(o, a).elements for o in objs))))
         cod = power_obj(FinSetObj(tuple(itertools.product(*(o.elements for o in objs)))), a)
@@ -227,58 +337,33 @@ class ModelBackend:
         return Rel(dom, cod, pairs)
 
     def tau_element(self, mode: str, value: GradeValue, entry: tuple) -> tuple:
-        """The image of one element under `tau_many`: a tuple of a(q)-tuples,
-        one per factor, transposed into a(q) tuples over the factors."""
-        a = self.arity(mode, value)
-        return tuple(tuple(part[j] for part in entry) for j in range(a))
+        """The image of one element under tau: a tuple of a(q)-tuples, one
+        per factor, transposed into a(q) tuples over the factors."""
+        a, k = self.arity(mode, value), len(entry)
+        return _chunker(k, a)(_transpose(a, k).pick(sum(entry, ())))
 
     def tau_pair(self, mode: str, value: GradeValue, x_obj: FinSetObj, y_obj: FinSetObj) -> Rel:
         """(q (.) X) (x) (q (.) Y) -> q (.) (X (x) Y) on genuine pair objects."""
-        a = self.arity(mode, value)
-        dom = tensor_obj(power_obj(x_obj, a), power_obj(y_obj, a))
-        cod = power_obj(tensor_obj(x_obj, y_obj), a)
-        pairs = frozenset((e, self.tau_element(mode, value, e)) for e in dom.elements)
-        return Rel(dom, cod, pairs)
+        return self.tau_many(mode, value, [x_obj, y_obj])
 
     def iota(self, mode: str, value: GradeValue) -> Rel:
-        a = self.arity(mode, value)
-        cod = power_obj(UNIT_OBJ, a)
-        return Rel(UNIT_OBJ, cod, frozenset({(UNIT_ELEM, (UNIT_ELEM,) * a)}))
+        return positions_rel(self.iota_positions(mode, value), UNIT_OBJ)
 
     def c_map(self, mode: str, r: GradeValue, q: GradeValue, x_obj: FinSetObj) -> Rel:
-        """(r+q) (.) X -> (r (.) X) (x) (q (.) X): a split when arities add,
-        a diagonal-style spread otherwise."""
-        alg = self.space.mode(mode).algebra
+        """(r+q) (.) X -> (r (.) X) (x) (q (.) X)."""
         ar, aq = self.arity(mode, r), self.arity(mode, q)
-        arq = self.arity(mode, alg.add(r, q))
-        dom = power_obj(x_obj, arq)
         cod = tensor_obj(power_obj(x_obj, ar), power_obj(x_obj, aq))
-        def split(xs):
-            return (xs[:ar], xs[ar:])
-        if arq == ar + aq:
-            pairs = frozenset((xs, split(xs)) for xs in dom.elements)
-        else:
-            flat = spread_rel(x_obj, arq, ar + aq)
-            pairs = frozenset((xs, split(ys)) for xs, ys in flat.pairs)
-        return Rel(dom, cod, pairs)
+        return positions_rel(self.c_positions(mode, r, q), x_obj, cod=cod,
+                             regroup=lambda ys: (ys[:ar], ys[ar:]))
 
     def w_map(self, mode: str, x_obj: FinSetObj) -> Rel:
-        alg = self.space.mode(mode).algebra
-        a0 = self.arity(mode, alg.zero)
-        dom = power_obj(x_obj, a0)
-        return Rel(dom, UNIT_OBJ, frozenset((xs, UNIT_ELEM) for xs in dom.elements))
+        return positions_rel(self.w_positions(mode), x_obj)
 
     def preorder_map(self, mode: str, low: GradeValue, high: GradeValue, x_obj: FinSetObj) -> Rel:
-        """The functorial action on low <= high: high (.) X -> low (.) X."""
-        alg = self.space.mode(mode).algebra
-        if not alg.leq(low, high):
-            raise InputError(f"preorder map needs {low!r} <= {high!r} in {mode}")
-        return spread_rel(x_obj, self.arity(mode, high), self.arity(mode, low))
+        return positions_rel(self.preorder_positions(mode, low, high), x_obj)
 
     def mu(self, low_mode: str, high_mode: str, value: GradeValue, x_obj: FinSetObj) -> Rel:
-        """F(phi(q) (.) X) -> q (.) F(X) across low <= high; F is the identity."""
-        phi_q = self.space.phi(low_mode, high_mode, value)
-        return spread_rel(x_obj, self.arity(high_mode, phi_q), self.arity(low_mode, value))
+        return positions_rel(self.mu_positions(low_mode, high_mode, value), x_obj)
 
     # phi(q) (.) G(X) -> G(q (.) X), the lineator, is mu here since F = G = id
     lineator = mu
@@ -335,13 +420,14 @@ def interp_ctx(backend: ModelBackend, j: Judgment) -> FinSetObj:
     return FinSetObj(tuple(itertools.product(*(o.elements for o in objs))))
 
 
-def _entry_scaling(backend: ModelBackend, mode: str, value: GradeValue,
-                   g: Grade, n: str, a_obj: FinSetObj) -> Rel:
-    """One context entry of q . t: F delta followed by mu, from
-    (phi(q).g) (.) A to q (.) (g (.) A)."""
-    phi_q = backend.space.phi(mode, n, value)
-    return rel_compose(backend.delta(n, phi_q, g.value, a_obj),
-                       backend.mu(mode, n, value, backend.act_obj(n, g.value, a_obj)))
+def _entry_positions(backend: ModelBackend, mode: str, value: GradeValue, g: Grade,
+                     n: str) -> Positions:
+    """One context entry of q . t, F delta followed by mu, from
+    (phi(q).g) (.) A to q (.) (g (.) A), as positions over the coordinates
+    of g (.) A.  By index delta is the identity, so the composite is mu;
+    delta_positions refuses arities that are not multiplicative."""
+    backend.delta_positions(n, backend.space.phi(mode, n, value), g.value)
+    return backend.mu_positions(mode, n, value)
 
 
 # ---------------------------------------------------------------------------
@@ -350,32 +436,23 @@ def _entry_scaling(backend: ModelBackend, mode: str, value: GradeValue,
 # Inside the interpretation the elements of every object are numbered in
 # enumeration order: an element of a power or a function space in mixed
 # radix, first coordinate most significant; a tensor element (a, b) as
-# a*|B| + b; a right injection after the left summand.  A relation from a
-# context object is held as its rows: row c holds the indices of the
-# elements related to the c-th context element, as an int when there is
-# exactly one and as an interned frozenset otherwise.  Rows that are all
-# single indices are packed into an array('q'), eight bytes a row, so a
-# relation as large as ELEMENT_LIMIT stays small.
+# a*|B| + b; a right injection after the left summand.  So the index of a
+# nested tuple is the index of its flattening, and a structure map's table
+# by index is its `Positions.table`: the index of an image is the sum of
+# the digits the map copies, each at the place value of the coordinate it
+# lands in.  No object is enumerated and no relation is built.
 #
-# The structure maps act on positions, never on the elements themselves,
-# so their tables by index are read off at the standard object
-# {0, ..., n-1} of the right size; no type object is enumerated.
+# A relation from a context object is held as its rows: row c holds the
+# indices of the elements related to the c-th context element, as an int
+# when there is exactly one and as an interned frozenset otherwise.  Rows
+# that are all single indices are packed into an array('q'), eight bytes a
+# row, so a relation as large as ELEMENT_LIMIT stays small.
 
 _EMPTY = frozenset()
 
 
 def _index(obj: FinSetObj) -> dict:
     return {x: i for i, x in enumerate(obj.elements)}
-
-
-def _standard(n: int) -> FinSetObj:
-    return FinSetObj(tuple(range(n)))
-
-
-def _power_code(n: int, k: int):
-    """Index of an element of {0..n-1}^k."""
-    weights = _weights(n, k)
-    return lambda xs: sum(x * w for x, w in zip(xs, weights))
 
 
 def _strides(radices) -> list[int]:
@@ -390,30 +467,6 @@ def _strides(radices) -> list[int]:
 def _weights(base: int, k: int) -> list[int]:
     """Place values of a k-digit number in the given base, most significant first."""
     return [base ** (k - 1 - j) for j in range(k)]
-
-
-def _map_table(rel: Rel, dom_code, cod_code) -> list:
-    """dom index -> the index of the image, or the tuple of the indices
-    of the images unless there is exactly one, for one structure map."""
-    table: list[list] = [[] for _ in rel.dom.elements]
-    for x, y in rel.pairs:
-        table[dom_code(x)].append(cod_code(y))
-    return [ys[0] if len(ys) == 1 else tuple(ys) for ys in table]
-
-
-def _scaling_table(backend: ModelBackend, mode: str, value: GradeValue, g: Grade, n: str,
-                   size: int) -> list[list[tuple]]:
-    """_entry_scaling by index: each element of (phi(q).g) (.) A to the
-    a(q)-tuples of indices in g (.) A it is related to, for |A| = size."""
-    rel = _entry_scaling(backend, mode, value, g, n, _standard(size))
-    phi_q = backend.space.phi(mode, n, value)
-    scaled = backend.space.mode(n).algebra.mul(phi_q, g.value)
-    dom_code = _power_code(size, backend.arity(n, scaled))
-    entry = _power_code(size, backend.arity(n, g.value))
-    table: list[list] = [[] for _ in rel.dom.elements]
-    for x, zs in rel.pairs:
-        table[dom_code(x)].append(tuple(map(entry, zs)))
-    return table
 
 
 def _decode(rows: list, dom: FinSetObj, cod: FinSetObj) -> Rel:
@@ -487,39 +540,32 @@ class _Rows:
 
 
 def _scale_rows(backend: ModelBackend, mode: str, value: GradeValue, rows: list,
-                prem_radices: list[int], tables: list[list[list[tuple]] | None], cod_size: int,
-                interned: _Rows) -> list:
+                entries, radices: list[int], cod_size: int, interned: _Rows) -> list:
     """Rows of q . t from the rows of t: the composite (x)_i (mu o F delta),
     then tau, then q (.) t, or iota then q (.) t for an empty context.
-    tables[i][d] lists the a(q)-tuples of premise-entry indices that entry
-    i's map relates to its d-th element; None stands for the identity."""
+    Entry i is (g_i, n_i), and g_i (.) A_i has radices[i] elements."""
+    maps = [_entry_positions(backend, mode, value, g, n) for g, n in entries]
     a = backend.arity(mode, value)
     _guard(max(_count(rows), 1) ** a)
-    if None in tables:  # identity entries
-        if (a == 1 and all(t is None for t in tables)
-                and backend.tau_element(mode, value, ((0,), (1,))) == ((0, 1),)):
-            return rows
-        tables = [[[(d,)] for d in range(r)] if t is None else t
-                  for t, r in zip(tables, prem_radices)]
-    strides = _strides(prem_radices)
-    weights = _weights(cod_size, a)
-    if tables:
-        total = 1
-        for table in tables:
-            total *= max(sum(map(len, table)), 1)
-        _guard(total)
+    if a == 1 and all(p == spread(1, 1) for p in maps):
+        return rows  # every entry's map is the identity, and so is tau at arity 1
+    # entry i's table gives the index in (the context object)^a(q) of tau's
+    # image: output coordinate i of tuple j has entry i's radix, and the
+    # coordinate j of entry i that tau moves there takes its place value
+    tau = backend.tau_positions(mode, value, len(maps))
+    place = tau.place_values(_strides([r for _j in range(a) for r in radices]))
+    ctx_size = math.prod(radices)
+    ctx_w, cod_w = _weights(ctx_size, a), _weights(cod_size, a)
+    tables = ([p.table(r, place[i * a:(i + 1) * a]) for i, (p, r) in enumerate(zip(maps, radices))]
+              or [backend.iota_positions(mode, value).table(1, ctx_w)])
+    _guard(math.prod(max(_count(t), 1) for t in tables))
     out = []
     for parts in itertools.product(*tables):
         ys = set()
-        lifted = (
-            [sum(d * s for d, s in zip(ctx, strides))
-             for ctx in backend.tau_element(mode, value, combo)]
-            for combo in itertools.product(*parts)
-        ) if tables else (
-            [0] * len(us) for _u, us in backend.iota(mode, value).pairs)
-        for contexts in lifted:
+        for code in {sum(c) for c in itertools.product(*map(_each, parts))}:
+            contexts = [code // w % ctx_size for w in ctx_w]
             for values in itertools.product(*(_each(rows[c]) for c in contexts)):
-                ys.add(sum(v * w for v, w in zip(values, weights)))
+                ys.add(sum(v * w for v, w in zip(values, cod_w)))
         out.append(interned.of(ys))
     return out
 
@@ -538,16 +584,16 @@ def scalar_act(
     a = backend.arity(mode, value)
     space = backend.space
     prem_objs = [backend.act_obj(n, g.value, a_obj) for g, n, a_obj in entries]
+    radices = [len(o) for o in prem_objs]
     prem_index = [_index(o) for o in prem_objs]
-    strides = _strides([len(o) for o in prem_objs])
+    strides = _strides(radices)
     cod_index = _index(t.cod)
-    rows: list = [set() for _ in range(math.prod(len(o) for o in prem_objs))]
+    rows: list = [set() for _ in range(math.prod(radices))]
     for gamma, y in t.pairs:
         rows[sum(ix[e] * s for ix, e, s in zip(prem_index, gamma, strides))].add(cod_index[y])
     interned = _Rows()
-    tables = [_scaling_table(backend, mode, value, g, n, len(a_obj)) for g, n, a_obj in entries]
     out = _scale_rows(backend, mode, value, [interned.of(r) for r in rows],
-                      [len(o) for o in prem_objs], tables, len(t.cod), interned)
+                      [(g, n) for g, n, _a_obj in entries], radices, len(t.cod), interned)
     dom = FinSetObj(tuple(itertools.product(*(
         backend.act_obj(n, space.mode(n).algebra.mul(space.phi(mode, n, value), g.value),
                         a_obj).elements
@@ -566,14 +612,15 @@ def _power_size(n: int, k: int) -> int:
 
 
 class _Interpretation:
-    """The state of one interpretation call: object sizes, structure-map
-    tables and denotations, each computed once and shared by every
+    """The state of one interpretation call: object sizes and
+    denotations, each computed once and shared by every
     derivation interpreted in the call (both sides of a `semantic_eq`, or
     a bundle and its substitution).  Nothing outlives the call.
 
     A node's denotation is its rows (see above); no object is enumerated,
     and only the denotations of nodes reached more than once are kept
-    after their parent used them.  `check` refuses a derivation before any work when a node's
+    after their parent used them.  `check` refuses a derivation before any
+    work when a node's
     context or type object, or the grade power of a scaled premise's,
     would exceed ELEMENT_LIMIT, so an oversized case fails fast and small
     and no rows list is longer than the limit."""
@@ -582,12 +629,11 @@ class _Interpretation:
         self.backend = backend
         self.rows = _Rows()
         self.sizes: dict = {}
-        self.tables: dict = {}
         self.seen: dict = {}  # id(node) -> node, for every checked node
         self.shared: set = set()  # ids of nodes reached more than once
         self.done: dict = {}  # id(shared node) -> rows
 
-    # -- sizes, objects, tables ----------------------------------------------
+    # -- sizes and objects ---------------------------------------------------
 
     def size(self, ty: Type) -> int:
         """len(interp_type(ty)), refused where interp_type would refuse."""
@@ -650,28 +696,6 @@ class _Interpretation:
                 _power_size(self.size(prem.ty), a)
             stack.extend(node.premises)
 
-    def table(self, key, build):
-        t = self.tables.get(key)
-        if t is None:
-            t = self.tables[key] = build()
-        return t
-
-    def map_table(self, key, size: int, build, power: int):
-        """The table of one structure map at the standard object of the
-        given size, from build(n) at size n; its domain is the power-th
-        power of the object.  None stands for the identity.  The maps act
-        on positions, so a map that is the identity by index at size 2 is
-        the identity at every size, and one that relates every element to
-        the same image at sizes 2 and 3 does so at every size; neither is
-        built at the full size."""
-        two = self.table(key + (2,), lambda: build(2))
-        if all((t.__class__ is int and t == i) or t == [(i,)] for i, t in enumerate(two)):
-            return None
-        three = self.table(key + (3,), lambda: build(3))
-        if all(t == two[0] for t in two + three):
-            return two[:1] * size ** power
-        return self.table(key + (size,), lambda: build(size))
-
     def same_objects(self, j1: Judgment, j2: Judgment) -> bool:
         """Whether two judgments have equal context and type objects."""
         if (j1.rho, j1.modes, [ty for _x, ty in j1.ctx], j1.ty) == \
@@ -685,14 +709,8 @@ class _Interpretation:
 
     def scaled(self, mode: str, value: GradeValue, rows: list, j: Judgment) -> list:
         """Rows of q . t for t the rows of a derivation of j."""
-        be = self.backend
-        tables = [self.map_table(("scaling", mode, value, g, n), self.size(ty),
-                                 lambda size, g=g, n=n: _scaling_table(be, mode, value, g, n, size),
-                                 be.arity(n, be.space.mode(n).algebra.mul(
-                                     be.space.phi(mode, n, value), g.value)))
-                  for g, n, (_x, ty) in zip(j.rho, j.modes, j.ctx)]
-        return _pack(_scale_rows(be, mode, value, rows, self.radices(j), tables,
-                                 self.size(j.ty), self.rows))
+        return _pack(_scale_rows(self.backend, mode, value, rows, zip(j.rho, j.modes),
+                                 self.radices(j), self.size(j.ty), self.rows))
 
     def bind(self, body: list, width: int, j: Judgment, values: list) -> list:
         """Rows of a derivation of j that binds the last `width`-element
@@ -723,57 +741,37 @@ class _Interpretation:
         rule = d.rule
 
         if rule == "var":
-            size = self.size(j.ty)
-            table = self.map_table(("eps", j.mode), size, lambda n: _map_table(
-                be.eps(j.mode, _standard(n)), _power_code(n, 1), int), 1)
-            if table is None:
-                return array("q", range(size))
-            return [R.of(_each(ys)) for ys in table]
+            return array("q", be.eps_positions(j.mode).table(self.size(j.ty), [1]))
 
         # the premise's rows come first, so that no table of this node is
         # alive while the premise is interpreted
         if rule == "weak":
             rows = self.rel(d.premises[0])
-            n, size = j.modes[-1], self.size(j.ctx[-1][1])
-            a0 = be.arity(n, be.space.mode(n).algebra.zero)
-            dumped = self.map_table(("w", n), size, lambda k: [
-                ys != () for ys in _map_table(be.w_map(n, _standard(k)), _power_code(k, a0), len)],
-                a0)
-            return _build(lambda: (row if keep else _EMPTY for row in rows for keep in dumped))
+            # w sends every element of the new entry to the one element of I
+            table = be.w_positions(j.modes[-1]).table(self.size(j.ctx[-1][1]), ())
+            return _build(lambda: (row for row in rows for _ in table))
 
         if rule == "sub":
             rows = self.rel(d.premises[0])
             prem = d.premises[0].conclusion
-            strides = _strides(self.radices(prem))
             tables = []
-            for rl, rh, n, (_x, ty), r, s in zip(prem.rho, j.rho, j.modes, j.ctx,
-                                                 self.radices(prem), strides):
-                def build(size, n=n, rl=rl, rh=rh):
-                    m = be.preorder_map(n, rl.value, rh.value, _standard(size))
-                    return _map_table(m, _power_code(size, be.arity(n, rh.value)),
-                                      _power_code(size, be.arity(n, rl.value)))
-                table = self.map_table(("sub", n, rl.value, rh.value), self.size(ty), build,
-                                       be.arity(n, rh.value))
-                if table is None:
-                    tables.append(range(0, r * s, s))
-                else:
-                    tables.append(table if s == 1 else [_scale_each(ps, s) for ps in table])
+            for rl, rh, n, (_x, ty), s in zip(prem.rho, j.rho, j.modes, j.ctx,
+                                              _strides(self.radices(prem))):
+                p = be.preorder_positions(n, rl.value, rh.value)
+                size = self.size(ty)
+                tables.append(p.table(size, [s * w for w in _weights(size, len(p.out))]))
             return R.gather(rows, tables)
 
         if rule == "cont":
             rows = self.rel(d.premises[0])
             prem = d.premises[0].conclusion
-            strides = _strides(self.radices(prem))
-            n, size = j.modes[-1], self.size(j.ctx[-1][1])
-            r1, r2 = prem.rho[-2].value, prem.rho[-1].value
-            def build():
-                c = be.c_map(n, r1, r2, _standard(size))
-                c1, c2 = (_power_code(size, be.arity(n, r)) for r in (r1, r2))
-                n2 = size ** be.arity(n, r2)
-                return _map_table(c, _power_code(size, be.arity(n, j.rho[-1].value)),
-                                  lambda v: c1(v[0]) * n2 + c2(v[1]))
-            tables = [range(0, r * s, s) for r, s in zip(self.radices(prem)[:-2], strides[:-2])]
-            tables.append(self.table(("c", n, r1, r2, size), build))
+            radices = self.radices(prem)
+            size = self.size(j.ctx[-1][1])
+            p = be.c_positions(j.modes[-1], prem.rho[-2].value, prem.rho[-1].value)
+            tables = [range(0, r * s, s) for r, s in zip(radices[:-2], _strides(radices)[:-2])]
+            # the split's two entries come last, so the index of the pair is
+            # the index of its flattening
+            tables.append(p.table(size, _weights(size, len(p.out))))
             return R.gather(rows, tables)
 
         if rule == "exchange":
@@ -790,11 +788,9 @@ class _Interpretation:
 
         if rule == "unitE":
             body, scrut = d.premises
-            qval = d.payload[0]
-            scaled = self.scaled(j.mode, qval, self.rel(scrut), scrut.conclusion)
-            # iota's codomain q (.) I has the one element 0
-            unit = bool(be.iota(j.mode, qval).pairs)
-            ok = [unit and 0 in _each(row) for row in scaled]
+            scaled = self.scaled(j.mode, d.payload[0], self.rel(scrut), scrut.conclusion)
+            # q (.) I has the one element 0
+            ok = [0 in _each(row) for row in scaled]
             t = self.rel(body)
             return _build(lambda: (rb if keep else _EMPTY for rb in t for keep in ok))
 

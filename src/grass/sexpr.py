@@ -4,6 +4,10 @@ The derivation form is canonical: ``(rule payload... premises...)`` with
 conclusions recomputed on parse, so a parsed tree is valid by
 construction.  Annotated heads follow the surface spellings
 ``I@m``, ``-o{q:m}``, ``down{q,n<=m}``, ``up{m<=n}``, ``let*@q`` and so on.
+
+Input nested more than MAX_DEPTH parentheses deep, or too deep for the
+recursive tree readers, raises NestingError (a ParseError) with the
+message "input nested too deeply", never RecursionError.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .derivation import Derivation, rebuild
-from .errors import ParseError
+from .errors import NestingError, ParseError
 from .grades import Grade, GradeValue
 from .modespace import ModeSpace
 from .syntax import (
@@ -48,33 +52,31 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text)
 
 
+MAX_DEPTH = 1000
+
+
 def read_sexpr(text: str):
     """One s-expression as nested lists of atom strings."""
-    tokens = tokenize(text)
-    pos = 0
-
-    def rd():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
+    stack: list[list] = [[]]  # the open lists, outermost first
+    for tok in tokenize(text):
+        if len(stack) == 1 and stack[0]:
+            raise ParseError("trailing tokens after expression")
         if tok == "(":
-            out = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                out.append(rd())
-            if pos >= len(tokens):
-                raise ParseError("missing closing parenthesis")
-            pos += 1
-            return out
-        if tok == ")":
-            raise ParseError("unexpected closing parenthesis")
-        return tok
-
-    out = rd()
-    if pos != len(tokens):
-        raise ParseError("trailing tokens after expression")
-    return out
+            if len(stack) > MAX_DEPTH:
+                raise NestingError("input nested too deeply")
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise ParseError("unexpected closing parenthesis")
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise ParseError("missing closing parenthesis")
+    if not stack[0]:
+        raise ParseError("unexpected end of input")
+    return stack[0][0]
 
 
 def grade_value(atom: str) -> GradeValue:
@@ -351,16 +353,26 @@ def derivation_from_tree(tree, space: ModeSpace) -> Derivation:
     return rebuild(space, rule, premises, payload)
 
 
+def _from_text(build, text: str, *args):
+    """build(tree, *args) for the tree of the text; running out of stack
+    in the recursive build is a NestingError."""
+    tree = read_sexpr(text)
+    try:
+        return build(tree, *args)
+    except RecursionError:
+        raise NestingError("input nested too deeply") from None
+
+
 def derivation_from_sexpr(text: str, space: ModeSpace) -> Derivation:
-    return derivation_from_tree(read_sexpr(text), space)
+    return _from_text(derivation_from_tree, text, space)
 
 
 def term_from_sexpr(text: str) -> Term:
-    return term_from_tree(read_sexpr(text))
+    return _from_text(term_from_tree, text)
 
 
 def type_from_sexpr(text: str, space: ModeSpace) -> Type:
-    return type_from_tree(read_sexpr(text), space)
+    return _from_text(type_from_tree, text, space)
 
 
 # ---------------------------------------------------------------------------

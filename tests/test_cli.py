@@ -226,3 +226,12 @@ def test_shipped_demo_program_checks():
     modes = str(ROOT / "systems" / "lnl.modes")
     prog = str(ROOT / "systems" / "demo.prog")
     assert main(["check", modes, prog]) == 0
+
+
+@pytest.mark.parametrize("command", ["check", "normalize", "interp"])
+def test_unknown_item_is_a_usage_error(command, capsys):
+    modes, prog = str(ROOT / "systems" / "lnl.modes"), str(ROOT / "systems" / "demo.prog")
+    assert main([command, modes, prog, "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: no item named 'nosuch'\n"
+    assert captured.out == ""

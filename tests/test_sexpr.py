@@ -85,3 +85,39 @@ def test_show_judgment_is_readable(space):
     d = mk_var(space, "x", TBase("P", "L"))
     text = show_judgment(d.conclusion)
     assert "|-L" in text and "x:P" in text
+
+
+DEEP = 10 ** 4
+
+
+@pytest.mark.parametrize("parse, text", [
+    ("read_sexpr", "(" * DEEP + "x" + ")" * DEEP),
+    ("type_from_sexpr", "(* " * DEEP + "P" + " P)" * DEEP),
+    ("term_from_sexpr", "(lam x " * DEEP + "x" + ")" * DEEP),
+    ("derivation_from_sexpr", "(exchange (0) " * DEEP + "(var x P)" + ")" * DEEP),
+])
+def test_deep_input_is_a_parse_error(space, parse, text):
+    import grass.sexpr
+
+    fn = getattr(grass.sexpr, parse)
+    args = (text, space) if parse in ("type_from_sexpr", "derivation_from_sexpr") else (text,)
+    with pytest.raises(ParseError, match="input nested too deeply"):
+        fn(*args)
+
+
+def test_recursion_in_the_tree_readers_is_a_parse_error(space):
+    # within read_sexpr's bound, but one Python frame a level is past the
+    # default recursion limit for the recursive type reader
+    from grass.sexpr import MAX_DEPTH
+
+    depth = MAX_DEPTH - 1
+    with pytest.raises(ParseError, match="input nested too deeply"):
+        type_from_sexpr("(* " * depth + "P" + " P)" * depth, space)
+
+
+def test_deep_program_item_reports_its_line(space):
+    from grass.cli import parse_program_text
+
+    text = "type ok = P\n\ntype deep = " + "(* " * DEEP + "P" + " P)" * DEEP + "\n"
+    with pytest.raises(ParseError, match=r"^line 3: input nested too deeply$"):
+        parse_program_text(text, space)
