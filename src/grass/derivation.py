@@ -38,7 +38,6 @@ from .syntax import (
     Pair,
     RaiseTm,
     Star,
-    TBase,
     TDrop,
     TFun,
     TRaise,
@@ -56,13 +55,6 @@ from .syntax import (
     subst,
     type_wf,
 )
-
-RULES = (
-    "var", "weak", "cont", "sub", "exchange",
-    "unitI", "unitE", "arrowI", "arrowE", "pairI", "pairE",
-    "sumIL", "sumIR", "sumE", "dropI", "dropE", "raiseI", "raiseE",
-)
-
 
 @dataclass(frozen=True)
 class Derivation:
@@ -381,34 +373,42 @@ def mk_raiseE(space: ModeSpace, premise: Derivation) -> Derivation:
     return _finish("raiseE", (premise,), (), j, space)
 
 
-_BUILDERS = {
-    "var": lambda sp, ps, pl: mk_var(sp, *pl),
-    "weak": lambda sp, ps, pl: mk_weak(sp, ps[0], *pl),
-    "cont": lambda sp, ps, pl: mk_cont(sp, ps[0], *pl),
-    "sub": lambda sp, ps, pl: mk_sub(sp, ps[0], *pl),
-    "exchange": lambda sp, ps, pl: mk_exchange(sp, ps[0], *pl),
-    "unitI": lambda sp, ps, pl: mk_unitI(sp, *pl),
-    "unitE": lambda sp, ps, pl: mk_unitE(sp, pl[0], ps[0], ps[1]),
-    "arrowI": lambda sp, ps, pl: mk_arrowI(sp, ps[0]),
-    "arrowE": lambda sp, ps, pl: mk_arrowE(sp, ps[0], ps[1]),
-    "pairI": lambda sp, ps, pl: mk_pairI(sp, ps[0], ps[1]),
-    "pairE": lambda sp, ps, pl: mk_pairE(sp, ps[0], ps[1]),
-    "sumIL": lambda sp, ps, pl: mk_sumIL(sp, ps[0], *pl),
-    "sumIR": lambda sp, ps, pl: mk_sumIR(sp, ps[0], *pl),
-    "sumE": lambda sp, ps, pl: mk_sumE(sp, ps[0], ps[1], ps[2]),
-    "dropI": lambda sp, ps, pl: mk_dropI(sp, ps[0], *pl),
-    "dropE": lambda sp, ps, pl: mk_dropE(sp, ps[0], ps[1]),
-    "raiseI": lambda sp, ps, pl: mk_raiseI(sp, ps[0], *pl),
-    "raiseE": lambda sp, ps, pl: mk_raiseE(sp, ps[0]),
+# rule: (constructor, bound entries per premise, payload kinds).  The constructor
+# is called as build(space, *premises, *payload).  Each premise's bound count is
+# how many trailing entries of its context the rule binds in the term and drops;
+# outside weak/cont/sub/exchange the conclusion context is the rest, in premise
+# order, with sumE's branches sharing one block.  Payload kinds: "name" (a context
+# variable), "mode", "type", "grade", "grades" (a vector), "perm" (a permutation).
+RULES = {
+    "var": (mk_var, (), ("name", "type")),
+    "weak": (mk_weak, (0,), ("name", "type")),
+    "cont": (mk_cont, (0,), ("name",)),
+    "sub": (mk_sub, (0,), ("grades",)),
+    "exchange": (mk_exchange, (0,), ("perm",)),
+    "unitI": (mk_unitI, (), ("mode",)),
+    "unitE": (lambda sp, body, scrut, q: mk_unitE(sp, q, body, scrut), (0, 0), ("grade",)),
+    "arrowI": (mk_arrowI, (1,), ()),
+    "arrowE": (mk_arrowE, (0, 0), ()),
+    "pairI": (mk_pairI, (0, 0), ()),
+    "pairE": (mk_pairE, (2, 0), ()),
+    "sumIL": (mk_sumIL, (0,), ("type",)),
+    "sumIR": (mk_sumIR, (0,), ("type",)),
+    "sumE": (mk_sumE, (1, 1, 0), ()),
+    "dropI": (mk_dropI, (0,), ("grade", "mode")),
+    "dropE": (mk_dropE, (1, 0), ()),
+    "raiseI": (mk_raiseI, (0,), ("mode",)),
+    "raiseE": (mk_raiseE, (0,), ()),
 }
 
 
 def rebuild(space: ModeSpace, rule: str, premises, payload) -> Derivation:
     try:
-        builder = _BUILDERS[rule]
+        build, binds, kinds = RULES[rule]
     except KeyError:
         raise CheckError(rule, "unknown rule") from None
-    return builder(space, tuple(premises), tuple(payload))
+    if len(premises) != len(binds) or len(payload) != len(kinds):
+        _fail(rule, f"expects {len(binds)} premises and {len(kinds)} payload items")
+    return build(space, *premises, *payload)
 
 
 def check_derivation(d: Derivation, space: ModeSpace, memo: dict | None = None) -> Judgment:

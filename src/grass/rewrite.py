@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derivation import (
+    RULES,
     Derivation,
     check_derivation,
     mk_arrowE,
@@ -45,7 +46,6 @@ from .syntax import (
     DropTm,
     Inl,
     Inr,
-    Judgment,
     Lam,
     Pair,
     RaiseTm,
@@ -94,11 +94,8 @@ def rename_ctx_vars(space: ModeSpace, d: Derivation, mapping: dict[str, str]) ->
                     if x == z:
                         sub[x] = live[z]
         premises.append(rename_ctx_vars(space, p, sub))
-    payload = d.payload
-    if d.rule in ("var", "weak") and payload[0] in live:
-        payload = (live[payload[0]],) + payload[1:]
-    if d.rule == "cont" and payload[0] in live:
-        payload = (live[payload[0]],)
+    payload = tuple(live.get(x, x) if kind == "name" else x
+                    for kind, x in zip(RULES[d.rule][2], d.payload))
     return rebuild(space, d.rule, premises, payload)
 
 
@@ -147,10 +144,6 @@ def bundle_validate(b: SubstitutionBundle, space: ModeSpace) -> None:
             seen.add(x)
 
 
-def identity_replacement(space: ModeSpace, name: str, ty) -> Derivation:
-    return mk_var(space, name, ty)
-
-
 def subst_simultaneous(b: SubstitutionBundle, space: ModeSpace) -> Derivation:
     """Substitute every context variable of the target at once.
 
@@ -159,11 +152,6 @@ def subst_simultaneous(b: SubstitutionBundle, space: ModeSpace) -> Derivation:
     """
     bundle_validate(b, space)
     return _subst(space, b.target, tuple(b.replacements))
-
-
-def _identity_reps(space: ModeSpace, d: Derivation, lo: int, hi: int):
-    c = d.conclusion
-    return tuple(identity_replacement(space, name, ty) for name, ty in c.ctx[lo:hi])
 
 
 def _subst(space: ModeSpace, d: Derivation, reps: tuple[Derivation, ...]) -> Derivation:
@@ -247,84 +235,29 @@ def _subst(space: ModeSpace, d: Derivation, reps: tuple[Derivation, ...]) -> Der
             return mk_exchange(space, inner, tuple(flat))
         return inner
 
-    if rule in ("sumIL", "sumIR", "raiseI", "raiseE", "dropI"):
-        inner = _subst(space, d.premises[0], reps)
-        if rule == "sumIL":
-            return mk_sumIL(space, inner, d.payload[0])
-        if rule == "sumIR":
-            return mk_sumIR(space, inner, d.payload[0])
-        if rule == "raiseI":
-            return mk_raiseI(space, inner, d.payload[0])
-        if rule == "raiseE":
-            return mk_raiseE(space, inner)
-        return mk_dropI(space, inner, d.payload[0], d.payload[1])
-
-    if rule == "arrowI":
-        premise = d.premises[0]
-        avoid = set()
-        for r in reps:
-            avoid |= set(r.conclusion.names())
-        premise = _freshen_last_bound(space, premise, 1, avoid)
-        x, ty = premise.conclusion.ctx[-1]
-        inner = _subst(space, premise, reps + (identity_replacement(space, x, ty),))
-        return mk_arrowI(space, inner)
-
-    if rule == "pairI":
-        left, right = d.premises
-        nl = len(left.conclusion.ctx)
-        il = _subst(space, left, reps[:nl])
-        ir = _subst(space, right, reps[nl:])
-        return mk_pairI(space, il, ir)
-
-    if rule == "arrowE":
-        fn, arg = d.premises
-        nf = len(fn.conclusion.ctx)
-        return mk_arrowE(space, _subst(space, fn, reps[:nf]), _subst(space, arg, reps[nf:]))
-
-    if rule == "unitE":
-        body, scrut = d.premises
-        nb = len(body.conclusion.ctx)
-        return mk_unitE(space, d.payload[0], _subst(space, body, reps[:nb]),
-                        _subst(space, scrut, reps[nb:]))
-
-    if rule == "pairE":
-        body, scrut = d.premises
-        nb = len(body.conclusion.ctx) - 2
-        avoid = set()
-        for r in reps:
-            avoid |= set(r.conclusion.names())
-        body = _freshen_last_bound(space, body, 2, avoid)
-        (x1, t1), (x2, t2) = body.conclusion.ctx[-2:]
-        body_reps = reps[:nb] + (
-            identity_replacement(space, x1, t1), identity_replacement(space, x2, t2))
-        return mk_pairE(space, _subst(space, body, body_reps), _subst(space, scrut, reps[nb:]))
-
-    if rule == "dropE":
-        body, scrut = d.premises
-        nb = len(body.conclusion.ctx) - 1
-        avoid = set()
-        for r in reps:
-            avoid |= set(r.conclusion.names())
-        body = _freshen_last_bound(space, body, 1, avoid)
-        (y, ty) = body.conclusion.ctx[-1]
-        body_reps = reps[:nb] + (identity_replacement(space, y, ty),)
-        return mk_dropE(space, _subst(space, body, body_reps), _subst(space, scrut, reps[nb:]))
-
-    if rule == "sumE":
-        left, right, scrut = d.premises
-        nb = len(left.conclusion.ctx) - 1
-        avoid = set()
-        for r in reps:
-            avoid |= set(r.conclusion.names())
-        left = _freshen_last_bound(space, left, 1, avoid)
-        right = _freshen_last_bound(space, right, 1, avoid)
-        (y1, t1) = left.conclusion.ctx[-1]
-        (y2, t2) = right.conclusion.ctx[-1]
-        l2 = _subst(space, left, reps[:nb] + (identity_replacement(space, y1, t1),))
-        r2 = _subst(space, right, reps[:nb] + (identity_replacement(space, y2, t2),))
-        return mk_sumE(space, l2, r2, _subst(space, scrut, reps[nb:]))
-
-    raise InputError(f"substitution does not handle rule {rule!r}")
+    if rule not in RULES:
+        raise InputError(f"substitution does not handle rule {rule!r}")
+    # every other rule: each premise takes the next block of replacements,
+    # then its bound entries (RULES), freshened and replaced by themselves;
+    # all premises are freshened before any is substituted into
+    binds = RULES[rule][1]
+    premises = d.premises
+    if any(binds):
+        avoid = {x for r in reps for x in r.conclusion.names()}
+        premises = [_freshen_last_bound(space, p, b, avoid) if b else p
+                    for p, b in zip(premises, binds)]
+    out = []
+    start = 0
+    for i, (p, b) in enumerate(zip(premises, binds)):
+        if i == 1 and rule == "sumE":
+            start = 0  # the two branches share one block
+        stop = start + len(p.conclusion.ctx) - b
+        p_reps = reps[start:stop]
+        if b:
+            p_reps += tuple(mk_var(space, x, ty) for x, ty in p.conclusion.ctx[-b:])
+        out.append(_subst(space, p, p_reps))
+        start = stop
+    return rebuild(space, rule, out, d.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +301,15 @@ def _rebuild_elim(space: ModeSpace, d: Derivation, scrut: Derivation) -> Derivat
     idx = _SCRUT_INDEX[d.rule]
     premises = d.premises[:idx] + (scrut,) + d.premises[idx + 1:]
     return rebuild(space, d.rule, premises, d.payload)
+
+
+def _graft(space: ModeSpace, body: Derivation, args) -> Derivation:
+    """Substitute args for the last len(args) context entries of body and
+    each other entry for itself."""
+    avoid = {x for a in args for x in a.conclusion.names()}
+    body = _freshen_last_bound(space, body, len(args), avoid)
+    ids = tuple(mk_var(space, x, ty) for x, ty in body.conclusion.ctx[:-len(args)])
+    return _subst(space, body, ids + args)
 
 
 def _contract(space: ModeSpace, d: Derivation) -> Derivation:
@@ -428,51 +370,21 @@ def _contract(space: ModeSpace, d: Derivation) -> Derivation:
 
     # the introduction cases
     if d.rule == "arrowE" and rule == "arrowI":
-        body = scrut.premises[0]
-        arg = d.premises[1]
-        body = _freshen_last_bound(space, body, 1, set(arg.conclusion.names()))
-        nb = len(body.conclusion.ctx) - 1
-        reps = _identity_reps(space, body, 0, nb) + (arg,)
-        return _subst(space, body, reps)
-
+        return _graft(space, scrut.premises[0], d.premises[1:])
     if d.rule == "unitE" and rule == "unitI":
         return d.premises[0]
-
-    if d.rule == "pairE" and rule == "pairI":
-        body = d.premises[0]
-        t1, t2 = scrut.premises
-        avoid = set(t1.conclusion.names()) | set(t2.conclusion.names())
-        body = _freshen_last_bound(space, body, 2, avoid)
-        nb = len(body.conclusion.ctx) - 2
-        reps = _identity_reps(space, body, 0, nb) + (t1, t2)
-        return _subst(space, body, reps)
-
-    if d.rule == "sumE" and rule in ("sumIL", "sumIR"):
-        branch = d.premises[0] if rule == "sumIL" else d.premises[1]
-        inj = scrut.premises[0]
-        branch = _freshen_last_bound(space, branch, 1, set(inj.conclusion.names()))
-        nb = len(branch.conclusion.ctx) - 1
-        reps = _identity_reps(space, branch, 0, nb) + (inj,)
-        return _subst(space, branch, reps)
-
-    if d.rule == "dropE" and rule == "dropI":
-        body = d.premises[0]
-        inner = scrut.premises[0]
-        body = _freshen_last_bound(space, body, 1, set(inner.conclusion.names()))
-        nb = len(body.conclusion.ctx) - 1
-        reps = _identity_reps(space, body, 0, nb) + (inner,)
-        return _subst(space, body, reps)
-
     if d.rule == "raiseE" and rule == "raiseI":
         return scrut.premises[0]
+    if d.rule == "sumE" and rule in ("sumIL", "sumIR"):
+        return _graft(space, d.premises[rule == "sumIR"], scrut.premises)
+    if (d.rule, rule) in (("pairE", "pairI"), ("dropE", "dropI")):
+        return _graft(space, d.premises[0], scrut.premises)
 
     raise InputError(f"no contraction for {d.rule} against {rule}")
 
 
 # ---------------------------------------------------------------------------
 # Eta expansion
-
-ETA_RULES = ("unit", "pair", "arrow", "sum", "raise", "drop")
 
 _ETA_FOR_TYPE = {
     TUnit: "unit", TTensor: "pair", TFun: "arrow", TSum: "sum",
@@ -492,7 +404,7 @@ def eta_expand(d: Derivation, rule: str, space: ModeSpace) -> Derivation:
     c = d.conclusion
     ty = c.ty
     expected = eta_rule_for(d)
-    if rule not in ETA_RULES:
+    if rule not in _ETA_FOR_TYPE.values():
         raise InputError(f"unknown eta rule {rule!r}")
     if expected != rule:
         raise InputError(f"eta-{rule} does not apply to a conclusion of type {type(ty).__name__}")
@@ -504,7 +416,6 @@ def eta_expand(d: Derivation, rule: str, space: ModeSpace) -> Derivation:
 
     if rule == "pair":
         assert isinstance(ty, TTensor)
-        n = c.mode
         x1 = fresh_name(avoid, "x1")
         x2 = fresh_name(avoid | {x1}, "x2")
         body = mk_pairI(space, mk_var(space, x1, ty.left), mk_var(space, x2, ty.right))

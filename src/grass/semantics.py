@@ -845,11 +845,11 @@ class _Interpretation:
             a = be.arity(mode, qval)
             na, nb = self.size(prem.ctx[-2][1]), self.size(prem.ctx[-1][1])
             n1, n2 = self.radices(prem)[-2:]
-            wa, wb, wz = _weights(na, a), _weights(nb, a), _weights(na * nb, a)
+            # tau's inverse: a pairs to an a-tuple of A and one of B, by index
+            place = _transpose(2, a).place_values(_strides([na] * a + [nb] * a))
+            digits = list(zip(_strides([na, nb] * a), [na, nb] * a, place))
             def split(z):
-                digits = [(z // w) % (na * nb) for w in wz]
-                return (sum((dd // nb) * w for dd, w in zip(digits, wa)) * n2
-                        + sum((dd % nb) * w for dd, w in zip(digits, wb)))
+                return sum((z // w) % n * p for w, n, p in digits)
             scaled = _pack([split(row) if row.__class__ is int else tuple(map(split, row))
                             for row in self.scaled(mode, qval, self.rel(scrut), scrut.conclusion)])
             return self.bind(self.rel(body), n1 * n2, j, scaled)

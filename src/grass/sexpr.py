@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .derivation import Derivation, rebuild
+from .derivation import RULES, Derivation, rebuild
 from .errors import NestingError, ParseError
 from .grades import Grade, GradeValue
 from .modespace import ModeSpace
@@ -284,72 +284,58 @@ def _atom(tree) -> str:
 # Derivations: (rule payload... premises...)
 
 
-def derivation_to_sexpr(d: Derivation) -> str:
-    ps = " ".join(derivation_to_sexpr(p) for p in d.premises)
-    pay = _payload_to_sexpr(d)
-    inner = " ".join(x for x in (d.rule, pay, ps) if x)
-    return f"({inner})"
+def _list(tree) -> list:
+    if not isinstance(tree, list):
+        raise ParseError(f"expected a list, got {tree!r}")
+    return tree
 
 
-def _payload_to_sexpr(d: Derivation) -> str:
-    r = d.rule
-    if r in ("var", "weak"):
-        return f"{d.payload[0]} {type_to_sexpr(d.payload[1])}"
-    if r == "cont":
-        return d.payload[0]
-    if r == "sub":
-        return "(" + " ".join(show_grade(v) for v in d.payload[0]) + ")"
-    if r == "exchange":
-        return "(" + " ".join(str(i) for i in d.payload[0]) + ")"
-    if r in ("unitI", "raiseI"):
-        return d.payload[0]
-    if r == "unitE":
-        return show_grade(d.payload[0])
-    if r in ("sumIL", "sumIR"):
-        return type_to_sexpr(d.payload[0])
-    if r == "dropI":
-        return f"{show_grade(d.payload[0])} {d.payload[1]}"
-    return ""
+def _position(atom) -> int:
+    if not (isinstance(atom, str) and atom.isascii() and atom.isdigit()):
+        raise ParseError(f"expected a context position, got {atom!r}")
+    return int(atom)
 
 
-_N_PAYLOAD = {
-    "var": 2, "weak": 2, "cont": 1, "sub": 1, "exchange": 1, "unitI": 1,
-    "unitE": 1, "arrowI": 0, "arrowE": 0, "pairI": 0, "pairE": 0,
-    "sumIL": 1, "sumIR": 1, "sumE": 0, "dropI": 2, "dropE": 0,
-    "raiseI": 1, "raiseE": 0,
+# one writer and one reader per payload kind (derivation.RULES)
+_WRITE = {
+    "name": str,
+    "mode": str,
+    "type": type_to_sexpr,
+    "grade": show_grade,
+    "grades": lambda vs: "(" + " ".join(map(show_grade, vs)) + ")",
+    "perm": lambda perm: "(" + " ".join(map(str, perm)) + ")",
 }
+_READ = {
+    "name": lambda tree, space: _atom(tree),
+    "mode": lambda tree, space: _atom(tree),
+    "type": type_from_tree,
+    "grade": lambda tree, space: grade_value(_atom(tree)),
+    "grades": lambda tree, space: tuple(grade_value(_atom(v)) for v in _list(tree)),
+    "perm": lambda tree, space: tuple(map(_position, _list(tree))),
+}
+
+
+def derivation_to_sexpr(d: Derivation) -> str:
+    if d.rule not in RULES:
+        raise ParseError(f"not a derivation rule: {d.rule!r}")
+    parts = [d.rule]
+    parts += (_WRITE[k](x) for k, x in zip(RULES[d.rule][2], d.payload))
+    parts += map(derivation_to_sexpr, d.premises)
+    return "(" + " ".join(parts) + ")"
 
 
 def derivation_from_tree(tree, space: ModeSpace) -> Derivation:
     if not isinstance(tree, list) or not tree or not isinstance(tree[0], str):
         raise ParseError("derivation must be a (rule ...) form")
     rule = tree[0]
-    if rule not in _N_PAYLOAD:
+    if rule not in RULES:
         raise ParseError(f"unknown rule {rule!r}")
-    np = _N_PAYLOAD[rule]
-    raw_payload, raw_premises = tree[1:1 + np], tree[1 + np:]
-    if len(raw_payload) != np:
+    kinds = RULES[rule][2]
+    np = len(kinds)
+    if len(tree) <= np:
         raise ParseError(f"rule {rule} expects {np} payload items")
-    premises = tuple(derivation_from_tree(p, space) for p in raw_premises)
-    payload: tuple
-    if rule in ("var", "weak"):
-        payload = (_atom(raw_payload[0]), type_from_tree(raw_payload[1], space))
-    elif rule == "cont":
-        payload = (_atom(raw_payload[0]),)
-    elif rule == "sub":
-        payload = (tuple(grade_value(_atom(v)) for v in raw_payload[0]),)
-    elif rule == "exchange":
-        payload = (tuple(int(_atom(v)) for v in raw_payload[0]),)
-    elif rule in ("unitI", "raiseI"):
-        payload = (_atom(raw_payload[0]),)
-    elif rule == "unitE":
-        payload = (grade_value(_atom(raw_payload[0])),)
-    elif rule in ("sumIL", "sumIR"):
-        payload = (type_from_tree(raw_payload[0], space),)
-    elif rule == "dropI":
-        payload = (grade_value(_atom(raw_payload[0])), _atom(raw_payload[1]))
-    else:
-        payload = ()
+    premises = tuple([derivation_from_tree(p, space) for p in tree[1 + np:]])
+    payload = tuple([_READ[k](t, space) for k, t in zip(kinds, tree[1:])]) if np else ()
     return rebuild(space, rule, premises, payload)
 
 

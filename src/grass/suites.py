@@ -16,7 +16,6 @@ from .gen import Gen
 from .modespace import ModeSpace, scale_vector
 from .oracles import term_subst_oracle, to_locally_nameless
 from .rewrite import (
-    SubstitutionBundle,
     beta_step,
     eta_expand,
     eta_rule_for,

@@ -235,3 +235,24 @@ def test_unknown_item_is_a_usage_error(command, capsys):
     captured = capsys.readouterr()
     assert captured.err == "usage error: no item named 'nosuch'\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "(arrowI)",
+    "(pairI (unitI L))",
+    "(exchange (0 x) (var x P))",
+    "(exchange 10 (pairI (var x P) (var y P)))",
+    "(sub 11 (pairI (var x P) (var y P)))",
+    "(var x P (var y P))",
+    "(unitI L (var y P))",
+])
+def test_malformed_derivation_is_a_parse_error(tmp_path, capsys, text):
+    from grass.errors import GrassError
+    from grass.sexpr import derivation_from_sexpr
+
+    with pytest.raises(GrassError):
+        derivation_from_sexpr(text, parse_modes_text(LNL)[0])
+    modes = _write(tmp_path, "m.modes", LNL)
+    prog = _write(tmp_path, "p.prog", f"type ok = P\nderivation bad = {text}\n")
+    assert main(["check", modes, prog]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 2: ")

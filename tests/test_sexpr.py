@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grass.derivation import check_derivation
-from grass.errors import ParseError
+from grass.derivation import RULES, check_derivation
+from grass.errors import GrassError, ParseError
 from grass.gen import Gen
 from grass.grades import Grade
 from grass.presets import system
@@ -121,3 +123,61 @@ def test_deep_program_item_reports_its_line(space):
     text = "type ok = P\n\ntype deep = " + "(* " * DEEP + "P" + " P)" * DEEP + "\n"
     with pytest.raises(ParseError, match=r"^line 3: input nested too deeply$"):
         parse_program_text(text, space)
+
+
+def test_round_trip_corpus_covers_every_rule(space):
+    gen = Gen(space=space, rng=random.Random(41))
+    seen = {node.rule for _ in range(60) for node in gen.gen_derivation(4).walk()}
+    assert seen == set(RULES)
+
+
+def _render(tree) -> str:
+    return tree if isinstance(tree, str) else "(" + " ".join(map(_render, tree)) + ")"
+
+
+def _edit(tree, op: str, where: int, atom: str):
+    """The tree with one list element, chosen by `where`, deleted, doubled,
+    replaced by `atom`, wrapped in a list, or spliced into its parent."""
+    slots = []
+
+    def walk(t):
+        for i, x in enumerate(t):
+            slots.append((t, i))
+            if isinstance(x, list):
+                walk(x)
+
+    walk(tree)
+    if not slots:
+        return tree
+    parent, i = slots[where % len(slots)]
+    x = parent[i]
+    parent[i:i + 1] = {"drop": [], "dup": [x, x], "atom": [atom], "wrap": [[x]],
+                       "splice": x if isinstance(x, list) else [x]}[op]
+    return tree
+
+
+_ATOMS = st.sampled_from(sorted(RULES) + [
+    "x", "y", "z", "0", "1", "10", "t", "w", "P", "Q", "H", "L", "U", "fh", "I@L", "I@fh",
+])
+
+
+@given(st.integers(0, 10 ** 6),
+       st.lists(st.tuples(st.sampled_from(["drop", "dup", "atom", "wrap", "splice"]),
+                          st.integers(0, 10 ** 6), _ATOMS), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_program_parser_raises_only_grass_errors(space, seed, edits):
+    """Generated derivations, some edited into malformed ones, parse or
+    raise a GrassError; what parses round-trips."""
+    from grass.cli import parse_program_text
+    from grass.sexpr import read_sexpr
+
+    d = Gen(space=space, rng=random.Random(seed)).gen_derivation(3)
+    tree = read_sexpr(derivation_to_sexpr(d))
+    for op, where, atom in edits:
+        tree = _edit(tree, op, where, atom)
+    try:
+        items = parse_program_text(f"derivation d = {_render(tree)}\n", space)
+    except GrassError:
+        return
+    d = items["d"].payload
+    assert derivation_from_sexpr(derivation_to_sexpr(d), space) == d
