@@ -30,6 +30,7 @@ from .semantics import ModelBackend, interp_derivation, model_coherence_validate
 from .sexpr import (
     derivation_from_sexpr,
     grade_value,
+    natural,
     show_judgment,
     term_from_sexpr,
     term_to_sexpr,
@@ -110,8 +111,6 @@ def parse_modes_text(text: str):
         try:
             _parse_decl_line(section, line, raw_algebras, modes, order, morphisms,
                              backend_decl, base_carriers)
-        except ParseError:
-            raise
         except Exception as e:  # noqa: BLE001 - surface as a parse error with position
             raise ParseError(f"{e}", lineno) from None
 
@@ -233,9 +232,10 @@ def _parse_decl_line(section, line, raw_algebras, modes, order, morphisms,
         key_parts = key.split()
         value = value.strip()
         if key_parts[0] == "arity" and len(key_parts) == 3:
-            backend_decl["arities"][(key_parts[1], grade_value(key_parts[2]))] = int(value)
+            mode, grade = key_parts[1], grade_value(key_parts[2])
+            backend_decl["arities"][mode, grade] = natural(value, "an arity")
         elif key_parts == ["budget"]:
-            backend_decl["budget"] = int(value)
+            backend_decl["budget"] = natural(value, "a budget")
         else:
             raise ValueError(f"unknown backend declaration {key.strip()!r}")
         return

@@ -19,6 +19,7 @@ from .errors import NestingError, ParseError
 from .grades import Grade, GradeValue
 from .modespace import ModeSpace
 from .syntax import (
+    TERMS,
     App,
     Case,
     DropTm,
@@ -46,6 +47,7 @@ from .syntax import (
 )
 
 _TOKEN = re.compile(r"""\(|\)|[^\s()]+""")
+_NATURAL = re.compile(r"0|[1-9][0-9]*")
 
 
 def tokenize(text: str) -> list[str]:
@@ -79,11 +81,20 @@ def read_sexpr(text: str):
     return stack[0][0]
 
 
+def natural(atom, what: str) -> int:
+    """An unsigned decimal atom: ASCII digits with no leading zero, or 0."""
+    if not (isinstance(atom, str) and _NATURAL.fullmatch(atom)):
+        raise ParseError(f"expected {what}, got {atom!r}")
+    return int(atom)
+
+
 def grade_value(atom: str) -> GradeValue:
+    """A number is an integer grade only when spelled as `natural` reads it."""
     try:
-        return int(atom)
+        int(atom)
     except ValueError:
         return atom
+    return natural(atom, "a grade")
 
 
 def show_grade(value: GradeValue) -> str:
@@ -97,7 +108,6 @@ _FUN_HEAD = re.compile(r"^-o\{(?P<q>[^:{}]+):(?P<m>[^:{}]+)\}$")
 _DROP_HEAD = re.compile(r"^down\{(?P<q>[^,{}]+),(?P<n>[^<{}]+)<=(?P<m>[^{}]+)\}$")
 _RAISE_HEAD = re.compile(r"^up\{(?P<m>[^<{}]+)<=(?P<n>[^{}]+)\}$")
 _UNIT_ATOM = re.compile(r"^I@(?P<m>\S+)$")
-_STAR_ATOM = re.compile(r"^\*@(?P<m>\S+)$")
 
 
 def type_to_sexpr(ty: Type) -> str:
@@ -164,114 +174,7 @@ def _arity_check(tree, n):
 
 
 # ---------------------------------------------------------------------------
-# Terms
-
-_LETSTAR_HEAD = re.compile(r"^let\*@(?P<q>\S+)$")
-_LETPAIR_HEAD = re.compile(r"^let-pair@(?P<q>\S+)$")
-_CASE_HEAD = re.compile(r"^case@(?P<q>\S+)$")
-_DROPTM_HEAD = re.compile(r"^drop@(?P<q>[^{]+)\{(?P<n>[^<{}]+)<=(?P<m>[^{}]+)\}$")
-_LETDROP_HEAD = re.compile(r"^let-drop@(?P<q>[^{]+)\{(?P<n>[^<{}]+)<=(?P<m>[^{}]+)\}$")
-_RAISETM_HEAD = re.compile(r"^raise\{(?P<m>[^<{}]+)<=(?P<n>[^{}]+)\}$")
-_UNRAISE_HEAD = re.compile(r"^unraise\{(?P<m>[^<{}]+)<=(?P<n>[^{}]+)\}$")
-
-
-def term_to_sexpr(t: Term) -> str:
-    match t:
-        case Var(x):
-            return x
-        case Lam(x, body):
-            return f"(lam {x} {term_to_sexpr(body)})"
-        case App(fn, arg):
-            return f"(app {term_to_sexpr(fn)} {term_to_sexpr(arg)})"
-        case Star(m):
-            return f"*@{m}"
-        case LetStar(q, s, b):
-            return f"(let*@{show_grade(q)} {term_to_sexpr(s)} {term_to_sexpr(b)})"
-        case Pair(a, b):
-            return f"(pair {term_to_sexpr(a)} {term_to_sexpr(b)})"
-        case LetPair(q, x1, x2, s, b):
-            return f"(let-pair@{show_grade(q)} {x1} {x2} {term_to_sexpr(s)} {term_to_sexpr(b)})"
-        case Inl(b):
-            return f"(inl {term_to_sexpr(b)})"
-        case Inr(b):
-            return f"(inr {term_to_sexpr(b)})"
-        case Case(q, s, x1, t1, x2, t2):
-            return (f"(case@{show_grade(q)} {term_to_sexpr(s)} "
-                    f"({x1} {term_to_sexpr(t1)}) ({x2} {term_to_sexpr(t2)}))")
-        case DropTm(q, low, high, b):
-            return f"(drop@{show_grade(q)}{{{low}<={high}}} {term_to_sexpr(b)})"
-        case LetDrop(q, low, high, x, s, b):
-            return (f"(let-drop@{show_grade(q)}{{{low}<={high}}} {x} "
-                    f"{term_to_sexpr(s)} {term_to_sexpr(b)})")
-        case RaiseTm(low, high, b):
-            return f"(raise{{{low}<={high}}} {term_to_sexpr(b)})"
-        case UnraiseTm(low, high, b):
-            return f"(unraise{{{low}<={high}}} {term_to_sexpr(b)})"
-    raise ParseError(f"not a term: {t!r}")
-
-
-def term_from_tree(tree) -> Term:
-    if isinstance(tree, str):
-        m = _STAR_ATOM.match(tree)
-        if m:
-            return Star(m.group("m"))
-        return Var(tree)
-    if not tree:
-        raise ParseError("empty term expression")
-    head = tree[0]
-    if not isinstance(head, str):
-        raise ParseError("term form must start with an atom")
-    if head == "lam":
-        _arity_check(tree, 3)
-        return Lam(_atom(tree[1]), term_from_tree(tree[2]))
-    if head == "app":
-        _arity_check(tree, 3)
-        return App(term_from_tree(tree[1]), term_from_tree(tree[2]))
-    if head == "pair":
-        _arity_check(tree, 3)
-        return Pair(term_from_tree(tree[1]), term_from_tree(tree[2]))
-    if head == "inl":
-        _arity_check(tree, 2)
-        return Inl(term_from_tree(tree[1]))
-    if head == "inr":
-        _arity_check(tree, 2)
-        return Inr(term_from_tree(tree[1]))
-    m = _LETSTAR_HEAD.match(head)
-    if m:
-        _arity_check(tree, 3)
-        return LetStar(grade_value(m.group("q")), term_from_tree(tree[1]), term_from_tree(tree[2]))
-    m = _LETPAIR_HEAD.match(head)
-    if m:
-        _arity_check(tree, 5)
-        return LetPair(grade_value(m.group("q")), _atom(tree[1]), _atom(tree[2]),
-                       term_from_tree(tree[3]), term_from_tree(tree[4]))
-    m = _CASE_HEAD.match(head)
-    if m:
-        _arity_check(tree, 4)
-        b1, b2 = tree[2], tree[3]
-        if not (isinstance(b1, list) and len(b1) == 2 and isinstance(b2, list) and len(b2) == 2):
-            raise ParseError("case branches must look like (x body)")
-        return Case(grade_value(m.group("q")), term_from_tree(tree[1]),
-                    _atom(b1[0]), term_from_tree(b1[1]), _atom(b2[0]), term_from_tree(b2[1]))
-    m = _DROPTM_HEAD.match(head)
-    if m:
-        _arity_check(tree, 2)
-        return DropTm(grade_value(m.group("q")), m.group("n"), m.group("m"),
-                      term_from_tree(tree[1]))
-    m = _LETDROP_HEAD.match(head)
-    if m:
-        _arity_check(tree, 4)
-        return LetDrop(grade_value(m.group("q")), m.group("n"), m.group("m"),
-                       _atom(tree[1]), term_from_tree(tree[2]), term_from_tree(tree[3]))
-    m = _RAISETM_HEAD.match(head)
-    if m:
-        _arity_check(tree, 2)
-        return RaiseTm(m.group("m"), m.group("n"), term_from_tree(tree[1]))
-    m = _UNRAISE_HEAD.match(head)
-    if m:
-        _arity_check(tree, 2)
-        return UnraiseTm(m.group("m"), m.group("n"), term_from_tree(tree[1]))
-    raise ParseError(f"unknown term form {head!r}")
+# Field kinds and terms
 
 
 def _atom(tree) -> str:
@@ -280,23 +183,13 @@ def _atom(tree) -> str:
     return tree
 
 
-# ---------------------------------------------------------------------------
-# Derivations: (rule payload... premises...)
-
-
 def _list(tree) -> list:
     if not isinstance(tree, list):
         raise ParseError(f"expected a list, got {tree!r}")
     return tree
 
 
-def _position(atom) -> int:
-    if not (isinstance(atom, str) and atom.isascii() and atom.isdigit()):
-        raise ParseError(f"expected a context position, got {atom!r}")
-    return int(atom)
-
-
-# one writer and one reader per payload kind (derivation.RULES)
+# one writer and one reader per field kind of derivation.RULES and syntax.TERMS
 _WRITE = {
     "name": str,
     "mode": str,
@@ -305,14 +198,97 @@ _WRITE = {
     "grades": lambda vs: "(" + " ".join(map(show_grade, vs)) + ")",
     "perm": lambda perm: "(" + " ".join(map(str, perm)) + ")",
 }
-_READ = {
-    "name": lambda tree, space: _atom(tree),
-    "mode": lambda tree, space: _atom(tree),
+_READ = {  # a term field (name, mode or grade) is read with no mode space
+    "name": lambda tree, space=None: _atom(tree),
+    "mode": lambda tree, space=None: _atom(tree),
     "type": type_from_tree,
-    "grade": lambda tree, space: grade_value(_atom(tree)),
+    "grade": lambda tree, space=None: grade_value(_atom(tree)),
     "grades": lambda tree, space: tuple(grade_value(_atom(v)) for v in _list(tree)),
-    "perm": lambda tree, space: tuple(map(_position, _list(tree))),
+    "perm": lambda tree, space: tuple(natural(v, "a context position") for v in _list(tree)),
 }
+
+# former -> (head spelling, head pattern).  Every former declares its grade
+# and mode fields first; the head carries them, one "{}" and one pattern
+# group each, in order, and a head with no fields is its own pattern.  The
+# binders and subterms follow, a case grouping each branch as (x body);
+# Star, with no binder or subterm, is an atom.
+_SPELLINGS = {
+    Lam: ("lam", None),
+    App: ("app", None),
+    Star: ("*@{}", r"^\*@(?P<m>\S+)$"),
+    LetStar: ("let*@{}", r"^let\*@(?P<q>\S+)$"),
+    Pair: ("pair", None),
+    LetPair: ("let-pair@{}", r"^let-pair@(?P<q>\S+)$"),
+    Inl: ("inl", None),
+    Inr: ("inr", None),
+    Case: ("case@{}", r"^case@(?P<q>\S+)$"),
+    DropTm: ("drop@{}{{{}<={}}}", r"^drop@(?P<q>[^{]+)\{(?P<n>[^<{}]+)<=(?P<m>[^{}]+)\}$"),
+    LetDrop: ("let-drop@{}{{{}<={}}}", r"^let-drop@(?P<q>[^{]+)\{(?P<n>[^<{}]+)<=(?P<m>[^{}]+)\}$"),
+    RaiseTm: ("raise{{{}<={}}}", r"^raise\{(?P<m>[^<{}]+)<=(?P<n>[^{}]+)\}$"),
+    UnraiseTm: ("unraise{{{}<={}}}", r"^unraise\{(?P<m>[^<{}]+)<=(?P<n>[^{}]+)\}$"),
+}
+_PLAIN_HEADS = {head: cls for cls, (head, pattern) in _SPELLINGS.items() if pattern is None}
+_HEAD_PATTERNS = {cls: re.compile(pattern) for cls, (_, pattern) in _SPELLINGS.items() if pattern}
+_STAR_ATOM = _HEAD_PATTERNS.pop(Star)  # the one former read from an atom
+
+
+def term_to_sexpr(t: Term) -> str:
+    cls = type(t)
+    if cls is Var:
+        return t.name
+    if cls not in _SPELLINGS:
+        raise ParseError(f"not a term: {t!r}")
+    n_head, writers, _ = _CODEC[cls]
+    parts = [w(getattr(t, n)) for w, n in zip(writers, cls.__match_args__)]
+    parts[:n_head] = [_SPELLINGS[cls][0].format(*parts[:n_head])]
+    if len(parts) == 1:
+        return parts[0]
+    if cls is Case:
+        parts[2:] = [f"({parts[2]} {parts[3]})", f"({parts[4]} {parts[5]})"]
+    return "(" + " ".join(parts) + ")"
+
+
+def term_from_tree(tree) -> Term:
+    if isinstance(tree, str):
+        m = _STAR_ATOM.match(tree)
+        return Star(m.group("m")) if m else Var(tree)
+    if not tree:
+        raise ParseError("empty term expression")
+    head, args = tree[0], tree[1:]
+    if not isinstance(head, str):
+        raise ParseError("term form must start with an atom")
+    cls = _PLAIN_HEADS.get(head)
+    if cls is None:
+        for cls, pattern in _HEAD_PATTERNS.items():
+            m = pattern.match(head)
+            if m:
+                args[:0] = m.groups()
+                break
+        else:
+            raise ParseError(f"unknown term form {head!r}")
+    n_head, _, readers = _CODEC[cls]
+    _arity_check(tree, 4 if cls is Case else 1 + len(readers) - n_head)
+    if cls is Case:
+        b1, b2 = args[2:]
+        if not (isinstance(b1, list) and len(b1) == 2 and isinstance(b2, list) and len(b2) == 2):
+            raise ParseError("case branches must look like (x body)")
+        args[2:] = [*b1, *b2]
+    return cls(*[r(a) for r, a in zip(readers, args)])
+
+
+# former -> (number of head fields, writer and reader of each field in
+# declaration order); a grade or mode is read from its head pattern group, a
+# name from its atom
+_CODEC = {
+    cls: (sum(k in ("grade", "mode") for k in kinds),
+          tuple(term_to_sexpr if isinstance(k, tuple) else _WRITE[k] for k in kinds),
+          tuple(term_from_tree if isinstance(k, tuple) else _READ[k] for k in kinds))
+    for cls, kinds in TERMS.items()
+}
+
+
+# ---------------------------------------------------------------------------
+# Derivations: (rule payload... premises...)
 
 
 def derivation_to_sexpr(d: Derivation) -> str:

@@ -1,9 +1,9 @@
 """Object-language types and terms, well-formedness, and term utilities.
 
 Binders are named; alpha-equivalence is the term equality used everywhere.
-Capture-avoiding simultaneous substitution lives here so the rewrite
-machinery and its independent oracle can share one implementation surface
-while being tested against a de Bruijn conversion.
+`TERMS` is the binding signature of the term formers: free variables,
+capture-avoiding simultaneous substitution and alpha-equivalence are each
+one traversal over it, tested against a de Bruijn conversion in `oracles`.
 """
 
 from __future__ import annotations
@@ -225,33 +225,54 @@ class UnraiseTm(Term):
     body: Term
 
 
+# ---------------------------------------------------------------------------
+# The binding signature of the term formers
+
+# Every term former but Var, with the kinds of its fields in declaration
+# order: "name" is a binder, "grade" and "mode" are data, and a tuple is a
+# subterm, listing the indices of the binder fields in scope there (of two
+# equal ones, the later binds).  free_vars, subst, alpha_eq and sexpr read it.
+TERMS: dict[type, tuple] = {
+    Lam: ("name", (0,)),
+    App: ((), ()),
+    Star: ("mode",),
+    LetStar: ("grade", (), ()),
+    Pair: ((), ()),
+    LetPair: ("grade", "name", "name", (), (1, 2)),
+    Inl: ((),),
+    Inr: ((),),
+    Case: ("grade", (), "name", (2,), "name", (4,)),
+    DropTm: ("grade", "mode", "mode", ()),
+    LetDrop: ("grade", "mode", "mode", "name", (), (3,)),
+    RaiseTm: ("mode", "mode", ()),
+    UnraiseTm: ("mode", "mode", ()),
+}
+
+
+def _layout(cls: type):
+    """The former's fields, its data fields, its subterm fields under no
+    binder, and its other subterm fields, each with the binders in scope."""
+    sig = list(zip(cls.__match_args__, TERMS[cls]))
+    return (cls.__match_args__,
+            tuple(n for n, k in sig if k in ("grade", "mode")),
+            tuple(n for n, k in sig if k == ()),
+            tuple((n, tuple(sig[i][0] for i in k)) for n, k in sig if isinstance(k, tuple) and k))
+
+
+_LAYOUT = {cls: _layout(cls) for cls in TERMS}
+
+
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(x):
-            return frozenset({x})
-        case Lam(x, body):
-            return free_vars(body) - {x}
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-        case Star():
-            return frozenset()
-        case LetStar(_, scrutinee, body):
-            return free_vars(scrutinee) | free_vars(body)
-        case Pair(left, right):
-            return free_vars(left) | free_vars(right)
-        case LetPair(_, x1, x2, scrutinee, body):
-            return free_vars(scrutinee) | (free_vars(body) - {x1, x2})
-        case Inl(body) | Inr(body):
-            return free_vars(body)
-        case Case(_, scrutinee, x1, t1, x2, t2):
-            return free_vars(scrutinee) | (free_vars(t1) - {x1}) | (free_vars(t2) - {x2})
-        case DropTm(_, _, _, body):
-            return free_vars(body)
-        case LetDrop(_, _, _, x, scrutinee, body):
-            return free_vars(scrutinee) | (free_vars(body) - {x})
-        case RaiseTm(_, _, body) | UnraiseTm(_, _, body):
-            return free_vars(body)
-    raise InputError(f"not a term: {t!r}")
+    if type(t) is Var:
+        return frozenset({t.name})
+    layout = _LAYOUT.get(type(t))
+    if layout is None:
+        raise InputError(f"not a term: {t!r}")
+    _, _, free, bound = layout
+    out = frozenset().union(*[free_vars(getattr(t, x)) for x in free])
+    for x, scope in bound:
+        out |= free_vars(getattr(t, x)).difference([getattr(t, b) for b in scope])
+    return out
 
 
 _FRESH = itertools.count()
@@ -269,63 +290,44 @@ def fresh_name(avoid: frozenset[str] | set[str], stem: str = "v") -> str:
 
 
 def subst(t: Term, mapping: dict[str, Term]) -> Term:
-    """Capture-avoiding simultaneous substitution."""
+    """Capture-avoiding simultaneous substitution.  Fresh names are drawn
+    for the binders in field order, after the subterms under no binder are
+    substituted and before the subterms under a binder are."""
     mapping = {x: e for x, e in mapping.items() if e != Var(x)}
     if not mapping:
         return t
     avoid = set().union(*(free_vars(e) for e in mapping.values())) | set(mapping)
 
-    def go(t: Term, mapping: dict[str, Term]) -> Term:
-        match t:
-            case Var(x):
-                return mapping.get(x, t)
-            case Lam(x, body):
-                x2, body = _freshen_binder(x, body, mapping, avoid)
-                return Lam(x2, go(body, mapping))
-            case App(fn, arg):
-                return App(go(fn, mapping), go(arg, mapping))
-            case Star():
-                return t
-            case LetStar(q, scrutinee, body):
-                return LetStar(q, go(scrutinee, mapping), go(body, mapping))
-            case Pair(left, right):
-                return Pair(go(left, mapping), go(right, mapping))
-            case LetPair(q, x1, x2, scrutinee, body):
-                scrutinee = go(scrutinee, mapping)
-                y1, body = _freshen_binder(x1, body, mapping, avoid | {x2})
-                y2, body = _freshen_binder(x2, body, mapping, avoid | {y1})
-                return LetPair(q, y1, y2, scrutinee, go(body, mapping))
-            case Inl(body):
-                return Inl(go(body, mapping))
-            case Inr(body):
-                return Inr(go(body, mapping))
-            case Case(q, scrutinee, x1, t1, x2, t2):
-                scrutinee = go(scrutinee, mapping)
-                y1, t1 = _freshen_binder(x1, t1, mapping, avoid)
-                y2, t2 = _freshen_binder(x2, t2, mapping, avoid)
-                return Case(q, scrutinee, y1, go(t1, mapping), y2, go(t2, mapping))
-            case DropTm(q, low, high, body):
-                return DropTm(q, low, high, go(body, mapping))
-            case LetDrop(q, low, high, x, scrutinee, body):
-                scrutinee = go(scrutinee, mapping)
-                y, body = _freshen_binder(x, body, mapping, avoid)
-                return LetDrop(q, low, high, y, scrutinee, go(body, mapping))
-            case RaiseTm(low, high, body):
-                return RaiseTm(low, high, go(body, mapping))
-            case UnraiseTm(low, high, body):
-                return UnraiseTm(low, high, go(body, mapping))
-        raise InputError(f"not a term: {t!r}")
+    def go(t: Term) -> Term:
+        cls = type(t)
+        if cls is Var:
+            return mapping.get(t.name, t)
+        layout = _LAYOUT.get(cls)
+        if layout is None:
+            raise InputError(f"not a term: {t!r}")
+        names, _, free, bound = layout
+        f = {n: getattr(t, n) for n in names}
+        for x in free:
+            f[x] = go(f[x])
+        for x, scope in bound:
+            _freshen_binders(f, x, scope, avoid)
+        for x, _ in bound:
+            f[x] = go(f[x])
+        return cls(**f)
 
-    return go(t, mapping)
+    return go(t)
 
 
-def _freshen_binder(x: str, body: Term, mapping: dict[str, Term], avoid: set[str]):
-    """Rename a binder when it would capture or be substituted."""
-    needs_rename = x in avoid
-    if not needs_rename:
-        return x, body
-    x2 = fresh_name(avoid | free_vars(body), x)
-    return x2, subst(body, {x: Var(x2)})
+def _freshen_binders(f: dict, x: str, scope: tuple[str, ...], avoid: set[str]) -> None:
+    """Rename each binder of the subterm f[x] that could capture, be substituted or clash."""
+    names = [f[b] for b in scope]
+    for j, name in enumerate(names):
+        others = names[:j] + names[j + 1:]
+        if name in avoid or name in others:
+            names[j] = fresh_name(avoid.union(others, free_vars(f[x])), name)
+            if name not in names[j + 1:]:  # else a later binder binds it
+                f[x] = subst(f[x], {name: Var(names[j])})
+    f.update(zip(scope, names))
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
@@ -335,51 +337,31 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
         # one term object under equal binder environments: no need to descend
         if a is b and env1 == env2:
             return True
-        if type(a) is not type(b):
+        cls = type(a)
+        if cls is not type(b):
             return False
-        match a, b:
-            case Var(x), Var(y):
-                bx, by = env1.get(x), env2.get(y)
-                if bx is None and by is None:
-                    return x == y
-                return bx == by
-            case Lam(x, body_a), Lam(y, body_b):
-                return go(body_a, body_b, {**env1, x: depth}, {**env2, y: depth}, depth + 1)
-            case App(f1, a1), App(f2, a2):
-                return go(f1, f2, env1, env2, depth) and go(a1, a2, env1, env2, depth)
-            case Star(m1), Star(m2):
-                return m1 == m2
-            case LetStar(q1, s1, b1), LetStar(q2, s2, b2):
-                return q1 == q2 and go(s1, s2, env1, env2, depth) and go(b1, b2, env1, env2, depth)
-            case Pair(l1, r1), Pair(l2, r2):
-                return go(l1, l2, env1, env2, depth) and go(r1, r2, env1, env2, depth)
-            case LetPair(q1, x1, y1, s1, b1), LetPair(q2, x2, y2, s2, b2):
-                if q1 != q2 or not go(s1, s2, env1, env2, depth):
-                    return False
-                e1 = {**env1, x1: depth, y1: depth + 1}
-                e2 = {**env2, x2: depth, y2: depth + 1}
-                return go(b1, b2, e1, e2, depth + 2)
-            case Inl(b1), Inl(b2):
-                return go(b1, b2, env1, env2, depth)
-            case Inr(b1), Inr(b2):
-                return go(b1, b2, env1, env2, depth)
-            case Case(q1, s1, x1, l1, y1, r1), Case(q2, s2, x2, l2, y2, r2):
-                if q1 != q2 or not go(s1, s2, env1, env2, depth):
-                    return False
-                if not go(l1, l2, {**env1, x1: depth}, {**env2, x2: depth}, depth + 1):
-                    return False
-                return go(r1, r2, {**env1, y1: depth}, {**env2, y2: depth}, depth + 1)
-            case DropTm(q1, lo1, hi1, b1), DropTm(q2, lo2, hi2, b2):
-                return (q1, lo1, hi1) == (q2, lo2, hi2) and go(b1, b2, env1, env2, depth)
-            case LetDrop(q1, lo1, hi1, x1, s1, b1), LetDrop(q2, lo2, hi2, x2, s2, b2):
-                if (q1, lo1, hi1) != (q2, lo2, hi2) or not go(s1, s2, env1, env2, depth):
-                    return False
-                return go(b1, b2, {**env1, x1: depth}, {**env2, x2: depth}, depth + 1)
-            case RaiseTm(lo1, hi1, b1), RaiseTm(lo2, hi2, b2):
-                return (lo1, hi1) == (lo2, hi2) and go(b1, b2, env1, env2, depth)
-            case UnraiseTm(lo1, hi1, b1), UnraiseTm(lo2, hi2, b2):
-                return (lo1, hi1) == (lo2, hi2) and go(b1, b2, env1, env2, depth)
-        return False
+        if cls is Var:
+            bx, by = env1.get(a.name), env2.get(b.name)
+            if bx is None and by is None:
+                return a.name == b.name
+            return bx == by
+        layout = _LAYOUT.get(cls)
+        if layout is None:
+            return False
+        _, data, free, bound = layout
+        for x in data:
+            if getattr(a, x) != getattr(b, x):
+                return False
+        for x in free:
+            if not go(getattr(a, x), getattr(b, x), env1, env2, depth):
+                return False
+        for x, scope in bound:
+            e1, e2 = dict(env1), dict(env2)
+            for d, binder in enumerate(scope, depth):
+                e1[getattr(a, binder)] = e2[getattr(b, binder)] = d
+            if not go(getattr(a, x), getattr(b, x), e1, e2, depth + len(scope)):
+                return False
+        return True
 
     return go(t1, t2, {}, {}, 0)
 

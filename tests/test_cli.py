@@ -256,3 +256,30 @@ def test_malformed_derivation_is_a_parse_error(tmp_path, capsys, text):
     prog = _write(tmp_path, "p.prog", f"type ok = P\nderivation bad = {text}\n")
     assert main(["check", modes, prog]) == 2
     assert capsys.readouterr().err.startswith("parse error: line 2: ")
+
+
+@pytest.mark.parametrize("atom", ["1_0", "01", "+1", "١"])
+def test_a_grade_spelled_oddly_is_a_parse_error(tmp_path, capsys, atom):
+    modes = _write(tmp_path, "m.modes", LNL)
+    prog = _write(tmp_path, "p.prog", f"type ok = P\nderivation d = (unitE {atom} (unitI L) (unitI L))\n")
+    assert main(["check", modes, prog]) == 2
+    assert capsys.readouterr().err == f"parse error: line 2: expected a grade, got {atom!r}\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("arity U t = 1", "arity U t = -1", "line 20: expected an arity, got '-1'"),
+    ("budget = 4", "budget = -2", "line 19: expected a budget, got '-2'"),
+    ("arity U t = 1", "arity U t = 01", "line 20: expected an arity, got '01'"),
+])
+def test_backend_numbers_are_unsigned_decimals(tmp_path, capsys, old, new, message):
+    modes = _write(tmp_path, "m.modes", LNL.replace(old, new))
+    assert main(["modes-validate", modes]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_non_multiplicative_arity_is_reported(tmp_path, capsys):
+    modes = _write(tmp_path, "m.modes", LNL.replace("arity U t = 1", "arity U t = 1\narity L 2 = 3"))
+    assert main(["modes-validate", modes]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "arity-multiplicative witness=('L', 2, 2)" in out
+    assert all(line.startswith("arity-multiplicative witness=('L', ") for line in out)

@@ -355,3 +355,19 @@ def test_validator_rejects_incoherent_tupling_backends():
     report = model_coherence_validate(be, max_size=2, budget=3)
     assert not report.ok()
     assert any("c then delta" in v.law for v in report.violations)
+
+
+def test_coherence_reports_each_violation_once():
+    report = model_coherence_validate(corrupted(system("LU")[1], "iota"), max_size=1)
+    lines = report.render().splitlines()
+    assert "iota-iso witness=('U', 't') 0 pairs" in lines
+    assert len(lines) == len(set(lines))
+
+
+def test_arity_law_failures_are_reported_not_raised():
+    space, be = system("LU")
+    lawless = ModelBackend(space=space, arities={**be.arities, ("L", 2): 3},
+                           base_carriers=be.base_carriers)
+    report = model_coherence_validate(lawless, max_size=2)
+    assert {v.law for v in report.violations} == {"arity-multiplicative"}
+    assert all(v.witness[0] == "L" for v in report.violations)

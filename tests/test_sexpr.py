@@ -8,6 +8,7 @@ from grass.derivation import RULES, check_derivation
 from grass.errors import GrassError, ParseError
 from grass.gen import Gen
 from grass.grades import Grade
+from grass.oracles import to_locally_nameless
 from grass.presets import system
 from grass.sexpr import (
     derivation_from_sexpr,
@@ -19,6 +20,7 @@ from grass.sexpr import (
     type_to_sexpr,
 )
 from grass.syntax import (
+    TERMS,
     Case,
     DropTm,
     Inl,
@@ -181,3 +183,25 @@ def test_program_parser_raises_only_grass_errors(space, seed, edits):
         return
     d = items["d"].payload
     assert derivation_from_sexpr(derivation_to_sexpr(d), space) == d
+
+
+@pytest.mark.parametrize("grade", [2, "t"])
+def test_every_term_former_round_trips(grade):
+    values = {"name": "y", "grade": grade, "mode": "L"}
+    for cls, kinds in TERMS.items():
+        t = cls(*(Var("x") if isinstance(k, tuple) else values[k] for k in kinds))
+        assert term_from_sexpr(term_to_sexpr(t)) == t, cls
+        to_locally_nameless(t)
+
+
+@pytest.mark.parametrize("atom", ["1_0", "01", "+1", "١", "-1"])
+def test_a_number_has_one_spelling(atom):
+    lu = system("LU")[0]
+    with pytest.raises(ParseError, match="expected a grade"):
+        derivation_from_sexpr(f"(unitE {atom} (unitI L) (unitI L))", lu)
+    with pytest.raises(ParseError, match="expected a grade"):
+        term_from_sexpr(f"(let*@{atom} x y)")
+    with pytest.raises(ParseError, match="expected a context position"):
+        derivation_from_sexpr(f"(exchange ({atom} 0) (pairI (var x P) (var y P)))", lu)
+    assert derivation_to_sexpr(derivation_from_sexpr("(unitE 10 (unitI L) (unitI L))", lu)) \
+        == "(unitE 10 (unitI L) (unitI L))"

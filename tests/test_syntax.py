@@ -1,15 +1,18 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grass import syntax
 from grass.errors import InputError
 from grass.gen import Gen
 from grass.grades import Grade
 from grass.oracles import ln_eq, term_subst_oracle, to_locally_nameless
 from grass.presets import system
 from grass.syntax import (
+    TERMS,
     App,
     Case,
     Inl,
@@ -25,6 +28,7 @@ from grass.syntax import (
     TSum,
     TTensor,
     TUnit,
+    Term,
     Var,
     alpha_eq,
     free_vars,
@@ -169,3 +173,65 @@ def test_identity_subst(a, b):
     t = Lam(a, App(Var(a), Var(b)))
     assert subst(t, {}) == t
     assert alpha_eq(subst(t, {b: Var(b)}), t)
+
+
+# -- the binding signature against the de Bruijn oracle ----------------------------
+
+
+def test_every_term_former_has_a_binding_signature():
+    formers = {c for c in vars(syntax).values()
+               if isinstance(c, type) and issubclass(c, Term) and c is not Term}
+    assert formers == set(TERMS) | {Var}
+
+
+# every atom field of a raw term draws from the same three names, so that
+# binders collide with each other and with free variables
+ATOMS = st.sampled_from(["x", "y", "z"])
+
+
+def _raw_term(children):
+    return st.one_of([
+        st.builds(cls, *(children if isinstance(k, tuple) else ATOMS for k in kinds))
+        for cls, kinds in TERMS.items()
+    ])
+
+
+RAW_TERMS = st.recursive(st.builds(Var, ATOMS), _raw_term, max_leaves=8)
+
+
+def _ln_free(ln) -> set:
+    if ln[0] == "free":
+        return {ln[1]}
+    return set().union(*(_ln_free(p) for p in ln[1:] if isinstance(p, tuple)))
+
+
+def _rename_bound(t, draw, env=None):
+    """t with every binder renamed to a drawn name, capture or not."""
+    env = env or {}
+    if isinstance(t, Var):
+        return Var(env.get(t.name, t.name))
+    kinds = TERMS[type(t)]
+    old = [getattr(t, f.name) for f in fields(t)]
+    new = [draw() if k == "name" else v for k, v in zip(kinds, old)]
+    for i, k in enumerate(kinds):
+        if isinstance(k, tuple):
+            inner = dict(env)
+            inner.update((old[b], new[b]) for b in k)
+            new[i] = _rename_bound(old[i], draw, inner)
+    return type(t)(*new)
+
+
+@given(RAW_TERMS, st.dictionaries(ATOMS, RAW_TERMS, max_size=2), st.data())
+@settings(max_examples=200, deadline=None)
+def test_binding_signature_matches_de_bruijn(t, mapping, data):
+    assert to_locally_nameless(subst(t, mapping)) == term_subst_oracle(t, mapping)
+    assert free_vars(t) == _ln_free(to_locally_nameless(t))
+    renamed = _rename_bound(t, lambda: data.draw(ATOMS))
+    assert alpha_eq(t, renamed) == ln_eq(t, renamed)
+
+
+def test_subst_under_a_repeated_binder():
+    t = LetPair(1, "x", "x", Var("s"), Var("x"))
+    out = subst(t, {"s": Var("u")})
+    assert to_locally_nameless(out) == term_subst_oracle(t, {"s": Var("u")})
+    assert out.body == Var(out.right_name)
