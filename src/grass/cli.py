@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 check/validation failure, 2 usage or parse error
 or input nested too deeply.  The enumeration budget defaults to 8 and can
-be overridden with the GRASS_BUDGET environment variable; a value that is
-not an integer is a usage error.
+be overridden with the GRASS_BUDGET environment variable.  GRASS_BUDGET,
+--budget, --max-size, --count, --fuel and --max-depth are written as 0 or
+as digits with no leading zero; a negative value or any other spelling is
+a usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from .derivation import Derivation, check_derivation, elaborate
 from .errors import GrassError, NestingError, ParseError, UsageError
@@ -45,14 +48,18 @@ from .suites import (
 from .syntax import Judgment, mode_of
 
 
+def _count(name: str, raw: str) -> int:
+    """A count from the command line or the environment, read by `natural`."""
+    try:
+        return natural(raw, name)
+    except ParseError:
+        raise UsageError(f"{name} must be an integer, got {raw!r}; "
+                         "write 0 or more, with no sign or leading zero") from None
+
+
 def _budget() -> int:
     raw = os.environ.get("GRASS_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"GRASS_BUDGET must be an integer, got {raw!r}") from None
+    return DEFAULT_BUDGET if raw is None else _count("GRASS_BUDGET", raw)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="beta-normalize one item")
     common(p, item_opt=False)
     p.add_argument("item")
-    p.add_argument("--fuel", type=int, default=64)
+    p.add_argument("--fuel", type=partial(_count, "--fuel"), default=64)
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("interp", help="print an item's denotation")
@@ -504,15 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modes-validate", help="validate a mode system and its backend")
     p.add_argument("modes")
-    p.add_argument("--budget", type=int, default=_budget())
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--budget", type=partial(_count, "--budget"), default=_budget())
+    p.add_argument("--max-size", type=partial(_count, "--max-size"), default=3)
     p.set_defaults(fn=cmd_modes_validate)
 
     p = sub.add_parser("oracle", help="run the generated oracle suites")
     p.add_argument("modes")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=5)
+    p.add_argument("--count", type=partial(_count, "--count"), default=100)
+    p.add_argument("--max-depth", type=partial(_count, "--max-depth"), default=5)
     p.add_argument("--no-validate", action="store_true")
     p.set_defaults(fn=cmd_oracle)
     return parser

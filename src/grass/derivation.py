@@ -64,9 +64,12 @@ class Derivation:
     conclusion: Judgment
 
     def walk(self):
-        yield self
-        for p in self.premises:
-            yield from p.walk()
+        """Every node in preorder, premises left to right, at any depth."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.premises))
 
 
 def _fail(rule: str, condition: str):
@@ -446,97 +449,92 @@ def check_derivation(d: Derivation, space: ModeSpace, memo: dict | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# Elaboration: best-effort, syntax-directed
+# Structural moves: substitution, beta reduction, elaboration and generation
+# arrange contexts only through these
 
 
-def _reorder(space: ModeSpace, d: Derivation, names: tuple[str, ...]) -> Derivation:
-    """Exchange the conclusion context into the given name order."""
+def reorder(space: ModeSpace, d: Derivation, names: tuple[str, ...]) -> Derivation:
+    """Exchange the conclusion context into the given name order; `d`
+    itself when it is already in that order."""
     current = d.conclusion.names()
     if current == names:
         return d
     if sorted(current) != sorted(names):
         raise InputError(f"cannot reorder {current} into {names}")
-    perm = tuple(current.index(x) for x in names)
-    return mk_exchange(space, d, perm)
+    return mk_exchange(space, d, tuple(current.index(x) for x in names))
 
 
-def _move_to_end(space: ModeSpace, d: Derivation, name: str) -> Derivation:
-    names = d.conclusion.names()
-    rest = tuple(x for x in names if x != name)
-    return _reorder(space, d, rest + (name,))
+def move_to_end(space: ModeSpace, d: Derivation, *names: str) -> Derivation:
+    """Exchange the named entries (one, or a pair about to be contracted)
+    to the end of the context, in the given order."""
+    rest = tuple(x for x in d.conclusion.names() if x not in names)
+    return reorder(space, d, rest + names)
 
 
-def _lift_last(space: ModeSpace, d: Derivation, target: GradeValue) -> Derivation:
+def lift_last(space: ModeSpace, d: Derivation, target: GradeValue) -> Derivation:
     """Raise the final entry's grade to `target` with a one-entry subsumption."""
     c = d.conclusion
-    have = c.rho[-1]
-    if have.value == target:
+    have = c.rho[-1].value
+    if have == target:
         return d
-    alg = space.mode(c.modes[-1]).algebra
-    if not alg.leq(have.value, target):
+    if not space.mode(c.modes[-1]).algebra.leq(have, target):
         raise ElaborationError(
-            f"variable {c.ctx[-1][0]!r} is used at grade {have.value!r}, "
+            f"variable {c.ctx[-1][0]!r} is used at grade {have!r}, "
             f"which is not <= the required grade {target!r}"
         )
-    values = tuple(g.value for g in c.rho[:-1]) + (target,)
-    return mk_sub(space, d, values)
+    return mk_sub(space, d, tuple(g.value for g in c.rho[:-1]) + (target,))
+
+
+# ---------------------------------------------------------------------------
+# Elaboration: best-effort, syntax-directed
+
+
+def _weaken_in(space: ModeSpace, d: Derivation, name: str, ty: Type) -> Derivation:
+    n = mode_of(ty)
+    if not space.mode(n).weak:
+        raise ElaborationError(f"unused variable {name!r} needs Weak({n}), which is false")
+    if not space.leq(d.conclusion.mode, n):
+        raise ElaborationError(f"cannot weaken {name!r}: {d.conclusion.mode} <= {n} fails")
+    return mk_weak(space, d, name, ty)
 
 
 def _bind_last(space: ModeSpace, d: Derivation, name: str, ty: Type, target: GradeValue) -> Derivation:
     """Arrange `name` (weakening it in if unused) last, at exactly `target`."""
-    c = d.conclusion
-    if name in c.names():
-        d = _move_to_end(space, d, name)
+    if name in d.conclusion.names():
+        d = move_to_end(space, d, name)
     else:
-        n = mode_of(ty)
-        if not space.mode(n).weak:
-            raise ElaborationError(f"unused variable {name!r} needs Weak({n}), which is false")
-        if not space.leq(c.mode, n):
-            raise ElaborationError(f"cannot weaken {name!r}: {c.mode} <= {n} fails")
-        d = mk_weak(space, d, name, ty)
-    return _lift_last(space, d, target)
-
-
-def _env_order(d: Derivation, env_names: list[str], space: ModeSpace) -> Derivation:
-    present = d.conclusion.names()
-    desired = tuple(x for x in env_names if x in present)
-    extra = tuple(x for x in present if x not in desired)
-    return _reorder(space, d, desired + extra)
-
-
-def _extend(env: dict[str, Type], renaming: dict[str, str]) -> dict[str, Type]:
-    return {**env, **{new: env[old] for old, new in renaming.items()}}
+        d = _weaken_in(space, d, name, ty)
+    return lift_last(space, d, target)
 
 
 def _merge(space: ModeSpace, combine, left: Derivation, right_term: Term,
-           elaborate_right, env_names: list[str],
+           want: Type | None, mode: str, env: dict[str, Type], env_names: list[str],
            exclude: frozenset[str] = frozenset()) -> Derivation:
-    """Elaborate the right subterm, renaming shared variables apart, apply the
-    two-premise rule, then contract the shared variables back together.
+    """Elaborate the right subterm against `want` at `mode`, renaming shared
+    variables apart, apply the two-premise rule, contract the shared
+    variables back together, and put the context in environment order.
 
-    `elaborate_right(term, renaming)` must elaborate with the renamed
-    variables added to its environment.  `exclude` lists bound names of the
-    left premise, which are consumed by the rule and never contracted.
+    `exclude` lists bound names of the left premise, which are consumed by
+    the rule and never contracted.
     """
     shared = sorted((set(left.conclusion.names()) & free_vars(right_term)) - exclude)
     renaming: dict[str, str] = {}
     avoid = set(env_names) | set(left.conclusion.names()) | free_vars(right_term)
     term2 = right_term
     for x in shared:
-        x2 = fresh_name(avoid, x + "_dup")
+        renaming[x] = x2 = fresh_name(avoid, x + "_dup")
         avoid.add(x2)
-        renaming[x] = x2
         term2 = subst(term2, {x: Var(x2)})
-    right = elaborate_right(term2, renaming)
+    env2 = {**env, **{new: env[old] for old, new in renaming.items()}}
+    right = _elab(space, term2, want, mode, env2, env_names + list(renaming.values()))
     d = combine(left, right)
     for x in shared:
-        x2 = renaming[x]
-        names = d.conclusion.names()
-        rest = tuple(y for y in names if y not in (x, x2))
-        d = _reorder(space, d, rest + (x, x2))
+        d = move_to_end(space, d, x, renaming[x])
         d = _lift_into_cont(space, d, x)
         d = mk_cont(space, d, x)
-    return _env_order(d, env_names, space)
+    present = d.conclusion.names()
+    desired = tuple(y for y in env_names if y in present)
+    return reorder(space, d, desired + tuple(y for y in present if y not in desired))
 
 
 def _lift_into_cont(space: ModeSpace, d: Derivation, x: str) -> Derivation:
@@ -559,9 +557,8 @@ def _lift_into_cont(space: ModeSpace, d: Derivation, x: str) -> Derivation:
                 f"({c.rho[-2].value!r}, {c.rho[-1].value!r}) not in Cont({n})"
             )
         targets.append(candidates[0])
-    if (targets[0], targets[1]) != (c.rho[-2].value, c.rho[-1].value):
-        values = tuple(g.value for g in c.rho[:-2]) + tuple(targets)
-        d = mk_sub(space, d, values)
+    if tuple(targets) != (c.rho[-2].value, c.rho[-1].value):
+        d = mk_sub(space, d, tuple(g.value for g in c.rho[:-2]) + tuple(targets))
     return d
 
 
@@ -579,15 +576,10 @@ def elaborate(j: Judgment, space: ModeSpace) -> Derivation:
     d = _elab(space, j.term, j.ty, j.mode, env, list(env))
 
     # Weaken in the unused entries, then match j's order and grades.
-    for (name, ty), n, g in zip(j.ctx, j.modes, j.rho):
-        if name in d.conclusion.names():
-            continue
-        if not space.mode(n).weak:
-            raise ElaborationError(f"unused variable {name!r} needs Weak({n}), which is false")
-        if not space.leq(d.conclusion.mode, n):
-            raise ElaborationError(f"cannot weaken {name!r}: {d.conclusion.mode} <= {n} fails")
-        d = mk_weak(space, d, name, ty)
-    d = _reorder(space, d, j.names())
+    for name, ty in j.ctx:
+        if name not in d.conclusion.names():
+            d = _weaken_in(space, d, name, ty)
+    d = reorder(space, d, j.names())
     if d.conclusion.rho != j.rho:
         if not vector_leq(d.conclusion.rho, j.rho, j.modes, space):
             bad = next(
@@ -643,42 +635,20 @@ def _elab(space: ModeSpace, term: Term, expected: Type | None, mode: str,
             if expected is not None and not isinstance(expected, TTensor):
                 raise ElaborationError("pair against a non-tensor ascription")
             d_left = _elab(space, left, want_l, mode, env, env_names)
-            return _merge(
-                space,
-                lambda l, r: mk_pairI(space, l, r),
-                d_left, right,
-                lambda t, ren: _elab(
-                    space, t, want_r, mode, _extend(env, ren), env_names + list(ren.values())
-                ),
-                env_names,
-            )
+            return _merge(space, lambda l, r: mk_pairI(space, l, r), d_left, right,
+                          want_r, mode, env, env_names)
         case App(fn, arg):
             d_fn = _elab(space, fn, None, mode, env, env_names)
             fun_ty = d_fn.conclusion.ty
             if not isinstance(fun_ty, TFun):
                 raise ElaborationError("application head does not have an arrow type")
-            out = _merge(
-                space,
-                lambda l, r: mk_arrowE(space, l, r),
-                d_fn, arg,
-                lambda t, ren: _elab(
-                    space, t, fun_ty.arg, mode_of(fun_ty.arg),
-                    _extend(env, ren), env_names + list(ren.values()),
-                ),
-                env_names,
-            )
+            out = _merge(space, lambda l, r: mk_arrowE(space, l, r), d_fn, arg,
+                         fun_ty.arg, mode_of(fun_ty.arg), env, env_names)
             return _check_expected(out, expected)
         case LetStar(q, scrutinee, body):
             d_body = _elab(space, body, expected, mode, env, env_names)
-            return _merge(
-                space,
-                lambda l, r: mk_unitE(space, q, l, r),
-                d_body, scrutinee,
-                lambda t, ren: _elab(
-                    space, t, TUnit(mode), mode, _extend(env, ren), env_names + list(ren.values())
-                ),
-                env_names,
-            )
+            return _merge(space, lambda l, r: mk_unitE(space, q, l, r), d_body, scrutinee,
+                          TUnit(mode), mode, env, env_names)
         case LetPair(q, x1, x2, scrutinee, body):
             d_scrut = _elab(space, scrutinee, None, mode, env, env_names)
             pair_ty = d_scrut.conclusion.ty
@@ -689,20 +659,9 @@ def _elab(space: ModeSpace, term: Term, expected: Type | None, mode: str,
             d_body = _elab(space, body, expected, mode, env2, env_names + [x1, x2])
             d_body = _bind_last(space, d_body, x1, pair_ty.left, q)
             d_body = _bind_last(space, d_body, x2, pair_ty.right, q)
-            d_body = _reorder(
-                space, d_body,
-                tuple(y for y in d_body.conclusion.names() if y not in (x1, x2)) + (x1, x2),
-            )
-            return _merge(
-                space,
-                lambda l, r: mk_pairE(space, l, r),
-                d_body, scrutinee,
-                lambda t, ren: _elab(
-                    space, t, pair_ty, n, _extend(env, ren), env_names + list(ren.values())
-                ),
-                env_names,
-                exclude=frozenset({x1, x2}),
-            )
+            d_body = move_to_end(space, d_body, x1, x2)
+            return _merge(space, lambda l, r: mk_pairE(space, l, r), d_body, scrutinee,
+                          pair_ty, n, env, env_names, exclude=frozenset({x1, x2}))
         case Case(q, scrutinee, x1, t1, x2, t2):
             d_scrut = _elab(space, scrutinee, None, mode, env, env_names)
             sum_ty = d_scrut.conclusion.ty
@@ -716,16 +675,8 @@ def _elab(space: ModeSpace, term: Term, expected: Type | None, mode: str,
             )
             d2 = _bind_last(space, d2, x2, sum_ty.right, q)
             d1, d2 = _align_branches(space, d1, d2, x1, x2, env, env_names)
-            return _merge(
-                space,
-                lambda l, r: mk_sumE(space, l, d2, r),
-                d1, scrutinee,
-                lambda t, ren: _elab(
-                    space, t, sum_ty, n, _extend(env, ren), env_names + list(ren.values())
-                ),
-                env_names,
-                exclude=frozenset({x1}),
-            )
+            return _merge(space, lambda l, r: mk_sumE(space, l, d2, r), d1, scrutinee,
+                          sum_ty, n, env, env_names, exclude=frozenset({x1}))
         case DropTm(q, low, high, body):
             if low != mode:
                 raise ElaborationError(f"drop term at mode {low}, judged at {mode}")
@@ -747,16 +698,8 @@ def _elab(space: ModeSpace, term: Term, expected: Type | None, mode: str,
             env2 = {**env, x: drop_ty.body}
             d_body = _elab(space, body, expected, mode, env2, env_names + [x])
             d_body = _bind_last(space, d_body, x, drop_ty.body, q)
-            return _merge(
-                space,
-                lambda l, r: mk_dropE(space, l, r),
-                d_body, scrutinee,
-                lambda t, ren: _elab(
-                    space, t, drop_ty, low, _extend(env, ren), env_names + list(ren.values())
-                ),
-                env_names,
-                exclude=frozenset({x}),
-            )
+            return _merge(space, lambda l, r: mk_dropE(space, l, r), d_body, scrutinee,
+                          drop_ty, low, env, env_names, exclude=frozenset({x}))
         case RaiseTm(low, high, body):
             if high != mode:
                 raise ElaborationError(f"raise term at mode {high}, judged at {mode}")
@@ -793,15 +736,15 @@ def _align_branches(space, d1, d2, x1, x2, env, env_names):
         if x not in shared2:
             ty = env[x]
             d2 = _bind_last(space, d2, x, ty, space.mode(mode_of(ty)).algebra.zero)
-            d2 = _move_to_end(space, d2, x2)
+            d2 = move_to_end(space, d2, x2)
     for x in shared2:
         if x not in shared1:
             ty = env[x]
             d1 = _bind_last(space, d1, x, ty, space.mode(mode_of(ty)).algebra.zero)
-            d1 = _move_to_end(space, d1, x1)
+            d1 = move_to_end(space, d1, x1)
     order = tuple(x for x in env_names if x in d1.conclusion.names() and x != x1)
-    d1 = _reorder(space, d1, order + (x1,))
-    d2 = _reorder(space, d2, order + (x2,))
+    d1 = reorder(space, d1, order + (x1,))
+    d2 = reorder(space, d2, order + (x2,))
     rho1, rho2 = d1.conclusion.rho[:-1], d2.conclusion.rho[:-1]
     if rho1 != rho2:
         out1, out2 = [], []

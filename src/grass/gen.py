@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .derivation import (
     Derivation,
+    lift_last,
     mk_arrowE,
     mk_arrowI,
     mk_cont,
@@ -30,6 +31,7 @@ from .derivation import (
     mk_unitI,
     mk_var,
     mk_weak,
+    move_to_end,
 )
 from .errors import GrassError
 from .grades import Grade, GradeValue
@@ -206,22 +208,9 @@ class Gen:
             ]
             if usable and self.rng.random() < 0.8:
                 i = self.rng.choice(usable)
-                if i != len(c.ctx) - 1:
-                    perm = tuple(k for k in range(len(c.ctx)) if k != i) + (i,)
-                    body = mk_exchange(space, body, perm)
-                    c = body.conclusion
-                if c.rho[-1].value != target:
-                    values = tuple(g.value for g in c.rho[:-1]) + (target,)
-                    body = mk_sub(space, body, values)
-                return body
+                return lift_last(space, move_to_end(space, body, c.ctx[i][0]), target)
         if space.mode(n).weak and space.leq(c.mode, n):
-            d = mk_weak(space, body, self.fresh(), arg_ty)
-            if target != alg.zero:
-                if not alg.leq(alg.zero, target):
-                    raise GrassError("cannot lift a weakened binder to the target grade")
-                values = tuple(g.value for g in d.conclusion.rho[:-1]) + (target,)
-                d = mk_sub(space, d, values)
-            return d
+            return lift_last(space, mk_weak(space, body, self.fresh(), arg_ty), target)
         raise GrassError("cannot bind a fresh variable at the target grade")
 
     def _elim(self, ty: Type, mode: str, depth: int) -> Derivation | None:
@@ -348,12 +337,8 @@ class Gen:
                     if not pairs:
                         continue
                     i, k = rng.choice(pairs)
-                    names = list(c.names())
-                    order = [x for idx, x in enumerate(names) if idx not in (i, k)]
-                    order += [names[i], names[k]]
-                    perm = tuple(names.index(x) for x in order)
-                    out = mk_exchange(space, d, perm) if perm != tuple(range(len(perm))) else d
-                    return mk_cont(space, out, names[i])
+                    x, y = c.ctx[i][0], c.ctx[k][0]
+                    return mk_cont(space, move_to_end(space, d, x, y), x)
                 if move == "exchange":
                     c = d.conclusion
                     if len(c.ctx) < 2:

@@ -6,7 +6,9 @@ the independence check that every typing judgment must satisfy.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import ConfigError, InputError, ModeOrderError, Report
 from .grades import (
@@ -23,37 +25,38 @@ GradeVector = tuple[Grade, ...]
 ModeVector = tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModeSpace:
     """Finite preordered set of modes with a morphism for each comparable pair.
 
     The order is closed reflexively and transitively on construction.
     `base_types` maps user-declared base type names to their mode.  The
-    dicts passed in are copied, never written to.
+    mappings passed in are copied, never written to, and held read-only.
     """
 
-    modes: dict[str, Mode]
+    modes: Mapping[str, Mode]
     order_pairs: frozenset[tuple[str, str]] = frozenset()
-    morphisms: dict[tuple[str, str], ModeMorphism] = field(default_factory=dict)
-    base_types: dict[str, str] = field(default_factory=dict)
+    morphisms: Mapping[tuple[str, str], ModeMorphism] = field(default_factory=dict)
+    base_types: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.modes = dict(self.modes)
-        self.morphisms = dict(self.morphisms)
-        self.base_types = dict(self.base_types)
-        ids = list(self.modes)
+        modes, morphisms, base_types = dict(self.modes), dict(self.morphisms), dict(self.base_types)
         for a, b in self.order_pairs:
-            if a not in self.modes or b not in self.modes:
+            if a not in modes or b not in modes:
                 raise ConfigError(f"mode order mentions unknown mode {(a, b)}")
-        self.order_pairs = order_closure(self.order_pairs, ids)
-        for (a, b) in self.morphisms:
-            if (a, b) not in self.order_pairs:
+        order_pairs = order_closure(self.order_pairs, list(modes))
+        for (a, b) in morphisms:
+            if (a, b) not in order_pairs:
                 raise ConfigError(f"morphism {a}->{b} given for an incomparable pair")
-        for m in ids:
-            self.morphisms.setdefault((m, m), ModeMorphism(m, m, named="identity"))
-        for name, mode in self.base_types.items():
-            if mode not in self.modes:
+        for m in modes:
+            morphisms.setdefault((m, m), ModeMorphism(m, m, named="identity"))
+        for name, mode in base_types.items():
+            if mode not in modes:
                 raise ConfigError(f"base type {name}: unknown mode {mode}")
+        object.__setattr__(self, "modes", MappingProxyType(modes))
+        object.__setattr__(self, "order_pairs", order_pairs)
+        object.__setattr__(self, "morphisms", MappingProxyType(morphisms))
+        object.__setattr__(self, "base_types", MappingProxyType(base_types))
 
     def mode(self, m: str) -> Mode:
         try:

@@ -25,7 +25,6 @@ from .derivation import (
     mk_cont,
     mk_dropE,
     mk_dropI,
-    mk_exchange,
     mk_pairE,
     mk_pairI,
     mk_raiseE,
@@ -38,7 +37,9 @@ from .derivation import (
     mk_unitI,
     mk_var,
     mk_weak,
+    move_to_end,
     rebuild,
+    reorder,
 )
 from .errors import InputError
 from .modespace import ModeSpace, scale_vector
@@ -154,6 +155,11 @@ def subst_simultaneous(b: SubstitutionBundle, space: ModeSpace) -> Derivation:
     return _subst(space, b.target, tuple(b.replacements))
 
 
+def _blocks(reps: tuple[Derivation, ...]) -> tuple[str, ...]:
+    """The replacement contexts' names, block after block."""
+    return tuple(x for r in reps for x in r.conclusion.names())
+
+
 def _subst(space: ModeSpace, d: Derivation, reps: tuple[Derivation, ...]) -> Derivation:
     c = d.conclusion
     rule = d.rule
@@ -164,10 +170,8 @@ def _subst(space: ModeSpace, d: Derivation, reps: tuple[Derivation, ...]) -> Der
         return d
 
     if rule == "weak":
-        inner = _subst(space, d.premises[0], reps[:-1])
-        rep = reps[-1].conclusion
-        out = inner
-        for (name, ty) in rep.ctx:
+        out = _subst(space, d.premises[0], reps[:-1])
+        for name, ty in reps[-1].conclusion.ctx:
             out = mk_weak(space, out, name, ty)
         return out
 
@@ -184,25 +188,11 @@ def _subst(space: ModeSpace, d: Derivation, reps: tuple[Derivation, ...]) -> Der
             copy_map[x] = x2
             avoid.add(x2)
         rep2 = rename_ctx_vars(space, rep, copy_map)
-        inner = _subst(space, premise, reps[:-1] + (rep, rep2))
+        out = _subst(space, premise, reps[:-1] + (rep, rep2))
         # contract each duplicated entry back onto the original name
-        out = inner
-        for j, (name, _ty) in enumerate(rep.conclusion.ctx):
-            names = out.conclusion.names()
-            twin = copy_map[name]
-            rest = tuple(x for x in names if x not in (name, twin))
-            perm_names = rest + (name, twin)
-            perm = tuple(names.index(x) for x in perm_names)
-            out = mk_exchange(space, out, perm) if perm != tuple(range(len(perm))) else out
-            out = mk_cont(space, out, name)
-        # restore the block order: Delta_1 .. Delta_{k-1}, Delta_z
-        want = tuple(x for r in reps[:-1] for x in r.conclusion.names())
-        want += rep.conclusion.names()
-        names = out.conclusion.names()
-        perm = tuple(names.index(x) for x in want)
-        if perm != tuple(range(len(perm))):
-            out = mk_exchange(space, out, perm)
-        return out
+        for name in rep.conclusion.names():
+            out = mk_cont(space, move_to_end(space, out, name, copy_map[name]), name)
+        return reorder(space, out, _blocks(reps))
 
     if rule == "sub":
         inner = _subst(space, d.premises[0], reps)
@@ -213,27 +203,12 @@ def _subst(space: ModeSpace, d: Derivation, reps: tuple[Derivation, ...]) -> Der
         return mk_sub(space, inner, tuple(values))
 
     if rule == "exchange":
-        perm = d.payload[0]
-        premise = d.premises[0]
-        inv = [0] * len(perm)
-        for i, p in enumerate(perm):
-            inv[p] = i
-        premise_reps = tuple(reps[inv[p]] for p in range(len(perm)))
-        inner = _subst(space, premise, premise_reps)
-        # block permutation: conclusion block i is premise block perm[i]
-        sizes = [len(r.conclusion.ctx) for r in premise_reps]
-        starts = [0] * len(sizes)
-        acc = 0
-        for i, s in enumerate(sizes):
-            starts[i] = acc
-            acc += s
-        flat = []
-        for i in range(len(perm)):
-            p = perm[i]
-            flat.extend(range(starts[p], starts[p] + sizes[p]))
-        if flat != list(range(acc)):
-            return mk_exchange(space, inner, tuple(flat))
-        return inner
+        # conclusion entry i is premise entry perm[i]
+        premise_reps = [None] * len(reps)
+        for rep, p in zip(reps, d.payload[0]):
+            premise_reps[p] = rep
+        inner = _subst(space, d.premises[0], tuple(premise_reps))
+        return reorder(space, inner, _blocks(reps))
 
     if rule not in RULES:
         raise InputError(f"substitution does not handle rule {rule!r}")
@@ -323,50 +298,22 @@ def _contract(space: ModeSpace, d: Derivation) -> Derivation:
         inner = _contract(space, _rebuild_elim(space, d, scrut.premises[0]))
         return mk_sub(space, inner, tuple(g.value for g in d.conclusion.rho))
 
-    if rule == "exchange":
-        perm = scrut.payload[0]
-        inner = _contract(space, _rebuild_elim(space, d, scrut.premises[0]))
-        # pad the permutation over the untouched premise segments
-        names = inner.conclusion.names()
-        want = d.conclusion.names()
-        perm_flat = tuple(names.index(x) for x in want)
-        if perm_flat == tuple(range(len(names))):
-            return inner
-        return mk_exchange(space, inner, perm_flat)
-
-    if rule == "weak":
-        name, ty = scrut.payload
-        inner = _contract(space, _rebuild_elim(space, d, scrut.premises[0]))
-        out = mk_weak(space, inner, name, ty)
-        names = out.conclusion.names()
-        want = d.conclusion.names()
-        perm = tuple(names.index(x) for x in want)
-        if perm != tuple(range(len(perm))):
-            out = mk_exchange(space, out, perm)
-        return out
-
-    if rule == "cont":
-        z = scrut.payload[0]
+    if rule in ("exchange", "weak", "cont"):
+        # contract below the structural node, re-apply it, then exchange the
+        # context back into the eliminator's order
         premise = scrut.premises[0]
-        x1, x2 = premise.conclusion.ctx[-2][0], premise.conclusion.ctx[-1][0]
-        # the un-contracted names must not clash with the other premises'
-        # variables, which may reuse a name contracted away inside scrut
-        clash = set(d.conclusion.names()) - set(scrut.conclusion.names())
-        premise = _freshen_last_bound(space, premise, 2, clash)
-        x1, x2 = premise.conclusion.ctx[-2][0], premise.conclusion.ctx[-1][0]
-        inner = _contract(space, _rebuild_elim(space, d, premise))
-        names = inner.conclusion.names()
-        rest = tuple(x for x in names if x not in (x1, x2))
-        perm = tuple(names.index(x) for x in rest + (x1, x2))
-        if perm != tuple(range(len(perm))):
-            inner = mk_exchange(space, inner, perm)
-        out = mk_cont(space, inner, z)
-        names = out.conclusion.names()
-        want = d.conclusion.names()
-        perm = tuple(names.index(x) for x in want)
-        if perm != tuple(range(len(perm))):
-            out = mk_exchange(space, out, perm)
-        return out
+        if rule == "cont":
+            # the un-contracted names must not clash with the other premises'
+            # variables, which may reuse a name contracted away inside scrut
+            clash = set(d.conclusion.names()) - set(scrut.conclusion.names())
+            premise = _freshen_last_bound(space, premise, 2, clash)
+        out = _contract(space, _rebuild_elim(space, d, premise))
+        if rule == "weak":
+            out = mk_weak(space, out, *scrut.payload)
+        elif rule == "cont":
+            out = move_to_end(space, out, *premise.conclusion.names()[-2:])
+            out = mk_cont(space, out, scrut.payload[0])
+        return reorder(space, out, d.conclusion.names())
 
     # the introduction cases
     if d.rule == "arrowE" and rule == "arrowI":

@@ -24,9 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
+from types import MappingProxyType
 
 from .derivation import Derivation
 from .errors import ConfigError, InputError, Report, ShapeError, SizeLimitError
@@ -247,14 +249,19 @@ def default_arity(space: ModeSpace, mode: str, value: GradeValue) -> int:
     return 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelBackend:
-    """Arity tables and base-type carriers over a validated mode space."""
+    """Arity tables and base-type carriers over a validated mode space; the
+    mappings passed in are copied and held read-only."""
 
     space: ModeSpace
-    arities: dict[tuple[str, GradeValue], int] = field(default_factory=dict)
-    base_carriers: dict[str, tuple] = field(default_factory=dict)
+    arities: Mapping[tuple[str, GradeValue], int] = field(default_factory=dict)
+    base_carriers: Mapping[str, tuple] = field(default_factory=dict)
     nat_budget: int = 4
+
+    def __post_init__(self):
+        object.__setattr__(self, "arities", MappingProxyType(dict(self.arities)))
+        object.__setattr__(self, "base_carriers", MappingProxyType(dict(self.base_carriers)))
 
     def arity(self, mode: str, value: GradeValue) -> int:
         key = (mode, value)

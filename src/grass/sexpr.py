@@ -48,6 +48,8 @@ from .syntax import (
 
 _TOKEN = re.compile(r"""\(|\)|[^\s()]+""")
 _NATURAL = re.compile(r"0|[1-9][0-9]*")
+# group 1 is `natural`'s spelling; the rest is every other one int() accepts
+_NUMBER = re.compile(r"(0|[1-9][0-9]*)|\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def tokenize(text: str) -> list[str]:
@@ -89,12 +91,14 @@ def natural(atom, what: str) -> int:
 
 
 def grade_value(atom: str) -> GradeValue:
-    """A number is an integer grade only when spelled as `natural` reads it."""
-    try:
-        int(atom)
-    except ValueError:
+    """A number is an integer grade only when spelled as `natural` reads it;
+    an atom `int` would not read names a grade."""
+    number = _NUMBER.fullmatch(atom)
+    if number is None:
         return atom
-    return natural(atom, "a grade")
+    if number[1] is None:
+        natural(atom, "a grade")  # raises: a number spelled another way
+    return int(atom)
 
 
 def show_grade(value: GradeValue) -> str:

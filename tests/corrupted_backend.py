@@ -18,7 +18,7 @@ def _rotation(x_obj):
     return dict(zip(xs, xs[1:] + xs[:1]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorruptedBackend(ModelBackend):
     """`corrupt` names the damaged family, one of CORRUPTIONS."""
 

@@ -213,6 +213,26 @@ def test_oracle_count_zero_runs_no_cases(capsys):
     assert all(" cases=0 " in line for line in heads)
 
 
+@pytest.mark.parametrize("command, env", [
+    ("modes-validate lnl.modes --max-size -1", None),
+    ("modes-validate lnl.modes --budget -3", None),
+    ("check lnl.modes demo.prog", "-2"),
+    ("oracle lnl.modes --count -4", None),
+    ("oracle lnl.modes --max-depth -1", None),
+    ("normalize lnl.modes norm.prog redex --fuel -1", None),
+])
+def test_a_negative_number_is_a_usage_error(monkeypatch, capsys, command, env):
+    if env is not None:
+        monkeypatch.setenv("GRASS_BUDGET", env)
+    words = command.split()
+    argv = [str(ROOT / "systems" / w) if "." in w else w for w in words]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert f"got {env or words[-1]!r}" in captured.err
+    assert captured.out == ""
+
+
 def test_deeply_nested_input_is_a_clean_error(tmp_path, capsys):
     depth = 5000
     prog = _write(tmp_path, "deep.prog", "type deep = " + "(* " * depth + "P" + " P)" * depth + "\n")

@@ -20,8 +20,9 @@ from grass.derivation import (
     mk_unitI,
     mk_var,
     mk_weak,
+    reorder,
 )
-from grass.errors import CheckError, ElaborationError
+from grass.errors import CheckError, ElaborationError, InputError
 from grass.gen import Gen
 from grass.grades import Grade
 from grass.presets import system
@@ -68,6 +69,30 @@ def test_exchange_identity_is_noop(lu):
     d = mk_pairI(lu, mk_var(lu, "x", P), mk_var(lu, "y", P))
     e = mk_exchange(lu, d, (0, 1))
     assert e.conclusion == d.conclusion
+
+
+def test_reorder_exchanges_only_into_a_permutation(lu):
+    d = mk_pairI(lu, mk_var(lu, "x", P), mk_var(lu, "y", P))
+    assert reorder(lu, d, ("x", "y")) is d
+    swapped = reorder(lu, d, ("y", "x"))
+    assert swapped.rule == "exchange" and swapped.payload == ((1, 0),)
+    for names in (("x",), ("x", "z"), ("x", "y", "y")):
+        with pytest.raises(InputError, match="cannot reorder"):
+            reorder(lu, d, names)
+
+
+def test_walk_is_preorder_at_any_depth(lu):
+    depth = 10_000
+    leaf_x, leaf_y = mk_var(lu, "x", P), mk_var(lu, "y", P)
+    d = mk_pairI(lu, leaf_x, leaf_y)
+    chain = [d]
+    for _ in range(depth):
+        d = mk_exchange(lu, d, (1, 0))
+        chain.append(d)
+    nodes = list(d.walk())
+    assert len(nodes) == depth + 3
+    assert all(a is b for a, b in zip(nodes, reversed(chain)))
+    assert nodes[-2] is leaf_x and nodes[-1] is leaf_y
 
 
 def test_cont_needs_the_ideal(fhs):

@@ -439,17 +439,35 @@ def test_beta_through_weak_on_the_scrutinee(lu):
 
 
 def test_subst_through_exchange_reorders_blocks(lu):
-    # target: exchange swaps two entries; substitution must land the
-    # replacement contexts in the conclusion's block order
-    base = mk_pairI(lu, mk_var(lu, "x", P), mk_var(lu, "u", TUnit("L")))
-    target = mk_exchange(lu, base, (1, 0))  # context order (u, x)
-    rep_u = mk_unitE(lu, 1, mk_unitI(lu, "L"), mk_var(lu, "s", TUnit("L")))
+    # substitution through exchange (and cont) must land the replacement
+    # contexts in the conclusion's block order Delta_1 .. Delta_k
+    IL, IU = TUnit("L"), TUnit("U")
+    base = mk_pairI(lu, mk_var(lu, "x", P), mk_var(lu, "u", IL))
+    rep_u = mk_unitE(lu, 1, mk_unitI(lu, "L"), mk_var(lu, "s", IL))
     rep_x = mk_arrowE(lu, mk_arrowI(lu, mk_var(lu, "w1", P)), mk_var(lu, "w2", P))
-    out = subst_simultaneous(SubstitutionBundle(target, (rep_u, rep_x)), lu)
-    check_derivation(out, lu)
-    # conclusion context = rep_u's context then rep_x's context
-    assert out.conclusion.names() == ("s", "w2")
-    assert out.conclusion.shape()[3:] == target.conclusion.shape()[3:]
+    cases = [(mk_exchange(lu, base, (1, 0)), (rep_u, rep_x))]  # context (u, x)
+
+    # every replacement has two entries
+    def two(ty, a, b, mode="L", q=1):
+        return mk_unitE(lu, q, mk_var(lu, a, ty), mk_var(lu, b, TUnit(mode)))
+
+    three = mk_pairI(lu, mk_pairI(lu, mk_var(lu, "x", P), mk_var(lu, "y", P)),
+                     mk_var(lu, "u", IL))
+    cases.append((mk_exchange(lu, three, (2, 0, 1)),  # context (u, x, y)
+                  (two(IL, "s1", "s2"), two(P, "a1", "a2"), two(P, "b1", "b2"))))
+    # cont over an exchange, then an exchange over the cont
+    dup = mk_pairI(lu, mk_pairI(lu, mk_var(lu, "z1", Q), mk_var(lu, "y", Q)),
+                   mk_var(lu, "z2", Q))
+    contracted = mk_cont(lu, mk_exchange(lu, dup, (1, 0, 2)), "z")  # context (y, z)
+    rep_y, rep_z = two(Q, "a1", "a2", "U", "t"), two(Q, "q1", "q2", "U", "t")
+    cases.append((contracted, (rep_y, rep_z)))
+    cases.append((mk_exchange(lu, contracted, (1, 0)), (rep_z, rep_y)))
+
+    for target, reps in cases:
+        out = subst_simultaneous(SubstitutionBundle(target, reps), lu)
+        check_derivation(out, lu)
+        assert out.conclusion.names() == tuple(x for r in reps for x in r.conclusion.names())
+        assert out.conclusion.shape()[3:] == target.conclusion.shape()[3:]
 
 
 @pytest.mark.parametrize("seed, index", [(314, 72), (332, 167)])

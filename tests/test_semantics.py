@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -362,6 +363,17 @@ def test_coherence_reports_each_violation_once():
     lines = report.render().splitlines()
     assert "iota-iso witness=('U', 't') 0 pairs" in lines
     assert len(lines) == len(set(lines))
+
+
+def test_mode_space_and_backend_are_immutable():
+    be = system("LU")[1]
+    for value, name in ((be, "nat_budget"), (be, "arities"), (be.space, "modes")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+    with pytest.raises(TypeError):
+        be.arities[("U", "t")] = 2
+    with pytest.raises(TypeError):
+        be.space.modes["X"] = be.space.mode("L")
 
 
 def test_arity_law_failures_are_reported_not_raised():

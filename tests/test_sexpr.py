@@ -185,7 +185,7 @@ def test_program_parser_raises_only_grass_errors(space, seed, edits):
     assert derivation_from_sexpr(derivation_to_sexpr(d), space) == d
 
 
-@pytest.mark.parametrize("grade", [2, "t"])
+@pytest.mark.parametrize("grade", [2, "t", 0, 12, "w", "w2", "x1", "²"])
 def test_every_term_former_round_trips(grade):
     values = {"name": "y", "grade": grade, "mode": "L"}
     for cls, kinds in TERMS.items():
