@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .derivation import (
     Derivation,
@@ -33,11 +34,11 @@ from .derivation import (
     mk_weak,
     move_to_end,
 )
-from .errors import GrassError
+from .errors import GrassError, SizeLimitError
 from .grades import Grade, GradeValue
 from .modespace import ModeSpace
 from .rewrite import SubstitutionBundle
-from .semantics import default_arity
+from .semantics import ObjectSizes, default_arity
 from .syntax import TBase, TDrop, TFun, TRaise, TSum, TTensor, TUnit, Type, mode_of
 
 
@@ -50,7 +51,6 @@ class Gen:
     max_depth: int = 5
     max_obj_size: int = 600
     base_sizes: dict[str, int] = field(default_factory=dict)
-    allow_sum: bool = True
     _counter: int = 0
 
     # -- small helpers ------------------------------------------------------
@@ -76,29 +76,14 @@ class Gen:
 
     # -- object-size accounting (keeps the semantic suites small) ----------
 
-    def obj_size(self, ty: Type) -> int:
-        match ty:
-            case TUnit(_):
-                return 1
-            case TBase(name, _):
-                return self.base_sizes.get(name, 2)
-            case TTensor(a, b):
-                return self.obj_size(a) * self.obj_size(b)
-            case TSum(a, b):
-                return self.obj_size(a) + self.obj_size(b)
-            case TFun(a, g, b):
-                m = mode_of(a)
-                return self.obj_size(a) ** default_arity(self.space, m, g.value) * self.obj_size(b)
-            case TDrop(g, _lo, hi, a):
-                return self.obj_size(a) ** default_arity(self.space, hi, g.value)
-            case TRaise(_lo, _hi, a):
-                return self.obj_size(a)
-        raise GrassError(f"not a type: {ty!r}")
-
     def _fits(self, ty: Type) -> bool:
+        """Whether |[[ty]]| <= max_obj_size, at the default arities and
+        `base_sizes` (2 elements for a base type not listed)."""
+        sizes = ObjectSizes(partial(default_arity, self.space),
+                            lambda name: self.base_sizes.get(name, 2))
         try:
-            return self.obj_size(ty) <= self.max_obj_size
-        except OverflowError:
+            return sizes.size(ty) <= self.max_obj_size
+        except SizeLimitError:
             return False
 
     # -- types --------------------------------------------------------------
@@ -115,9 +100,7 @@ class Gen:
 
     def _try_type(self, mode: str, depth: int) -> Type | None:
         rng = self.rng
-        choices = ["unit", "base", "base", "tensor", "fun", "drop", "raise"]
-        if self.allow_sum:
-            choices.append("sum")
+        choices = ["unit", "base", "base", "tensor", "fun", "drop", "raise", "sum"]
         kind = rng.choice(choices if depth > 0 else ["unit", "base", "base"])
         if kind == "unit":
             return TUnit(mode)
@@ -215,8 +198,7 @@ class Gen:
 
     def _elim(self, ty: Type, mode: str, depth: int) -> Derivation | None:
         rng = self.rng
-        kind = rng.choice(["app", "unitE", "pairE", "dropE", "raiseE"] +
-                          (["sumE"] if self.allow_sum else []))
+        kind = rng.choice(["app", "unitE", "pairE", "dropE", "raiseE", "sumE"])
         space = self.space
         if kind == "app":
             arg_mode = rng.choice(self.modes_at_least(mode))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -410,20 +410,11 @@ def _carrier(backend: ModelBackend, name: str) -> tuple:
         raise ConfigError(f"no carrier declared for base type {name!r}") from None
 
 
-def _entry_objs(backend: ModelBackend, j: Judgment) -> list[FinSetObj]:
-    return [
-        backend.act_obj(n, g.value, interp_type(backend, ty))
-        for g, n, (_x, ty) in zip(j.rho, j.modes, j.ctx)
-    ]
-
-
 def interp_ctx(backend: ModelBackend, j: Judgment) -> FinSetObj:
     """The tensor of the per-entry objects, as flat tuples."""
-    objs = _entry_objs(backend, j)
-    total = 1
-    for o in objs:
-        total *= max(len(o), 1)
-    _guard(total)
+    objs = [backend.act_obj(n, g.value, interp_type(backend, ty))
+            for g, n, (_x, ty) in zip(j.rho, j.modes, j.ctx)]
+    _guard(math.prod(max(len(o), 1) for o in objs))
     return FinSetObj(tuple(itertools.product(*(o.elements for o in objs))))
 
 
@@ -618,6 +609,64 @@ def _power_size(n: int, k: int) -> int:
     return n ** k
 
 
+class ObjectSizes:
+    """|[[A]]| for types and |[[Gamma]]| for context judgments, computed
+    from an arity function (mode, grade value) -> int and a base-type
+    size function name -> int, without enumerating any object.  A size is
+    refused with SizeLimitError where `interp_type`/`interp_ctx` would
+    refuse to build the object.  Type sizes are cached for the life of
+    the instance."""
+
+    def __init__(self, arity: Callable[[str, GradeValue], int], base_size: Callable[[str], int]):
+        self.arity = arity
+        self.base_size = base_size
+        self.cache: dict = {}
+
+    @classmethod
+    def of(cls, backend: ModelBackend) -> ObjectSizes:
+        """The sizes of `backend`'s objects: len(interp_type(backend, ty))
+        and len(interp_ctx(backend, j))."""
+        return cls(backend.arity, lambda name: len(_carrier(backend, name)))
+
+    def size(self, ty: Type) -> int:
+        """|[[ty]]|, the length of the object interp_type would build."""
+        n = self.cache.get(ty)
+        if n is not None:
+            return n
+        match ty:
+            case TUnit(_):
+                n = 1
+            case TBase(name, _):
+                n = self.base_size(name)
+            case TTensor(left, right):
+                n = self.size(left) * self.size(right)
+                _guard(n)
+            case TSum(left, right):
+                n = self.size(left) + self.size(right)
+            case TFun(arg, grade, body):
+                n = fun_size(_power_size(self.size(arg), self.arity(mode_of(arg), grade.value)),
+                             self.size(body))
+            case TDrop(grade, _low, high, body):
+                n = _power_size(self.size(body), self.arity(high, grade.value))
+            case TRaise(_low, _high, body):
+                n = self.size(body)
+            case _:
+                raise InputError(f"not a type: {ty!r}")
+        self.cache[ty] = n
+        return n
+
+    def radices(self, j: Judgment) -> list[int]:
+        """The sizes of the context entries' objects g (.) A."""
+        return [_power_size(self.size(ty), self.arity(n, g.value))
+                for g, n, (_x, ty) in zip(j.rho, j.modes, j.ctx)]
+
+    def ctx_size(self, j: Judgment) -> int:
+        """|[[j's context]]|, the product of its radices."""
+        radices = self.radices(j)
+        _guard(math.prod(max(r, 1) for r in radices))
+        return math.prod(radices)
+
+
 class _Interpretation:
     """The state of one interpretation call: object sizes and
     denotations, each computed once and shared by every
@@ -634,52 +683,14 @@ class _Interpretation:
 
     def __init__(self, backend: ModelBackend):
         self.backend = backend
+        sizes = ObjectSizes.of(backend)
+        self.size, self.radices, self.ctx_size = sizes.size, sizes.radices, sizes.ctx_size
         self.rows = _Rows()
-        self.sizes: dict = {}
         self.seen: dict = {}  # id(node) -> node, for every checked node
         self.shared: set = set()  # ids of nodes reached more than once
         self.done: dict = {}  # id(shared node) -> rows
 
     # -- sizes and objects ---------------------------------------------------
-
-    def size(self, ty: Type) -> int:
-        """len(interp_type(ty)), refused where interp_type would refuse."""
-        n = self.sizes.get(ty)
-        if n is not None:
-            return n
-        be = self.backend
-        match ty:
-            case TUnit(_):
-                n = 1
-            case TBase(name, _):
-                n = len(_carrier(be, name))
-            case TTensor(left, right):
-                n = self.size(left) * self.size(right)
-                _guard(n)
-            case TSum(left, right):
-                n = self.size(left) + self.size(right)
-            case TFun(arg, grade, body):
-                n = fun_size(_power_size(self.size(arg), be.arity(mode_of(arg), grade.value)),
-                             self.size(body))
-            case TDrop(grade, _low, high, body):
-                n = _power_size(self.size(body), be.arity(high, grade.value))
-            case TRaise(_low, _high, body):
-                n = self.size(body)
-            case _:
-                raise InputError(f"not a type: {ty!r}")
-        self.sizes[ty] = n
-        return n
-
-    def radices(self, j: Judgment) -> list[int]:
-        """The sizes of the context entries' objects g (.) A."""
-        return [_power_size(self.size(ty), self.backend.arity(n, g.value))
-                for g, n, (_x, ty) in zip(j.rho, j.modes, j.ctx)]
-
-    def ctx_size(self, j: Judgment) -> int:
-        """len(interp_ctx(j)), refused where interp_ctx would refuse."""
-        radices = self.radices(j)
-        _guard(math.prod(max(r, 1) for r in radices))
-        return math.prod(radices)
 
     def check(self, d: Derivation) -> None:
         """Refuse an oversized derivation, and note the nodes met before:

@@ -24,7 +24,7 @@ from .rewrite import (
 )
 from .semantics import (
     ModelBackend,
-    _Interpretation,
+    ObjectSizes,
     semantic_eq,
     subst_comp_check,
 )
@@ -179,7 +179,7 @@ def semantic_suite(backend: ModelBackend, seed: int, count: int, max_depth: int 
               max_obj_size=max_obj,
               base_sizes={b: len(c) for b, c in backend.base_carriers.items()})
     res = SuiteResult("semantic-soundness")
-    sizes = _Interpretation(backend)  # object sizes only, never enumerated
+    sizes = ObjectSizes.of(backend)
     for i in range(count):
         d = gen.gen_derivation(max_depth)
         try:
@@ -218,14 +218,12 @@ def subst_comp_suite(backend: ModelBackend, seed: int, count: int, max_depth: in
               max_obj_size=max_obj,
               base_sizes={b: len(c) for b, c in backend.base_carriers.items()})
     res = SuiteResult("subst-comp")
-    sizes = _Interpretation(backend)  # object sizes only, never enumerated
+    sizes = ObjectSizes.of(backend)
     for i in range(count):
         bundle = gen.gen_bundle(max_depth)
         try:
-            out_sizes = [sizes.ctx_size(r.conclusion) for r in bundle.replacements]
-            if any(s > max_obj for s in out_sizes):
-                continue
-            if sizes.ctx_size(bundle.target.conclusion) > max_obj:
+            if any(sizes.ctx_size(d.conclusion) > max_obj
+                   for d in (*bundle.replacements, bundle.target)):
                 continue
         except SizeLimitError:
             continue

@@ -19,3 +19,13 @@ def test_no_unused_module_level_import(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_imported_from_another_module(path):
+    tree = ast.parse(path.read_text())
+    private = sorted(f"{node.module}.{alias.name}"
+                     for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     and (node.level or (node.module or "").split(".")[0] == "grass")
+                     for alias in node.names if alias.name.startswith("_"))
+    assert not private, f"{path.name}: imports private names {private}"

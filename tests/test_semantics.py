@@ -12,14 +12,16 @@ from grass.derivation import (
     mk_sub,
     mk_var,
 )
-from grass.errors import ShapeError
+from grass.errors import ShapeError, SizeLimitError
 from grass.gen import Gen
 from grass.grades import Grade
 from grass.presets import system
 from grass.rewrite import SubstitutionBundle, beta_step
+from grass.sexpr import type_from_sexpr
 from grass.semantics import (
     FinSetObj,
     ModelBackend,
+    ObjectSizes,
     Rel,
     UNIT_OBJ,
     interp_ctx,
@@ -40,6 +42,7 @@ from grass.semantics import (
 from grass.syntax import Judgment, TBase, TFun, TTensor, TUnit, Var
 
 from corrupted_backend import CORRUPTIONS, corrupted
+from test_acceptance import _semantic_backends
 
 P = TBase("P", "L")
 Q = TBase("Q", "U")
@@ -322,6 +325,7 @@ def test_eta_is_always_semantically_sound(lu):
     space, be = lu
     gen = Gen(space=space, rng=random.Random(77), max_obj_size=200,
               base_sizes={"P": 2, "Q": 2})
+    sizes = ObjectSizes.of(be)
     checked = 0
     for _ in range(120):
         d = gen.gen_derivation(4)
@@ -329,15 +333,31 @@ def test_eta_is_always_semantically_sound(lu):
         if rule is None:
             continue
         try:
-            from grass.semantics import interp_ctx
-
-            if len(interp_ctx(be, d.conclusion)) > 200:
+            if sizes.ctx_size(d.conclusion) > 200:
                 continue
-        except Exception:
+        except SizeLimitError:
             continue
         assert semantic_eq(be, d, eta_expand(d, rule, space))
         checked += 1
     assert checked >= 40
+
+
+def test_gen_admits_types_by_their_interpretation_size():
+    # a function type has |B|^(|A|^a(q)) elements: 2^(4^2) here, far past
+    # the default bound of 600, and past the element limit
+    space, be = system("LU")
+    big = type_from_sexpr("(-o{2:L} (* P P) (* P P))", space)
+    assert not Gen(space=space, rng=random.Random(0))._fits(big)
+    with pytest.raises(SizeLimitError):
+        ObjectSizes.of(be).size(big)
+    for (_name, be), seed in zip(_semantic_backends(), (301, 302)):
+        sizes = ObjectSizes.of(be)
+        gen = Gen(space=be.space, rng=random.Random(seed), max_obj_size=400,
+                  base_sizes={b: len(c) for b, c in be.base_carriers.items()})
+        for mode in be.space.modes:
+            for _ in range(60):
+                ty = gen.gen_type(mode, 3)
+                assert sizes.size(ty) == len(interp_type(be, ty)) <= 400, ty
 
 
 def test_validator_rejects_incoherent_tupling_backends():
