@@ -436,8 +436,7 @@ def cmd_modes_validate(args) -> int:
     space, backend = load_modes_file(args.modes)
     report = modespace_validate(space, args.budget)
     if report.ok() and backend is not None:
-        co = model_coherence_validate(backend, max_size=args.max_size, budget=backend.nat_budget)
-        report.violations.extend(co.violations)
+        report = model_coherence_validate(backend, max_size=args.max_size, budget=backend.nat_budget)
     if report.ok():
         print("ok: no violations")
         return 0

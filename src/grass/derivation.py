@@ -71,6 +71,46 @@ class Derivation:
             yield node
             stack.extend(reversed(node.premises))
 
+    def find(self, pred):
+        """Each node satisfying `pred`, with its premise-index path, in preorder, at any depth."""
+        if pred(self):
+            yield (), self
+        spine, path = [self], [-1]  # the nodes from the root down, and the premise taken below each
+        while spine:
+            i = path[-1] = path[-1] + 1
+            if i == len(spine[-1].premises):
+                spine.pop()
+                path.pop()
+                continue
+            node = spine[-1].premises[i]
+            if pred(node):
+                yield tuple(path), node
+            spine.append(node)
+            path.append(-1)
+
+
+def fold(d, step, done: dict | None = None, children=None):
+    """Fold a tree bottom up on an explicit stack, at any depth: a node's value is
+    `step(node, values)` over its premises' values, folded left to right, each
+    before its node.  A node whose id is in `done` is not descended into: its
+    value is `done[id(node)]` (`fold` only reads `done`).  `children(node)`
+    gives the nodes below `node`, by default its premises."""
+    values: list = []  # values of folded subtrees not yet taken by their parent
+    todo = [d]  # a None has below it a node and where its premises' values begin
+    while todo:
+        node = todo.pop()
+        if node is None:
+            start = todo.pop()
+            args = values[start:]
+            del values[start:]
+            values.append(step(todo.pop(), args))
+        elif done and id(node) in done:
+            values.append(done[id(node)])
+        else:
+            todo += (node, len(values), None)
+            todo += (node.premises if children is None else children(node))[::-1]
+    return values[0]
+
 
 def _fail(rule: str, condition: str):
     raise CheckError(rule, condition)
@@ -420,31 +460,30 @@ def check_derivation(d: Derivation, space: ModeSpace, memo: dict | None = None) 
     Deterministic and total on well-formed trees; each violation raises a
     CheckError naming the rule, the condition, and the node position.
 
-    Each node object is checked once per `memo` (id(node) -> node; the
-    node is kept so that its id is not reused while the memo lives).  A
-    node enters the memo only after its premises, side conditions and
-    stored conclusion have passed; a node found there is not descended
-    into.  Without a memo the call uses a fresh one, so a subtree shared
-    inside `d` is checked once.  Callers that check trees built from one
-    another (`normalize`) share one memo, started empty and dropped
-    when the call ends.
+    Each node object is checked once per `memo` (id(node) -> node, kept so
+    that its id is not reused): a node enters it once its premises, side
+    conditions and stored conclusion pass, and is not descended into
+    again.  Without a memo the call uses a fresh one; `normalize` shares
+    one across the trees it builds from one another.
     """
-    if memo is None:
-        memo = {}
-    if id(d) in memo:
-        return d.conclusion
-    for i, p in enumerate(d.premises):
-        try:
-            check_derivation(p, space, memo)
-        except CheckError as e:
-            raise e.at(i) from None
-    rebuilt = rebuild(space, d.rule, d.premises, d.payload)
-    c, r = d.conclusion, rebuilt.conclusion
-    if (c.rho, c.modes, c.ctx, c.mode, c.ty) != (r.rho, r.modes, r.ctx, r.mode, r.ty):
-        _fail(d.rule, "stored conclusion does not match the rule application")
-    if not alpha_eq(c.term, r.term):
-        _fail(d.rule, "stored conclusion term does not match the rule application")
-    memo[id(d)] = d
+    memo = {} if memo is None else memo
+
+    def check(node: Derivation, _premises) -> None:
+        c = node.conclusion
+        r = rebuild(space, node.rule, node.premises, node.payload).conclusion
+        if (c.rho, c.modes, c.ctx, c.mode, c.ty) != (r.rho, r.modes, r.ctx, r.mode, r.ty):
+            _fail(node.rule, "stored conclusion does not match the rule application")
+        if not alpha_eq(c.term, r.term):
+            _fail(node.rule, "stored conclusion term does not match the rule application")
+        memo[id(node)] = node
+
+    try:
+        fold(d, check, memo)
+    except CheckError as e:
+        # premises are checked left to right and enter the memo as they pass, so the
+        # failed node is the first, in preorder, outside the memo with its premises in it
+        path, _ = next(d.find(lambda n: id(n) not in memo and all(id(p) in memo for p in n.premises)))
+        raise CheckError(e.rule, e.condition, path) from None
     return d.conclusion
 
 

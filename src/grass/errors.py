@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GrassError(Exception):
@@ -46,9 +46,6 @@ class CheckError(GrassError):
         self.position = position
         super().__init__(f"{rule} at {list(position)}: {condition}")
 
-    def at(self, index: int) -> "CheckError":
-        return CheckError(self.rule, self.condition, (index,) + self.position)
-
 
 class ElaborationError(GrassError):
     """The best-effort elaborator could not discharge an obligation.
@@ -87,23 +84,14 @@ class Violation:
         return " ".join(parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
-    """A list of violations; empty means no counterexample found."""
+    """The violations found; empty means no counterexample found."""
 
-    violations: list[Violation] = field(default_factory=list)
-
-    def add(self, law: str, witness: tuple = (), detail: str = "") -> None:
-        self.violations.append(Violation(law, witness, detail))
+    violations: tuple[Violation, ...] = ()
 
     def ok(self) -> bool:
         return not self.violations
-
-    def __bool__(self) -> bool:  # truthy iff clean, so `assert report` reads well
-        return self.ok()
-
-    def __len__(self) -> int:
-        return len(self.violations)
 
     def render(self) -> str:
         return "\n".join(v.render() for v in self.violations)

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import ConfigError, InputError, Report
+from .errors import ConfigError, InputError, Report, Violation
 
 GradeValue = int | str
 
@@ -278,53 +278,53 @@ def algebra_axioms_check(alg: GradeAlgebra, budget: int = DEFAULT_BUDGET) -> Rep
     """
     if budget < 1:
         raise InputError("budget must be >= 1")
-    report = Report()
+    found: list[Violation] = []
     elems = alg.elements(budget)
 
     if alg.kind == "finite":
         for x, y in itertools.product(elems, repeat=2):
             if not alg.contains(alg.add(x, y)):
-                report.add("add-closed", (x, y))
+                found.append(Violation("add-closed", (x, y)))
             if not alg.contains(alg.mul(x, y)):
-                report.add("mul-closed", (x, y))
-        if report.violations:
-            return report
+                found.append(Violation("mul-closed", (x, y)))
+        if found:
+            return Report(tuple(found))
 
     for x in elems:
         if alg.add(x, alg.zero) != x:
-            report.add("add-unit", (x,))
+            found.append(Violation("add-unit", (x,)))
         if alg.mul(x, alg.one) != x:
-            report.add("mul-unit-right", (x,))
+            found.append(Violation("mul-unit-right", (x,)))
         if alg.mul(alg.one, x) != x:
-            report.add("mul-unit-left", (x,))
+            found.append(Violation("mul-unit-left", (x,)))
         if alg.mul(x, alg.zero) != alg.zero or alg.mul(alg.zero, x) != alg.zero:
-            report.add("zero-annihilates", (x,))
+            found.append(Violation("zero-annihilates", (x,)))
         if not alg.leq(x, x):
-            report.add("leq-reflexive", (x,))
+            found.append(Violation("leq-reflexive", (x,)))
 
     for x, y in itertools.product(elems, repeat=2):
         if alg.add(x, y) != alg.add(y, x):
-            report.add("add-commutative", (x, y))
+            found.append(Violation("add-commutative", (x, y)))
 
     for x, y, z in itertools.product(elems, repeat=3):
         if alg.add(alg.add(x, y), z) != alg.add(x, alg.add(y, z)):
-            report.add("add-associative", (x, y, z))
+            found.append(Violation("add-associative", (x, y, z)))
         if alg.mul(alg.mul(x, y), z) != alg.mul(x, alg.mul(y, z)):
-            report.add("mul-associative", (x, y, z))
+            found.append(Violation("mul-associative", (x, y, z)))
         if alg.mul(x, alg.add(y, z)) != alg.add(alg.mul(x, y), alg.mul(x, z)):
-            report.add("distributes-left", (x, y, z))
+            found.append(Violation("distributes-left", (x, y, z)))
         if alg.mul(alg.add(x, y), z) != alg.add(alg.mul(x, z), alg.mul(y, z)):
-            report.add("distributes-right", (x, y, z))
+            found.append(Violation("distributes-right", (x, y, z)))
         if alg.leq(x, y) and alg.leq(y, z) and not alg.leq(x, z):
-            report.add("leq-transitive", (x, y, z))
+            found.append(Violation("leq-transitive", (x, y, z)))
 
     for x, x2, y, y2 in itertools.product(elems, repeat=4):
         if alg.leq(x, x2) and alg.leq(y, y2):
             if not alg.leq(alg.add(x, y), alg.add(x2, y2)):
-                report.add("add-monotone", (x, x2, y, y2))
+                found.append(Violation("add-monotone", (x, x2, y, y2)))
             if not alg.leq(alg.mul(x, y), alg.mul(x2, y2)):
-                report.add("mul-monotone", (x, x2, y, y2))
-    return report
+                found.append(Violation("mul-monotone", (x, x2, y, y2)))
+    return Report(tuple(found))
 
 
 def ideal_check(alg: GradeAlgebra, ideal: Ideal | Iterable[GradeValue], budget: int = DEFAULT_BUDGET) -> bool:
@@ -387,14 +387,14 @@ def mode_morphism_check(
     budget: int = DEFAULT_BUDGET,
 ) -> Report:
     """Check the homomorphism, monotonicity, Cont and Weak conditions."""
-    report = Report()
+    found: list[Violation] = []
     if source.id != phi.source or target.id != phi.target:
-        report.add("endpoints", (phi.source, phi.target), "morphism endpoints do not match the supplied modes")
-        return report
+        found.append(Violation("endpoints", (phi.source, phi.target), "morphism endpoints do not match the supplied modes"))
+        return Report(tuple(found))
     src, tgt = source.algebra, target.algebra
     if src.kind == "nat" and phi.named is None:
-        report.add("map-kind", (), "naturals sources require a named map")
-        return report
+        found.append(Violation("map-kind", (), "naturals sources require a named map"))
+        return Report(tuple(found))
 
     def f(x):
         return phi.apply(x, tgt)
@@ -402,24 +402,24 @@ def mode_morphism_check(
     elems = src.elements(budget)
     for x in elems:
         if not tgt.contains(f(x)):
-            report.add("image-in-carrier", (x, f(x)))
-    if report.violations:
-        return report
+            found.append(Violation("image-in-carrier", (x, f(x))))
+    if found:
+        return Report(tuple(found))
     if f(src.zero) != tgt.zero:
-        report.add("preserves-zero", (src.zero, f(src.zero)))
+        found.append(Violation("preserves-zero", (src.zero, f(src.zero))))
     if f(src.one) != tgt.one:
-        report.add("preserves-one", (src.one, f(src.one)))
+        found.append(Violation("preserves-one", (src.one, f(src.one))))
     for x, y in itertools.product(elems, repeat=2):
         if f(src.add(x, y)) != tgt.add(f(x), f(y)):
-            report.add("preserves-add", (x, y))
+            found.append(Violation("preserves-add", (x, y)))
         if f(src.mul(x, y)) != tgt.mul(f(x), f(y)):
-            report.add("preserves-mul", (x, y))
+            found.append(Violation("preserves-mul", (x, y)))
         if src.leq(x, y) and not tgt.leq(f(x), f(y)):
-            report.add("monotone", (x, y))
+            found.append(Violation("monotone", (x, y)))
     for x in elems:
         if source.cont.contains(x) and not target.cont.contains(f(x)):
-            report.add("preserves-cont", (x, f(x)))
+            found.append(Violation("preserves-cont", (x, f(x))))
     if source.weak and not target.weak:
-        report.add("preserves-weak", (source.id, target.id), "Weak(source) -> Weak(target) is false")
-    return report
+        found.append(Violation("preserves-weak", (source.id, target.id), "Weak(source) -> Weak(target) is false"))
+    return Report(tuple(found))
 

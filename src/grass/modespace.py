@@ -10,7 +10,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import ConfigError, InputError, ModeOrderError, Report
+from .errors import ConfigError, InputError, ModeOrderError, Report, Violation
 from .grades import (
     DEFAULT_BUDGET,
     Grade,
@@ -91,24 +91,24 @@ class ModeSpace:
 
 def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report:
     """Check order laws, morphism laws, identity and composition coherence."""
-    report = Report()
+    found: list[Violation] = []
     ids = list(space.modes)
 
     for m in ids:
         if (m, m) not in space.order_pairs:
-            report.add("order-reflexive", (m,))
+            found.append(Violation("order-reflexive", (m,)))
     for a, b in space.order_pairs:
         for c, d in space.order_pairs:
             if b == c and (a, d) not in space.order_pairs:
-                report.add("order-transitive", (a, b, d))
+                found.append(Violation("order-transitive", (a, b, d)))
 
     for m, n in sorted(space.order_pairs):
         if (m, n) not in space.morphisms:
-            report.add("missing-morphism", (m, n), f"no morphism for {m} <= {n}")
+            found.append(Violation("missing-morphism", (m, n), f"no morphism for {m} <= {n}"))
             continue
         sub = mode_morphism_check(space.morphisms[(m, n)], space.mode(m), space.mode(n), budget)
         for v in sub.violations:
-            report.add(f"morphism-{m}->{n}-{v.law}", v.witness, v.detail)
+            found.append(Violation(f"morphism-{m}->{n}-{v.law}", v.witness, v.detail))
 
     # phi_{m,m} = id pointwise
     for m in ids:
@@ -118,7 +118,7 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
         alg = space.mode(m).algebra
         for x in alg.elements(budget):
             if phi.apply(x, alg) != x:
-                report.add("identity-coherence", (m, x), f"phi_({m},{m}) is not the identity")
+                found.append(Violation("identity-coherence", (m, x), f"phi_({m},{m}) is not the identity"))
                 break
 
     # phi_{n,l} . phi_{m,n} = phi_{m,l} pointwise
@@ -134,9 +134,9 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
                 via = space.morphisms[(n, l)].apply(space.morphisms[(m, n)].apply(x, alg_n), alg_l)
                 direct = space.morphisms[(m, l)].apply(x, alg_l)
                 if via != direct:
-                    report.add("composition-coherence", (m, n, l, x))
+                    found.append(Violation("composition-coherence", (m, n, l, x)))
                     break
-    return report
+    return Report(tuple(found))
 
 
 def scalar_mul(q: Grade, m: str, r: Grade, n: str, space: ModeSpace) -> Grade:

@@ -254,6 +254,17 @@ def _is_redex(d: Derivation) -> bool:
     return isinstance(term, want)
 
 
+def replace_at(space: ModeSpace, d: Derivation, path: tuple[int, ...], new: Derivation) -> Derivation:
+    """d with the node at `path` replaced by `new`, each node above it rebuilt."""
+    spine = [d]
+    for i in path[:-1]:
+        spine.append(spine[-1].premises[i])
+    for i in reversed(path):
+        node = spine.pop()
+        new = rebuild(space, node.rule, node.premises[:i] + (new,) + node.premises[i + 1:], node.payload)
+    return new
+
+
 def beta_step(d: Derivation, space: ModeSpace):
     """Contract the leftmost-outermost redex; None when in normal form.
 
@@ -261,21 +272,9 @@ def beta_step(d: Derivation, space: ModeSpace):
     eliminator that was contracted.  The conclusion judgment is unchanged
     apart from the term.
     """
-    if _is_redex(d):
-        return _contract(space, d), ()
-    for i, p in enumerate(d.premises):
-        step = beta_step(p, space)
-        if step is not None:
-            new_p, path = step
-            premises = d.premises[:i] + (new_p,) + d.premises[i + 1:]
-            return rebuild(space, d.rule, premises, d.payload), (i,) + path
+    for path, node in d.find(_is_redex):
+        return replace_at(space, d, path, _contract(space, node)), path
     return None
-
-
-def _rebuild_elim(space: ModeSpace, d: Derivation, scrut: Derivation) -> Derivation:
-    idx = _SCRUT_INDEX[d.rule]
-    premises = d.premises[:idx] + (scrut,) + d.premises[idx + 1:]
-    return rebuild(space, d.rule, premises, d.payload)
 
 
 def _graft(space: ModeSpace, body: Derivation, args) -> Derivation:
@@ -295,7 +294,7 @@ def _contract(space: ModeSpace, d: Derivation) -> Derivation:
     rule = scrut.rule
 
     if rule == "sub":
-        inner = _contract(space, _rebuild_elim(space, d, scrut.premises[0]))
+        inner = _contract(space, replace_at(space, d, (idx,), scrut.premises[0]))
         return mk_sub(space, inner, tuple(g.value for g in d.conclusion.rho))
 
     if rule in ("exchange", "weak", "cont"):
@@ -307,7 +306,7 @@ def _contract(space: ModeSpace, d: Derivation) -> Derivation:
             # variables, which may reuse a name contracted away inside scrut
             clash = set(d.conclusion.names()) - set(scrut.conclusion.names())
             premise = _freshen_last_bound(space, premise, 2, clash)
-        out = _contract(space, _rebuild_elim(space, d, premise))
+        out = _contract(space, replace_at(space, d, (idx,), premise))
         if rule == "weak":
             out = mk_weak(space, out, *scrut.payload)
         elif rule == "cont":
@@ -423,17 +422,11 @@ def normalize(d: Derivation, fuel: int, space: ModeSpace):
         check_derivation(nxt, space, memo)
         current = nxt
         steps += 1
-    return current, steps, not any(_is_redex(node) for node in current.walk())
+    return current, steps, next(current.find(_is_redex), None) is None
 
 
 def all_single_steps(d: Derivation, space: ModeSpace) -> list[tuple[Derivation, tuple]]:
-    """Every one-step reduct of d, one per redex position (any order, not
-    just leftmost-outermost)."""
-    out = []
-    if _is_redex(d):
-        out.append((_contract(space, d), ()))
-    for i, p in enumerate(d.premises):
-        for reduct, path in all_single_steps(p, space):
-            premises = d.premises[:i] + (reduct,) + d.premises[i + 1:]
-            out.append((rebuild(space, d.rule, premises, d.payload), (i,) + path))
-    return out
+    """Every one-step reduct of d with its redex path, one per redex
+    position (any order, not just leftmost-outermost), in preorder."""
+    return [(replace_at(space, d, path, _contract(space, node)), path)
+            for path, node in d.find(_is_redex)]

@@ -30,8 +30,8 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from types import MappingProxyType
 
-from .derivation import Derivation
-from .errors import ConfigError, InputError, Report, ShapeError, SizeLimitError
+from .derivation import Derivation, fold
+from .errors import ConfigError, InputError, Report, ShapeError, SizeLimitError, Violation
 from .grades import Grade, GradeValue
 from .modespace import ModeSpace
 from .rewrite import SubstitutionBundle, subst_simultaneous
@@ -668,20 +668,19 @@ class ObjectSizes:
 
 
 class _Interpretation:
-    """The state of one interpretation call: object sizes and
-    denotations, each computed once and shared by every
-    derivation interpreted in the call (both sides of a `semantic_eq`, or
-    a bundle and its substitution).  Nothing outlives the call.
+    """The state of one interpretation call: object sizes and denotations,
+    each computed once and shared by the derivations the call interprets
+    (both sides of a `semantic_eq`, or a bundle and its substitution), which
+    are checked on construction.  Nothing outlives the call.
 
     A node's denotation is its rows (see above); no object is enumerated,
     and only the denotations of nodes reached more than once are kept
     after their parent used them.  `check` refuses a derivation before any
-    work when a node's
-    context or type object, or the grade power of a scaled premise's,
-    would exceed ELEMENT_LIMIT, so an oversized case fails fast and small
-    and no rows list is longer than the limit."""
+    work when a node's context or type object, or the grade power of a
+    scaled premise's, would exceed ELEMENT_LIMIT, so an oversized case
+    fails fast and small and no rows list is longer than the limit."""
 
-    def __init__(self, backend: ModelBackend):
+    def __init__(self, backend: ModelBackend, *derivations: Derivation):
         self.backend = backend
         sizes = ObjectSizes.of(backend)
         self.size, self.radices, self.ctx_size = sizes.size, sizes.radices, sizes.ctx_size
@@ -689,6 +688,8 @@ class _Interpretation:
         self.seen: dict = {}  # id(node) -> node, for every checked node
         self.shared: set = set()  # ids of nodes reached more than once
         self.done: dict = {}  # id(shared node) -> rows
+        for d in derivations:
+            self.check(d)
 
     # -- sizes and objects ---------------------------------------------------
 
@@ -740,37 +741,33 @@ class _Interpretation:
                                self.rows.of(y for v in vs for y in _each(body[cb + v]))
                                for cb in range(0, len(body), width) for vs in values))
 
-    def rel(self, d: Derivation, kept: bool = False) -> list:
-        """The rows of d's denotation; d and its premises must be checked.
-        Rows that stay alive while other premises are interpreted are
-        `kept`, and packed."""
-        key = id(d)
-        if key not in self.shared:
-            return _pack(self._rule(d)) if kept else self._rule(d)
-        rows = self.done.get(key)
-        if rows is None:
-            rows = self.done[key] = _pack(self._rule(d))
+    def rel(self, d: Derivation) -> list:
+        """The rows of d's denotation; d and its premises must be checked."""
+        return fold(d, self._node, self.done)
+
+    def _node(self, d: Derivation, premises: list) -> list:
+        # packed, since a node's rows stay alive while its siblings are folded
+        rows = _pack(self._rule(d, premises))
+        if id(d) in self.shared:
+            self.done[id(d)] = rows
         return rows
 
-    def _rule(self, d: Derivation) -> list:
+    def _rule(self, d: Derivation, premises: list) -> list:
         be = self.backend
         R = self.rows
         j = d.conclusion
         rule = d.rule
+        t = premises[0] if premises else None
 
         if rule == "var":
             return array("q", be.eps_positions(j.mode).table(self.size(j.ty), [1]))
 
-        # the premise's rows come first, so that no table of this node is
-        # alive while the premise is interpreted
         if rule == "weak":
-            rows = self.rel(d.premises[0])
             # w sends every element of the new entry to the one element of I
             table = be.w_positions(j.modes[-1]).table(self.size(j.ctx[-1][1]), ())
-            return _build(lambda: (row for row in rows for _ in table))
+            return _build(lambda: (row for row in t for _ in table))
 
         if rule == "sub":
-            rows = self.rel(d.premises[0])
             prem = d.premises[0].conclusion
             tables = []
             for rl, rh, n, (_x, ty), s in zip(prem.rho, j.rho, j.modes, j.ctx,
@@ -778,10 +775,9 @@ class _Interpretation:
                 p = be.preorder_positions(n, rl.value, rh.value)
                 size = self.size(ty)
                 tables.append(p.table(size, [s * w for w in _weights(size, len(p.out))]))
-            return R.gather(rows, tables)
+            return R.gather(t, tables)
 
         if rule == "cont":
-            rows = self.rel(d.premises[0])
             prem = d.premises[0].conclusion
             radices = self.radices(prem)
             size = self.size(j.ctx[-1][1])
@@ -790,26 +786,23 @@ class _Interpretation:
             # the split's two entries come last, so the index of the pair is
             # the index of its flattening
             tables.append(p.table(size, _weights(size, len(p.out))))
-            return R.gather(rows, tables)
+            return R.gather(t, tables)
 
         if rule == "exchange":
-            rows = self.rel(d.premises[0])
             strides = _strides(self.radices(d.premises[0].conclusion))
             perm = d.payload[0]
             # conclusion slot i holds premise slot perm[i]
             tables = [range(0, r * strides[perm[i]], strides[perm[i]])
                       for i, r in enumerate(self.radices(j))]
-            return R.gather(rows, tables)
+            return R.gather(t, tables)
 
         if rule == "unitI":
             return [0]
 
         if rule == "unitE":
-            body, scrut = d.premises
-            scaled = self.scaled(j.mode, d.payload[0], self.rel(scrut), scrut.conclusion)
+            scaled = self.scaled(j.mode, d.payload[0], premises[1], d.premises[1].conclusion)
             # q (.) I has the one element 0
             ok = [0 in _each(row) for row in scaled]
-            t = self.rel(body)
             return _build(lambda: (rb if keep else _EMPTY for rb in t for keep in ok))
 
         if rule == "arrowI":
@@ -817,7 +810,6 @@ class _Interpretation:
             x = self.radices(prem)[-1]
             if not x:  # the one function out of an empty set, from every context element
                 return [0] * self.ctx_size(j)
-            t = self.rel(d.premises[0])
             if x == 1:  # a function out of a singleton is its one result
                 return t
             weights = _weights(self.size(prem.ty), x)
@@ -840,18 +832,15 @@ class _Interpretation:
             m, q = mode_of(fun_ty.arg), fun_ty.grade.value
             y = self.size(fun_ty.body)
             weights = _weights(y, _power_size(self.size(fun_ty.arg), be.arity(m, q)))
-            scaled = self.scaled(m, q, self.rel(arg), arg.conclusion)
-            t = self.rel(fn)
+            scaled = self.scaled(m, q, premises[1], arg.conclusion)
             return _build(lambda: (
                 (rf // weights[ra]) % y if rf.__class__ is ra.__class__ is int else
                 R.of((h // weights[i]) % y for h in _each(rf) for i in _each(ra))
                 for rf in t for ra in scaled))
 
         if rule == "pairI":
-            left, right = d.premises
-            nb = self.size(right.conclusion.ty)
-            rr = self.rel(right, kept=True)
-            rl = self.rel(left)
+            rl, rr = premises
+            nb = self.size(d.premises[1].conclusion.ty)
             return _build(lambda: (ra * nb + rb if ra.__class__ is rb.__class__ is int else
                                    R.of(a * nb + b for a in _each(ra) for b in _each(rb))
                                    for ra in rl for rb in rr))
@@ -869,15 +858,14 @@ class _Interpretation:
             def split(z):
                 return sum((z // w) % n * p for w, n, p in digits)
             scaled = _pack([split(row) if row.__class__ is int else tuple(map(split, row))
-                            for row in self.scaled(mode, qval, self.rel(scrut), scrut.conclusion)])
-            return self.bind(self.rel(body), n1 * n2, j, scaled)
+                            for row in self.scaled(mode, qval, premises[1], scrut.conclusion)])
+            return self.bind(t, n1 * n2, j, scaled)
 
-        if rule == "sumIL":
-            return self.rel(d.premises[0])
+        if rule in ("sumIL", "raiseI", "raiseE"):
+            return t
 
         if rule == "sumIR":
             shift = self.size(j.ty.left)
-            t = self.rel(d.premises[0])
             return _build(lambda: (row + shift if row.__class__ is int else
                                    R.of(y + shift for y in row) for row in t))
 
@@ -900,26 +888,20 @@ class _Interpretation:
                 return out[0] if len(out) == 1 else out  # mixed tuples carry no branch
             scaled = _pack([branches(row) if row.__class__ is int else
                             tuple(b for z in row for b in _each(branches(z)))
-                            for row in self.scaled(mode, qval, self.rel(scrut), scrut.conclusion)])
-            t = (self.rel(left, kept=True), self.rel(right))
+                            for row in self.scaled(mode, qval, premises[2], scrut.conclusion)])
             widths = (self.radices(prem)[-1], self.radices(right.conclusion)[-1])
             n_body = math.prod(self.radices(prem)[:-1])
             return _build(lambda: (
-                t[bs & 1][cb * widths[bs & 1] + (bs >> 1)] if bs.__class__ is int else
-                R.of(y for b in bs for y in _each(t[b & 1][cb * widths[b & 1] + (b >> 1)]))
+                premises[bs & 1][cb * widths[bs & 1] + (bs >> 1)] if bs.__class__ is int else
+                R.of(y for b in bs for y in _each(premises[b & 1][cb * widths[b & 1] + (b >> 1)]))
                 for cb in range(n_body) for bs in scaled))
 
         if rule == "dropI":
             prem = d.premises[0].conclusion
-            return self.scaled(prem.mode, d.payload[0], self.rel(d.premises[0]), prem)
+            return self.scaled(prem.mode, d.payload[0], t, prem)
 
         if rule == "dropE":
-            body, scrut = d.premises
-            return self.bind(self.rel(body, kept=True), self.radices(body.conclusion)[-1], j,
-                             self.rel(scrut))
-
-        if rule in ("raiseI", "raiseE"):
-            return self.rel(d.premises[0])
+            return self.bind(t, self.radices(d.premises[0].conclusion)[-1], j, premises[1])
 
         raise InputError(f"interpretation does not handle rule {rule!r}")
 
@@ -939,29 +921,24 @@ _SCALED = {
 
 def interp_derivation(backend: ModelBackend, d: Derivation) -> Rel:
     """A relation from the context object to the type object, clause by clause."""
-    run = _Interpretation(backend)
-    run.check(d)
+    run = _Interpretation(backend, d)
     j = d.conclusion
     return _decode(run.rel(d), interp_ctx(backend, j), interp_type(backend, j.ty))
 
 
 def semantic_eq(backend: ModelBackend, d1: Derivation, d2: Derivation) -> bool:
-    run = _Interpretation(backend)
-    run.check(d1)
-    run.check(d2)
+    run = _Interpretation(backend, d1, d2)
     if not run.same_objects(d1.conclusion, d2.conclusion):
         raise ShapeError("semantic_eq: the two derivations have different signatures")
-    return run.rel(d1, kept=True) == _pack(run.rel(d2))
+    return run.rel(d1) == run.rel(d2)
 
 
 def subst_comp_check(backend: ModelBackend, bundle: SubstitutionBundle) -> bool:
     """Interpretation of a substitution equals the composite with the
     tensor of the scaled replacement interpretations."""
     out = subst_simultaneous(bundle, backend.space)
-    run = _Interpretation(backend)
-    for d in (out, bundle.target) + tuple(bundle.replacements):
-        run.check(d)
-    lhs = run.rel(out, kept=True)
+    run = _Interpretation(backend, out, bundle.target, *bundle.replacements)
+    lhs = run.rel(out)
 
     tj = bundle.target.conclusion
     scaled = [run.scaled(n, g.value, run.rel(rep), rep.conclusion)
@@ -998,13 +975,13 @@ def _chain(*rels: Rel) -> Rel:
     return out
 
 
-def _square(report: Report, name: str, witness, lhs: Rel, rhs: Rel) -> None:
+def _square(found: list[Violation], name: str, witness, lhs: Rel, rhs: Rel) -> None:
     if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
-        report.add(name, witness, "signature mismatch")
+        found.append(Violation(name, witness, "signature mismatch"))
         return
     if lhs.pairs != rhs.pairs:
         diff = sorted(map(repr, lhs.pairs ^ rhs.pairs))[:1]
-        report.add(name, witness, f"differs at {diff[0] if diff else '?'}")
+        found.append(Violation(name, witness, f"differs at {diff[0] if diff else '?'}"))
 
 
 def _fits_size(base: int, *exponents: int) -> bool:
@@ -1023,7 +1000,7 @@ def model_coherence_validate(
     Instances whose intermediate objects blow past an element cap are
     skipped; the cap only bites on large naturals grades.
     """
-    report = Report()
+    found: list[Violation] = []
     space = backend.space
     modes = list(space.modes) if modes is None else modes
     budget = backend.nat_budget if budget is None else budget
@@ -1041,22 +1018,22 @@ def model_coherence_validate(
         conts = [g for g in grades if mode.cont.contains(g)]
         a = lambda v: backend.arity(m, v)
 
-        reported = len(report)
+        reported = len(found)
         if a(alg.one) != 1:
-            report.add("arity-of-one", (m,), f"a(1) = {a(alg.one)}")
+            found.append(Violation("arity-of-one", (m,), f"a(1) = {a(alg.one)}"))
         else:
             if alg.zero != alg.one and a(alg.zero) != 0:
-                report.add("arity-of-zero", (m,), f"a(0) = {a(alg.zero)}")
+                found.append(Violation("arity-of-zero", (m,), f"a(0) = {a(alg.zero)}"))
             for q, r in itertools.product(grades, repeat=2):
                 if a(alg.mul(q, r)) != a(q) * a(r):
-                    report.add("arity-multiplicative", (m, q, r))
-        if len(report) > reported:  # the structure maps need lawful arities
+                    found.append(Violation("arity-multiplicative", (m, q, r)))
+        if len(found) > reported:  # the structure maps need lawful arities
             lawless.add(m)
             continue
         # iota is an isomorphism onto a singleton power
         for q in grades:
             if (n := len(backend.iota(m, q).pairs)) != 1:
-                report.add("iota-iso", (m, q), f"{n} pairs")
+                found.append(Violation("iota-iso", (m, q), f"{n} pairs"))
 
         for x_obj in test_objs:
             size = len(x_obj)
@@ -1066,10 +1043,10 @@ def model_coherence_validate(
                     continue
                 qx = backend.act_obj(m, q, x_obj)
                 lhs = _chain(backend.delta(m, alg.one, q, x_obj), backend.eps(m, qx))
-                _square(report, "delta then eps is the identity", (m, q, size), lhs, rel_id(qx))
+                _square(found, "delta then eps is the identity", (m, q, size), lhs, rel_id(qx))
                 lhs = _chain(backend.delta(m, q, alg.one, x_obj),
                              backend.act_rel(m, q, backend.eps(m, x_obj)))
-                _square(report, "delta then q (.) eps is the identity", (m, q, size), lhs, rel_id(qx))
+                _square(found, "delta then q (.) eps is the identity", (m, q, size), lhs, rel_id(qx))
                 # tau unit law: (iota (x) id) then tau then q (.) unitor == unitor
                 tau = backend.tau_pair(m, q, UNIT_OBJ, x_obj)
                 step = rel_tensor(backend.iota(m, q), rel_id(qx))
@@ -1078,13 +1055,13 @@ def model_coherence_validate(
                 lhs = _chain(step, tau, backend.act_rel(m, q, unitor))
                 rhs = Rel(tensor_obj(UNIT_OBJ, qx), qx,
                           frozenset(((u, xs), xs) for (u, xs) in tensor_obj(UNIT_OBJ, qx).elements))
-                _square(report, "tau unit law", (m, q, size), lhs, rhs)
+                _square(found, "tau unit law", (m, q, size), lhs, rhs)
                 # tau symmetry: tau then q (.) swap == swap then tau
                 # (object sizes already bounded by the guard above)
                 tau_xx = backend.tau_pair(m, q, x_obj, x_obj)
                 lhs = _chain(tau_xx, backend.act_rel(m, q, _swap_rel(x_obj, x_obj)))
                 rhs = _chain(_swap_rel(qx, qx), backend.tau_pair(m, q, x_obj, x_obj))
-                _square(report, "tau symmetry", (m, q, size), lhs, rhs)
+                _square(found, "tau symmetry", (m, q, size), lhs, rhs)
                 # tau associativity
                 if _fits_size(size, 3 * a(q)):
                     t_l = _chain(
@@ -1097,7 +1074,7 @@ def model_coherence_validate(
                         rel_tensor(rel_id(qx), tau_xx),
                         backend.tau_pair(m, q, x_obj, tensor_obj(x_obj, x_obj)),
                     )
-                    _square(report, "tau associativity", (m, q, size), t_l, t_r)
+                    _square(found, "tau associativity", (m, q, size), t_l, t_r)
 
             # delta coassociativity
             for q, r, s in itertools.product(grades, repeat=3):
@@ -1112,7 +1089,7 @@ def model_coherence_validate(
                     backend.delta(m, q, alg.mul(r, s), x_obj),
                     backend.act_rel(m, q, backend.delta(m, r, s, x_obj)),
                 )
-                _square(report, "delta coassociativity", (m, q, r, s, size), lhs, rhs)
+                _square(found, "delta coassociativity", (m, q, r, s, size), lhs, rhs)
 
             # graded-comonad coherence: c against delta/tau (both squares)
             for q in grades:
@@ -1131,7 +1108,7 @@ def model_coherence_validate(
                         backend.delta(m, q, alg.add(r1, r2), x_obj),
                         backend.act_rel(m, q, backend.c_map(m, r1, r2, x_obj)),
                     )
-                    _square(report, "c then delta tensor delta then tau", (m, q, r1, r2, size), lhs, rhs)
+                    _square(found, "c then delta tensor delta then tau", (m, q, r1, r2, size), lhs, rhs)
 
                     r1q, r2q = alg.mul(r1, q), alg.mul(r2, q)
                     lhs = _chain(
@@ -1142,7 +1119,7 @@ def model_coherence_validate(
                         backend.delta(m, alg.add(r1, r2), q, x_obj),
                         backend.c_map(m, r1, r2, backend.act_obj(m, q, x_obj)),
                     )
-                    _square(report, "c against delta on the right factor", (m, q, r1, r2, size), lhs, rhs)
+                    _square(found, "c against delta on the right factor", (m, q, r1, r2, size), lhs, rhs)
 
             # c coassociativity
             for r1, r2, r3 in itertools.product(conts, repeat=3):
@@ -1158,7 +1135,7 @@ def model_coherence_validate(
                     backend.c_map(m, r1, alg.add(r2, r3), x_obj),
                     rel_tensor(rel_id(o1), backend.c_map(m, r2, r3, x_obj)),
                 )
-                _square(report, "c coassociativity", (m, r1, r2, r3, size), lhs, rhs)
+                _square(found, "c coassociativity", (m, r1, r2, r3, size), lhs, rhs)
 
             if mode.weak:
                 zero = alg.zero
@@ -1170,7 +1147,7 @@ def model_coherence_validate(
                         backend.delta(m, zero, r, x_obj),
                         backend.w_map(m, backend.act_obj(m, r, x_obj)),
                     )
-                    _square(report, "w after delta at zero times r", (m, r, size), lhs,
+                    _square(found, "w after delta at zero times r", (m, r, size), lhs,
                             backend.w_map(m, x_obj))
                     # w against iota at r.0
                     lhs = _chain(
@@ -1178,7 +1155,7 @@ def model_coherence_validate(
                         backend.act_rel(m, r, backend.w_map(m, x_obj)),
                     )
                     rhs = _chain(backend.w_map(m, x_obj), backend.iota(m, r))
-                    _square(report, "w then iota against delta at r times zero", (m, r, size), lhs, rhs)
+                    _square(found, "w then iota against delta at r times zero", (m, r, size), lhs, rhs)
                     # counit laws of (c, w)
                     if r in conts:
                         rx = backend.act_obj(m, r, x_obj)
@@ -1188,14 +1165,14 @@ def model_coherence_validate(
                             Rel(tensor_obj(UNIT_OBJ, rx), rx,
                                 frozenset(((u, xs), xs) for (u, xs) in tensor_obj(UNIT_OBJ, rx).elements)),
                         )
-                        _square(report, "w counit on the left of c", (m, r, size), lhs, rel_id(rx))
+                        _square(found, "w counit on the left of c", (m, r, size), lhs, rel_id(rx))
                         lhs = _chain(
                             backend.c_map(m, r, zero, x_obj),
                             rel_tensor(rel_id(rx), backend.w_map(m, x_obj)),
                             Rel(tensor_obj(rx, UNIT_OBJ), rx,
                                 frozenset(((xs, u), xs) for (xs, u) in tensor_obj(rx, UNIT_OBJ).elements)),
                         )
-                        _square(report, "w counit on the right of c", (m, r, size), lhs, rel_id(rx))
+                        _square(found, "w counit on the right of c", (m, r, size), lhs, rel_id(rx))
 
     # mu coherence across every comparable pair (the lineator is mu here)
     for (mlo, mhi) in sorted(space.order_pairs):
@@ -1214,12 +1191,12 @@ def model_coherence_validate(
                 # unit square
                 if r == alg_lo.one:
                     lhs = _chain(backend.mu(mlo, mhi, r, x_obj), backend.eps(mlo, x_obj))
-                    _square(report, "mu unit square", (mlo, mhi, size), lhs,
+                    _square(found, "mu unit square", (mlo, mhi, size), lhs,
                             backend.eps(mhi, x_obj))
                 # zero square
                 if mode_lo.weak and r == alg_lo.zero:
                     lhs = _chain(backend.mu(mlo, mhi, r, x_obj), backend.w_map(mlo, x_obj))
-                    _square(report, "mu zero square", (mlo, mhi, size), lhs,
+                    _square(found, "mu zero square", (mlo, mhi, size), lhs,
                             backend.w_map(mhi, x_obj))
             for q, r in itertools.product(grades_lo, repeat=2):
                 aq, ar = backend.arity(mlo, q), backend.arity(mlo, r)
@@ -1238,7 +1215,7 @@ def model_coherence_validate(
                     backend.act_rel(mhi, space.phi(mlo, mhi, q), backend.mu(mlo, mhi, r, x_obj)),
                     backend.mu(mlo, mhi, q, backend.act_obj(mlo, r, x_obj)),
                 )
-                _square(report, "mu multiplication square", (mlo, mhi, q, r, size), lhs, rhs)
+                _square(found, "mu multiplication square", (mlo, mhi, q, r, size), lhs, rhs)
                 # addition square
                 if mode_lo.cont.contains(q) and mode_lo.cont.contains(r):
                     lhs = _chain(
@@ -1249,9 +1226,9 @@ def model_coherence_validate(
                         backend.c_map(mhi, space.phi(mlo, mhi, q), space.phi(mlo, mhi, r), x_obj),
                         rel_tensor(backend.mu(mlo, mhi, q, x_obj), backend.mu(mlo, mhi, r, x_obj)),
                     )
-                    _square(report, "mu addition square", (mlo, mhi, q, r, size), lhs, rhs)
+                    _square(found, "mu addition square", (mlo, mhi, q, r, size), lhs, rhs)
 
-    return report
+    return Report(tuple(found))
 
 
 def v_identity_check(backend: ModelBackend, mode: str, value: GradeValue,

@@ -6,15 +6,15 @@ construction.  Annotated heads follow the surface spellings
 ``I@m``, ``-o{q:m}``, ``down{q,n<=m}``, ``up{m<=n}``, ``let*@q`` and so on.
 
 Input nested more than MAX_DEPTH parentheses deep, or too deep for the
-recursive tree readers, raises NestingError (a ParseError) with the
-message "input nested too deeply", never RecursionError.
+recursive type and term readers, raises NestingError (a ParseError) with
+the message "input nested too deeply", never RecursionError.
 """
 
 from __future__ import annotations
 
 import re
 
-from .derivation import RULES, Derivation, rebuild
+from .derivation import RULES, Derivation, fold, rebuild
 from .errors import NestingError, ParseError
 from .grades import Grade, GradeValue
 from .modespace import ModeSpace
@@ -295,33 +295,32 @@ _CODEC = {
 # Derivations: (rule payload... premises...)
 
 
-def derivation_to_sexpr(d: Derivation) -> str:
+def _write(d: Derivation, premises: list[str]) -> str:
     if d.rule not in RULES:
         raise ParseError(f"not a derivation rule: {d.rule!r}")
-    parts = [d.rule]
-    parts += (_WRITE[k](x) for k, x in zip(RULES[d.rule][2], d.payload))
-    parts += map(derivation_to_sexpr, d.premises)
-    return "(" + " ".join(parts) + ")"
+    payload = [_WRITE[k](x) for k, x in zip(RULES[d.rule][2], d.payload)]
+    return "(" + " ".join([d.rule, *payload, *premises]) + ")"
 
 
-def derivation_from_tree(tree, space: ModeSpace) -> Derivation:
+def derivation_to_sexpr(d: Derivation) -> str:
+    return fold(d, _write)
+
+
+def _premise_trees(tree) -> list:
+    """The premise trees of a (rule payload... premises...) form."""
     if not isinstance(tree, list) or not tree or not isinstance(tree[0], str):
         raise ParseError("derivation must be a (rule ...) form")
-    rule = tree[0]
-    if rule not in RULES:
-        raise ParseError(f"unknown rule {rule!r}")
-    kinds = RULES[rule][2]
-    np = len(kinds)
+    if tree[0] not in RULES:
+        raise ParseError(f"unknown rule {tree[0]!r}")
+    np = len(RULES[tree[0]][2])
     if len(tree) <= np:
-        raise ParseError(f"rule {rule} expects {np} payload items")
-    premises = tuple([derivation_from_tree(p, space) for p in tree[1 + np:]])
-    payload = tuple([_READ[k](t, space) for k, t in zip(kinds, tree[1:])]) if np else ()
-    return rebuild(space, rule, premises, payload)
+        raise ParseError(f"rule {tree[0]} expects {np} payload items")
+    return tree[1 + np:]
 
 
 def _from_text(build, text: str, *args):
     """build(tree, *args) for the tree of the text; running out of stack
-    in the recursive build is a NestingError."""
+    in the recursive type and term readers is a NestingError."""
     tree = read_sexpr(text)
     try:
         return build(tree, *args)
@@ -330,7 +329,10 @@ def _from_text(build, text: str, *args):
 
 
 def derivation_from_sexpr(text: str, space: ModeSpace) -> Derivation:
-    return _from_text(derivation_from_tree, text, space)
+    def read(tree, premises: list[Derivation]) -> Derivation:
+        payload = tuple([_READ[k](t, space) for k, t in zip(RULES[tree[0]][2], tree[1:])])
+        return rebuild(space, tree[0], tuple(premises), payload)
+    return _from_text(lambda tree: fold(tree, read, children=_premise_trees), text)
 
 
 def term_from_sexpr(text: str) -> Term:

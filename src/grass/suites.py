@@ -170,24 +170,36 @@ def _nonnatural_structure(backend: ModelBackend, d: Derivation) -> str | None:
     return None
 
 
+def _fitting(backend: ModelBackend, seed: int, count: int, max_depth: int, max_obj: int,
+             res: SuiteResult, draw, objects):
+    """Each (index, case) of the `count` cases `draw(gen, max_depth)` draws whose
+    objects' sizes, `objects(sizes, case)`, are at most max_obj; a note counts the rest."""
+    gen = Gen(space=backend.space, rng=random.Random(seed), max_depth=max_depth,
+              max_obj_size=max_obj,
+              base_sizes={b: len(c) for b, c in backend.base_carriers.items()})
+    sizes = ObjectSizes.of(backend)
+    skipped = 0
+    for i in range(count):
+        case = draw(gen, max_depth)
+        try:
+            fits = max(objects(sizes, case)) <= max_obj
+        except SizeLimitError:
+            fits = False
+        if fits:
+            yield i, case
+        else:
+            skipped += 1
+    res.notes.append(f"skipped {skipped} of {count} generated cases: an object over {max_obj} elements")
+
+
 def semantic_suite(backend: ModelBackend, seed: int, count: int, max_depth: int = 5,
                    max_obj: int = 400) -> SuiteResult:
     """Exact relation equality across every generated beta step and eta
     expansion; sum-involving cases are tagged as the flagged extension."""
     space = backend.space
-    gen = Gen(space=space, rng=random.Random(seed), max_depth=max_depth,
-              max_obj_size=max_obj,
-              base_sizes={b: len(c) for b, c in backend.base_carriers.items()})
     res = SuiteResult("semantic-soundness")
-    sizes = ObjectSizes.of(backend)
-    for i in range(count):
-        d = gen.gen_derivation(max_depth)
-        try:
-            if (sizes.ctx_size(d.conclusion) > max_obj
-                    or sizes.size(d.conclusion.ty) > max_obj):
-                continue
-        except SizeLimitError:
-            continue
+    for i, d in _fitting(backend, seed, count, max_depth, max_obj, res, Gen.gen_derivation,
+                         lambda sizes, d: (sizes.ctx_size(d.conclusion), sizes.size(d.conclusion.ty))):
         tag = " [extension:sum]" if _mentions_sum(d) else ""
         try:
             for before, after in _beta_trace(d, space, fuel=12):
@@ -213,20 +225,10 @@ def subst_comp_suite(backend: ModelBackend, seed: int, count: int, max_depth: in
                      max_obj: int = 400) -> SuiteResult:
     """interp(subst(bundle)) equals target composed with the scaled
     replacement interpretations."""
-    space = backend.space
-    gen = Gen(space=space, rng=random.Random(seed), max_depth=max_depth,
-              max_obj_size=max_obj,
-              base_sizes={b: len(c) for b, c in backend.base_carriers.items()})
     res = SuiteResult("subst-comp")
-    sizes = ObjectSizes.of(backend)
-    for i in range(count):
-        bundle = gen.gen_bundle(max_depth)
-        try:
-            if any(sizes.ctx_size(d.conclusion) > max_obj
-                   for d in (*bundle.replacements, bundle.target)):
-                continue
-        except SizeLimitError:
-            continue
+    for i, bundle in _fitting(backend, seed, count, max_depth, max_obj, res, Gen.gen_bundle,
+                              lambda sizes, b: [sizes.ctx_size(d.conclusion)
+                                                for d in (*b.replacements, b.target)]):
         res.cases += 1
         tag = " [extension:sum]" if _mentions_sum(bundle.target) else ""
         try:

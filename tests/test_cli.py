@@ -242,6 +242,14 @@ def test_deeply_nested_input_is_a_clean_error(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_deep_derivation_item_checks(tmp_path, capsys):
+    depth = 900
+    text = "(exchange (1 0) " * depth + "(pairI (var x P) (var y P))" + ")" * depth
+    prog = _write(tmp_path, "deep.prog", f"derivation deep = {text}\n")
+    assert main(["check", str(ROOT / "systems" / "lnl.modes"), prog]) == 0
+    assert capsys.readouterr().out.startswith("deep: ")
+
+
 def test_shipped_demo_program_checks():
     modes = str(ROOT / "systems" / "lnl.modes")
     prog = str(ROOT / "systems" / "demo.prog")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +28,9 @@ from grass.gen import Gen
 from grass.grades import Grade
 from grass.presets import system
 from grass.modespace import independence_check
+from grass.rewrite import all_single_steps, beta_step, normalize
+from grass.semantics import interp_derivation, semantic_eq
+from grass.sexpr import derivation_to_sexpr
 from grass.syntax import (
     Judgment,
     Lam,
@@ -81,18 +85,46 @@ def test_reorder_exchanges_only_into_a_permutation(lu):
             reorder(lu, d, names)
 
 
-def test_walk_is_preorder_at_any_depth(lu):
-    depth = 10_000
+def _exchange_chain(lu, depth):
+    """`depth` exchanges over (pairI (var x P) (var y P)): the chain's
+    nodes from the pair up, and the two leaves."""
     leaf_x, leaf_y = mk_var(lu, "x", P), mk_var(lu, "y", P)
     d = mk_pairI(lu, leaf_x, leaf_y)
     chain = [d]
     for _ in range(depth):
         d = mk_exchange(lu, d, (1, 0))
         chain.append(d)
-    nodes = list(d.walk())
+    return chain, leaf_x, leaf_y
+
+
+def test_walk_is_preorder_at_any_depth(lu):
+    depth = 10_000
+    chain, leaf_x, leaf_y = _exchange_chain(lu, depth)
+    nodes = list(chain[-1].walk())
     assert len(nodes) == depth + 3
     assert all(a is b for a, b in zip(nodes, reversed(chain)))
     assert nodes[-2] is leaf_x and nodes[-1] is leaf_y
+
+
+def test_every_traversal_returns_at_any_depth():
+    space, backend = system("LU")
+    depth = 10_000
+    chain, _, _ = _exchange_chain(space, depth)
+    d, pair = chain[-1], chain[0]
+    assert check_derivation(d, space) == d.conclusion
+    assert beta_step(d, space) is None
+    assert normalize(d, 8, space) == (d, 0, True)
+    assert all_single_steps(d, space) == []
+    assert derivation_to_sexpr(d) == "(exchange (1 0) " * depth + derivation_to_sexpr(pair) + ")" * depth
+    # an even number of swaps is the identity on the pair's context
+    assert interp_derivation(backend, d) == interp_derivation(backend, pair)
+    assert semantic_eq(backend, d, d)
+    bad = dataclasses.replace(pair, conclusion=dataclasses.replace(pair.conclusion, mode="U"))
+    for node in chain[1:]:
+        bad = dataclasses.replace(node, premises=(bad,))
+    with pytest.raises(CheckError) as err:
+        check_derivation(bad, space)
+    assert err.value.position == (0,) * depth
 
 
 def test_cont_needs_the_ideal(fhs):
@@ -146,6 +178,24 @@ def test_checker_reports_position(lu):
     with pytest.raises(CheckError) as err:
         check_derivation(wrapped, lu)
     assert err.value.position == (0,)
+
+
+def test_checker_reports_the_path_of_a_corrupted_node(lu):
+    rng = random.Random(5)
+    gen = Gen(space=lu, rng=random.Random(6))
+    for _ in range(60):
+        d = gen.gen_derivation(4)
+        path, new = rng.choice(list(d.find(lambda node: True)))
+        c = new.conclusion
+        new = dataclasses.replace(new, conclusion=dataclasses.replace(c, mode="L" if c.mode == "U" else "U"))
+        spine = [d]
+        for i in path[:-1]:
+            spine.append(spine[-1].premises[i])
+        for node, i in zip(reversed(spine), reversed(path)):
+            new = dataclasses.replace(node, premises=node.premises[:i] + (new,) + node.premises[i + 1:])
+        with pytest.raises(CheckError, match="stored conclusion does not match") as err:
+            check_derivation(new, lu)
+        assert err.value.position == path
 
 
 def test_accepted_derivations_satisfy_independence(lu):

@@ -274,24 +274,21 @@ def test_normalize_checks_a_bad_node_among_checked_ones(lu, monkeypatch):
 
 
 def test_normalize_checks_every_reduct_node_once(lu, monkeypatch):
-    import grass.derivation as derivation
     import grass.rewrite as rewrite
 
-    real = derivation.check_derivation
+    real = rewrite.check_derivation
     reducts, checked = [], []
 
     def top_level(d, space, memo):
-        # normalize's own call: d is the reduct of one step
+        # normalize's own call: d is the reduct of one step, and the nodes
+        # it checks are the ones it adds to normalize's memo
         reducts.append(d)
-        return recording(d, space, memo)
-
-    def recording(d, space, memo=None):
-        if memo is None or id(d) not in memo:
-            checked.append(id(d))
-        return real(d, space, memo)
+        before = set(memo)
+        out = real(d, space, memo)
+        checked.extend(key for key in memo if key not in before)
+        return out
 
     monkeypatch.setattr(rewrite, "check_derivation", top_level)
-    monkeypatch.setattr(derivation, "check_derivation", recording)
     gen = Gen(space=lu, rng=random.Random(22))
     inputs = [_identity_chain(lu, 6)] + [gen.gen_derivation(4) for _ in range(40)]
     total_steps = 0

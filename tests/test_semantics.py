@@ -385,6 +385,30 @@ def test_coherence_reports_each_violation_once():
     assert len(lines) == len(set(lines))
 
 
+def test_suites_count_the_cases_their_root_filter_skips(monkeypatch):
+    import grass.suites as suites
+
+    # the filter runs before any interpretation, so the counts need none
+    monkeypatch.setattr(suites, "semantic_eq", lambda *args: True)
+    monkeypatch.setattr(suites, "subst_comp_check", lambda *args: True)
+    backends = _semantic_backends()
+    semantic = [suites.semantic_suite(be, seed=seed, count=240, max_depth=5).notes[-1]
+                for (_name, be), seed in zip(backends, (301, 302))]
+    assert semantic == [f"skipped {n} of 240 generated cases: an object over 400 elements"
+                        for n in (73, 15)]
+    comp = [suites.subst_comp_suite(be, seed=seed, count=90, max_depth=3).notes[-1]
+            for (_name, be), seed in zip(backends, (401, 402))]
+    assert comp == [f"skipped {n} of 90 generated cases: an object over 400 elements"
+                    for n in (11, 1)]
+
+
+def test_reports_are_immutable():
+    report = model_coherence_validate(corrupted(system("LU")[1], "iota"), max_size=1)
+    assert isinstance(report.violations, tuple) and report.violations
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.violations = ()
+
+
 def test_mode_space_and_backend_are_immutable():
     be = system("LU")[1]
     for value, name in ((be, "nat_budget"), (be, "arities"), (be.space, "modes")):

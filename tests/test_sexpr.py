@@ -119,6 +119,17 @@ def test_recursion_in_the_tree_readers_is_a_parse_error(space):
         type_from_sexpr("(* " * depth + "P" + " P)" * depth, space)
 
 
+def test_derivations_read_back_up_to_max_depth(space):
+    from grass.sexpr import MAX_DEPTH
+
+    depth = MAX_DEPTH - 10  # each exchange's permutation nests one level more
+    text = "(exchange (1 0) " * depth + "(pairI (var x P) (var y P))" + ")" * depth
+    d = derivation_from_sexpr(text, space)
+    assert len(list(d.walk())) == depth + 3
+    assert derivation_to_sexpr(d) == text  # so the writer's output reads back to d
+    check_derivation(d, space)
+
+
 def test_deep_program_item_reports_its_line(space):
     from grass.cli import parse_program_text
 
