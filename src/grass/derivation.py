@@ -63,6 +63,32 @@ class Derivation:
     payload: tuple
     conclusion: Judgment
 
+    def __eq__(self, other):
+        """The generated comparison at any depth; a pair of nodes is compared once."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo, seen = [(self, other)], set()
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if (a.rule, a.payload, a.conclusion, len(a.premises)) != \
+                    (b.rule, b.payload, b.conclusion, len(b.premises)):
+                return False
+            seen.add((id(a), id(b)))
+            todo += zip(a.premises, b.premises)
+        return True
+
+    def __hash__(self):
+        """The generated hash((rule, premises, payload, conclusion)) at any
+        depth: a premise's hash, computed first and once, stands in for it."""
+        done: dict = {}
+        def step(node, hashes):
+            h = done[id(node)] = hash((node.rule, tuple(map(_Hashed, hashes)), node.payload,
+                                       node.conclusion))
+            return h
+        return fold(self, step, done)
+
     def walk(self):
         """Every node in preorder, premises left to right, at any depth."""
         stack = [self]
@@ -87,6 +113,11 @@ class Derivation:
                 yield tuple(path), node
             spine.append(node)
             path.append(-1)
+
+
+class _Hashed(int):
+    """A hash that hashes to itself: in a tuple it stands in for its value."""
+    __hash__ = int.__index__
 
 
 def fold(d, step, done: dict | None = None, children=None):

@@ -17,6 +17,11 @@ free!", 1989), so neither view samples object sizes.
 
 Context objects are flat k-tuples, one component per entry, which makes
 the tensor of contexts strictly associative.
+
+The coherence validator reads each structure map from the backend as the
+backend builds it, once per call, family, mode, grades and object size,
+and decodes it into a table over element positions; every square is then
+composed by index and decoded back to element pairs only when it fails.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -139,14 +144,6 @@ def power_obj(x_obj: FinSetObj, k: int) -> FinSetObj:
     return FinSetObj(tuple(itertools.product(x_obj.elements, repeat=k)))
 
 
-def power_rel(f: Rel, k: int) -> Rel:
-    _guard(max(len(f.pairs), 1) ** k)
-    pairs = set()
-    for combo in itertools.product(tuple(f.pairs), repeat=k):
-        pairs.add((tuple(a for a, _ in combo), tuple(b for _, b in combo)))
-    return Rel(power_obj(f.dom, k), power_obj(f.cod, k), frozenset(pairs))
-
-
 # ---------------------------------------------------------------------------
 # Position maps
 
@@ -199,18 +196,18 @@ def spread(s: int, r: int) -> Positions:
     return Positions(s, tuple(min(j, s - 1) for j in range(r)) if s else (0,) * r)
 
 
-def positions_rel(p: Positions, x_obj: FinSetObj, dom: FinSetObj | None = None,
-                  cod: FinSetObj | None = None, regroup=tuple) -> Rel:
-    """p between dom (default X^src) and cod (default X^len(out)), element
-    by element: each source tuple to its images, regrouped into the
-    nesting of cod's elements, for X = x_obj."""
-    dom = power_obj(x_obj, p.src) if dom is None else dom
+def positions_rel(p: Positions, x_obj: FinSetObj, cod: FinSetObj | None = None,
+                  regroup=tuple) -> Rel:
+    """p from X^src to cod (default X^len(out)), element by element: each
+    source tuple to its images, regrouped into the nesting of cod's
+    elements, for X = x_obj."""
+    dom = power_obj(x_obj, p.src)
     cod = power_obj(x_obj, len(p.out)) if cod is None else cod
     pick = p.pick
     if p.fresh:  # one image per value of the fresh coordinate
         pairs = ((xs, regroup(pick(xs + (x,)))) for xs in dom.elements for x in x_obj.elements)
     else:
-        pairs = ((xs, regroup(pick(xs))) for xs in dom.elements)
+        pairs = zip(dom.elements, map(regroup, map(pick, dom.elements)))
     return Rel(dom, cod, frozenset(pairs))
 
 
@@ -229,9 +226,8 @@ def _transpose(a: int, k: int) -> Positions:
 @lru_cache(maxsize=None)
 def _chunker(width: int, count: int):
     """Cuts a flat tuple into count consecutive tuples of width elements."""
-    if not width:
-        return lambda xs: ((),) * count
-    return lambda xs: tuple(zip(*[iter(xs)] * width))
+    cuts = [slice(i * width, (i + 1) * width) for i in range(count)]
+    return itemgetter(*cuts) if len(cuts) > 1 else lambda xs: tuple(xs[cut] for cut in cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +267,6 @@ class ModelBackend:
 
     def act_obj(self, mode: str, value: GradeValue, x_obj: FinSetObj) -> FinSetObj:
         return power_obj(x_obj, self.arity(mode, value))
-
-    def act_rel(self, mode: str, value: GradeValue, f: Rel) -> Rel:
-        return power_rel(f, self.arity(mode, value))
 
     # -- structure maps as positions ----------------------------------------
 
@@ -951,37 +944,172 @@ def subst_comp_check(backend: ModelBackend, bundle: SubstitutionBundle) -> bool:
 
 # ---------------------------------------------------------------------------
 # Coherence validation
+#
+# A square's objects are named by shapes: the test object of n elements is
+# n, A (x) B is (A, B), A^k is (A,) * k and the unit is ().  `_elements`
+# enumerates a shape as tensor_obj and power_obj do, so shapes name equal
+# objects when equal or both empty.  Indices are mixed-radix, as in the
+# interpretation, so associators and unitors are identities by index.
 
 _SIZE_CAP = 4096
 
 
-def _assoc_rel(a_obj: FinSetObj, b_obj: FinSetObj, c_obj: FinSetObj) -> Rel:
-    dom = tensor_obj(tensor_obj(a_obj, b_obj), c_obj)
-    cod = tensor_obj(a_obj, tensor_obj(b_obj, c_obj))
-    pairs = frozenset((((a, b), c), (a, (b, c))) for ((a, b), c) in dom.elements)
-    return Rel(dom, cod, pairs)
+class _Table:
+    """A map's rows between two shapes; equal only to itself, so it can key a memo."""
+
+    __slots__ = ("dom", "cod", "rows")
+
+    def __init__(self, dom, cod, rows):
+        self.dom, self.cod, self.rows = dom, cod, rows
 
 
-def _swap_rel(a_obj: FinSetObj, b_obj: FinSetObj) -> Rel:
-    dom = tensor_obj(a_obj, b_obj)
-    pairs = frozenset(((a, b), (b, a)) for (a, b) in dom.elements)
-    return Rel(dom, tensor_obj(b_obj, a_obj), pairs)
+def _size(shape) -> int:
+    return shape if shape.__class__ is int else math.prod(map(_size, shape))
 
 
-def _chain(*rels: Rel) -> Rel:
-    out = rels[0]
-    for r in rels[1:]:
-        out = rel_compose(out, r)
-    return out
+def _same(a, b) -> bool:
+    """Whether two shapes name equal objects."""
+    return a == b or _size(a) == 0 == _size(b)
 
 
-def _square(found: list[Violation], name: str, witness, lhs: Rel, rhs: Rel) -> None:
-    if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
-        found.append(Violation(name, witness, "signature mismatch"))
-        return
-    if lhs.pairs != rhs.pairs:
-        diff = sorted(map(repr, lhs.pairs ^ rhs.pairs))[:1]
-        found.append(Violation(name, witness, f"differs at {diff[0] if diff else '?'}"))
+def _elements(shape) -> tuple:
+    if shape.__class__ is int:  # the test object of that size
+        return tuple(f"e{i}" for i in range(shape))
+    return tuple(itertools.product(*map(_elements, shape)))
+
+
+def _once(method):
+    """A `_Coherence` method memoized per call; the memo keeps its argument tables alive."""
+    def once(self, *args):
+        key = (method, *args)
+        if (out := self.memo.get(key)) is None:
+            out = self.memo[key] = method(self, *args)
+        return out
+    return once
+
+
+class _Coherence:
+    """One validator call: each structure map read from the backend once per
+    (family, mode, grades, object sizes), at test objects of those sizes,
+    as rows by element position; nothing outlives the call."""
+
+    def __init__(self, backend: ModelBackend):
+        self.backend = backend
+        self.rows = _Rows()
+        self.read, self.memo = {}, {}  # rows by map and sizes; tables by method and arguments
+        self.found: list[Violation] = []
+
+    @_once
+    def arity(self, mode: str, value: GradeValue) -> int:
+        return self.backend.arity(mode, value)
+
+    # -- the backend's maps, read once --------------------------------------
+
+    def _map(self, family: str, args: tuple, sizes: tuple, dom, cod) -> _Table:
+        """backend.family(*args, *test objects of those sizes), between dom and cod."""
+        key = (family, *args, *sizes)
+        rows = self.read.get(key)
+        if rows is None:
+            rel = getattr(self.backend, family)(*args, *(FinSetObj(_elements(n)) for n in sizes))
+            at, image = _index(rel.cod), dict(rel.pairs)
+            if len(image) == len(rel.pairs) == len(rel.dom):
+                rows = array("q", map(at.__getitem__, map(image.__getitem__, rel.dom.elements)))
+            else:
+                sets = {x: set() for x in rel.dom.elements}
+                for x, y in rel.pairs:
+                    sets[x].add(at[y])
+                rows = [self.rows.of(ys) for ys in sets.values()]
+            self.read[key] = rows
+        return _Table(dom, cod, rows)
+
+    @_once
+    def eps(self, m: str, x) -> _Table:
+        return self._map("eps", (m,), (_size(x),), (x,), x)
+
+    @_once
+    def delta(self, m: str, r: GradeValue, q: GradeValue, x) -> _Table:
+        a, alg = partial(self.arity, m), self.backend.space.mode(m).algebra
+        return self._map("delta", (m, r, q), (_size(x),), (x,) * a(alg.mul(r, q)),
+                         ((x,) * a(q),) * a(r))
+
+    @_once
+    def tau(self, m: str, q: GradeValue, x, y) -> _Table:
+        a = self.arity(m, q)
+        return self._map("tau_pair", (m, q), (_size(x), _size(y)), ((x,) * a, (y,) * a),
+                         ((x, y),) * a)
+
+    @_once
+    def iota(self, m: str, q: GradeValue) -> _Table:
+        return self._map("iota", (m, q), (), (), ((),) * self.arity(m, q))
+
+    @_once
+    def c(self, m: str, r: GradeValue, q: GradeValue, x) -> _Table:
+        a, alg = partial(self.arity, m), self.backend.space.mode(m).algebra
+        return self._map("c_map", (m, r, q), (_size(x),), (x,) * a(alg.add(r, q)),
+                         ((x,) * a(r), (x,) * a(q)))
+
+    @_once
+    def w(self, m: str, x) -> _Table:
+        zero = self.backend.space.mode(m).algebra.zero
+        return self._map("w_map", (m,), (_size(x),), (x,) * self.arity(m, zero), ())
+
+    @_once
+    def mu(self, low: str, high: str, q: GradeValue, x) -> _Table:
+        phi_q = self.backend.space.phi(low, high, q)
+        return self._map("mu", (low, high, q), (_size(x),), (x,) * self.arity(high, phi_q),
+                         (x,) * self.arity(low, q))
+
+    # -- composites by index ------------------------------------------------
+
+    @_once
+    def iso(self, dom, cod=None) -> _Table:
+        """Identity by index, dom to cod (default dom): an identity, associator or unitor."""
+        return _Table(dom, dom if cod is None else cod, array("q", range(_size(dom))))
+
+    @_once
+    def swap(self, a, b) -> _Table:
+        na, nb = _size(a), _size(b)
+        return _Table((a, b), (b, a), array("q", [y * na + x for x in range(na) for y in range(nb)]))
+
+    def compose(self, path: list[_Table]) -> _Table:
+        """The tables of a path composed, first to last; the validator's
+        paths meet at equal shapes by construction."""
+        out = path[0]
+        for t in path[1:]:
+            g = t.rows
+            if out.rows.__class__ is g.__class__ is array:
+                rows = array("q", map(g.__getitem__, out.rows))
+            else:
+                rows = _pack([g[y] if y.__class__ is int else
+                              self.rows.of(z for v in y for z in _each(g[v])) for y in out.rows])
+            out = _Table(out.dom, t.cod, rows)
+        return out
+
+    def tensor(self, f: _Table, g: _Table) -> _Table:
+        n = _size(g.cod)
+        rows = _pack([y * n + z if y.__class__ is z.__class__ is int else
+                      self.rows.of(a * n + b for a in _each(y) for b in _each(z))
+                      for y in f.rows for z in g.rows])
+        return _Table((f.dom, g.dom), (f.cod, g.cod), rows)
+
+    @_once
+    def power(self, f: _Table, k: int) -> _Table:
+        """f^k, the functorial action of a tupling mode."""
+        out = self.iso(())
+        for _ in range(k):
+            out = self.tensor(f, out)
+        return _Table((f.dom,) * k, (f.cod,) * k, out.rows)
+
+    def square(self, name: str, witness: tuple, lhs: list[_Table], rhs: list[_Table]) -> None:
+        """Note a violation unless the two paths compose to the same map."""
+        lhs, rhs = self.compose(lhs), self.compose(rhs)
+        if not (_same(lhs.dom, rhs.dom) and _same(lhs.cod, rhs.cod)):
+            self.found.append(Violation(name, witness, "signature mismatch"))
+        elif lhs.rows != rhs.rows:
+            lp, rp = (_decode(t.rows, FinSetObj(_elements(t.dom)), FinSetObj(_elements(t.cod))).pairs
+                      for t in (lhs, rhs))
+            diff = min(map(repr, lp ^ rp), default="?")
+            self.found.append(Violation(name, witness, f"differs at {diff}"))
 
 
 def _fits_size(base: int, *exponents: int) -> bool:
@@ -1000,15 +1128,12 @@ def model_coherence_validate(
     Instances whose intermediate objects blow past an element cap are
     skipped; the cap only bites on large naturals grades.
     """
-    found: list[Violation] = []
+    co = _Coherence(backend)
+    found, tensor, power, square, iso = co.found, co.tensor, co.power, co.square, co.iso
     space = backend.space
     modes = list(space.modes) if modes is None else modes
     budget = backend.nat_budget if budget is None else budget
-
-    test_objs = [
-        FinSetObj(tuple(f"e{i}" for i in range(size)))
-        for size in range(0, max_size + 1)
-    ]
+    sizes = range(max_size + 1)  # the shape of a test object is its size
 
     lawless = set()  # modes whose arities break a law
     for m in modes:
@@ -1016,7 +1141,7 @@ def model_coherence_validate(
         alg = mode.algebra
         grades = list(alg.elements(budget))
         conts = [g for g in grades if mode.cont.contains(g)]
-        a = lambda v: backend.arity(m, v)
+        a = partial(co.arity, m)
 
         reported = len(found)
         if a(alg.one) != 1:
@@ -1032,147 +1157,90 @@ def model_coherence_validate(
             continue
         # iota is an isomorphism onto a singleton power
         for q in grades:
-            if (n := len(backend.iota(m, q).pairs)) != 1:
+            if (n := _count(co.iota(m, q).rows)) != 1:
                 found.append(Violation("iota-iso", (m, q), f"{n} pairs"))
 
-        for x_obj in test_objs:
-            size = len(x_obj)
+        for x in sizes:
             # counit laws for delta/epsilon
             for q in grades:
-                if not _fits_size(size, a(q)):
+                if not _fits_size(x, a(q)):
                     continue
-                qx = backend.act_obj(m, q, x_obj)
-                lhs = _chain(backend.delta(m, alg.one, q, x_obj), backend.eps(m, qx))
-                _square(found, "delta then eps is the identity", (m, q, size), lhs, rel_id(qx))
-                lhs = _chain(backend.delta(m, q, alg.one, x_obj),
-                             backend.act_rel(m, q, backend.eps(m, x_obj)))
-                _square(found, "delta then q (.) eps is the identity", (m, q, size), lhs, rel_id(qx))
+                qx = (x,) * a(q)
+                square("delta then eps is the identity", (m, q, x),
+                       [co.delta(m, alg.one, q, x), co.eps(m, qx)], [iso(qx)])
+                square("delta then q (.) eps is the identity", (m, q, x),
+                       [co.delta(m, q, alg.one, x), power(co.eps(m, x), a(q))], [iso(qx)])
                 # tau unit law: (iota (x) id) then tau then q (.) unitor == unitor
-                tau = backend.tau_pair(m, q, UNIT_OBJ, x_obj)
-                step = rel_tensor(backend.iota(m, q), rel_id(qx))
-                unitor = Rel(tensor_obj(UNIT_OBJ, x_obj), x_obj,
-                             frozenset(((u, x), x) for (u, x) in tensor_obj(UNIT_OBJ, x_obj).elements))
-                lhs = _chain(step, tau, backend.act_rel(m, q, unitor))
-                rhs = Rel(tensor_obj(UNIT_OBJ, qx), qx,
-                          frozenset(((u, xs), xs) for (u, xs) in tensor_obj(UNIT_OBJ, qx).elements))
-                _square(found, "tau unit law", (m, q, size), lhs, rhs)
+                square("tau unit law", (m, q, x),
+                       [tensor(co.iota(m, q), iso(qx)), co.tau(m, q, (), x),
+                        power(iso(((), x), x), a(q))], [iso(((), qx), qx)])
                 # tau symmetry: tau then q (.) swap == swap then tau
                 # (object sizes already bounded by the guard above)
-                tau_xx = backend.tau_pair(m, q, x_obj, x_obj)
-                lhs = _chain(tau_xx, backend.act_rel(m, q, _swap_rel(x_obj, x_obj)))
-                rhs = _chain(_swap_rel(qx, qx), backend.tau_pair(m, q, x_obj, x_obj))
-                _square(found, "tau symmetry", (m, q, size), lhs, rhs)
+                square("tau symmetry", (m, q, x), [co.tau(m, q, x, x), power(co.swap(x, x), a(q))],
+                       [co.swap(qx, qx), co.tau(m, q, x, x)])
                 # tau associativity
-                if _fits_size(size, 3 * a(q)):
-                    t_l = _chain(
-                        rel_tensor(tau_xx, rel_id(qx)),
-                        backend.tau_pair(m, q, tensor_obj(x_obj, x_obj), x_obj),
-                        backend.act_rel(m, q, _assoc_rel(x_obj, x_obj, x_obj)),
-                    )
-                    t_r = _chain(
-                        _assoc_rel(qx, qx, qx),
-                        rel_tensor(rel_id(qx), tau_xx),
-                        backend.tau_pair(m, q, x_obj, tensor_obj(x_obj, x_obj)),
-                    )
-                    _square(found, "tau associativity", (m, q, size), t_l, t_r)
+                if _fits_size(x, 3 * a(q)):
+                    square("tau associativity", (m, q, x),
+                           [tensor(co.tau(m, q, x, x), iso(qx)), co.tau(m, q, (x, x), x),
+                            power(iso(((x, x), x), (x, (x, x))), a(q))],
+                           [iso(((qx, qx), qx), (qx, (qx, qx))), tensor(iso(qx), co.tau(m, q, x, x)),
+                            co.tau(m, q, x, (x, x))])
 
             # delta coassociativity
             for q, r, s in itertools.product(grades, repeat=3):
-                if not _fits_size(size, a(q) * a(r) * a(s), a(q) * a(r), a(r) * a(s)):
+                if not _fits_size(x, a(q) * a(r) * a(s), a(q) * a(r), a(r) * a(s)):
                     continue
-                lhs = _chain(
-                    backend.delta(m, alg.mul(q, r), s, x_obj),
-                    backend.act_rel(m, alg.mul(q, r), rel_id(backend.act_obj(m, s, x_obj))),
-                    backend.delta(m, q, r, backend.act_obj(m, s, x_obj)),
-                )
-                rhs = _chain(
-                    backend.delta(m, q, alg.mul(r, s), x_obj),
-                    backend.act_rel(m, q, backend.delta(m, r, s, x_obj)),
-                )
-                _square(found, "delta coassociativity", (m, q, r, s, size), lhs, rhs)
+                sx = (x,) * a(s)
+                square("delta coassociativity", (m, q, r, s, x),
+                       [co.delta(m, alg.mul(q, r), s, x), power(iso(sx), a(alg.mul(q, r))),
+                        co.delta(m, q, r, sx)],
+                       [co.delta(m, q, alg.mul(r, s), x), power(co.delta(m, r, s, x), a(q))])
 
             # graded-comonad coherence: c against delta/tau (both squares)
             for q in grades:
                 for r1, r2 in itertools.product(conts, repeat=2):
-                    if not _fits_size(size, a(q) * (a(r1) + a(r2)), a(r1) + a(r2),
+                    if not _fits_size(x, a(q) * (a(r1) + a(r2)), a(r1) + a(r2),
                                       a(q) * a(r1), a(q) * a(r2)):
                         continue
-                    qr1, qr2 = alg.mul(q, r1), alg.mul(q, r2)
-                    lhs = _chain(
-                        backend.c_map(m, qr1, qr2, x_obj),
-                        rel_tensor(backend.delta(m, q, r1, x_obj), backend.delta(m, q, r2, x_obj)),
-                        backend.tau_pair(m, q, backend.act_obj(m, r1, x_obj),
-                                         backend.act_obj(m, r2, x_obj)),
-                    )
-                    rhs = _chain(
-                        backend.delta(m, q, alg.add(r1, r2), x_obj),
-                        backend.act_rel(m, q, backend.c_map(m, r1, r2, x_obj)),
-                    )
-                    _square(found, "c then delta tensor delta then tau", (m, q, r1, r2, size), lhs, rhs)
-
-                    r1q, r2q = alg.mul(r1, q), alg.mul(r2, q)
-                    lhs = _chain(
-                        backend.c_map(m, r1q, r2q, x_obj),
-                        rel_tensor(backend.delta(m, r1, q, x_obj), backend.delta(m, r2, q, x_obj)),
-                    )
-                    rhs = _chain(
-                        backend.delta(m, alg.add(r1, r2), q, x_obj),
-                        backend.c_map(m, r1, r2, backend.act_obj(m, q, x_obj)),
-                    )
-                    _square(found, "c against delta on the right factor", (m, q, r1, r2, size), lhs, rhs)
+                    square("c then delta tensor delta then tau", (m, q, r1, r2, x),
+                           [co.c(m, alg.mul(q, r1), alg.mul(q, r2), x),
+                            tensor(co.delta(m, q, r1, x), co.delta(m, q, r2, x)),
+                            co.tau(m, q, (x,) * a(r1), (x,) * a(r2))],
+                           [co.delta(m, q, alg.add(r1, r2), x), power(co.c(m, r1, r2, x), a(q))])
+                    square("c against delta on the right factor", (m, q, r1, r2, x),
+                           [co.c(m, alg.mul(r1, q), alg.mul(r2, q), x),
+                            tensor(co.delta(m, r1, q, x), co.delta(m, r2, q, x))],
+                           [co.delta(m, alg.add(r1, r2), q, x), co.c(m, r1, r2, (x,) * a(q))])
 
             # c coassociativity
             for r1, r2, r3 in itertools.product(conts, repeat=3):
-                if not _fits_size(size, a(r1) + a(r2) + a(r3)):
+                if not _fits_size(x, a(r1) + a(r2) + a(r3)):
                     continue
-                o1, o2, o3 = (backend.act_obj(m, r, x_obj) for r in (r1, r2, r3))
-                lhs = _chain(
-                    backend.c_map(m, alg.add(r1, r2), r3, x_obj),
-                    rel_tensor(backend.c_map(m, r1, r2, x_obj), rel_id(o3)),
-                    _assoc_rel(o1, o2, o3),
-                )
-                rhs = _chain(
-                    backend.c_map(m, r1, alg.add(r2, r3), x_obj),
-                    rel_tensor(rel_id(o1), backend.c_map(m, r2, r3, x_obj)),
-                )
-                _square(found, "c coassociativity", (m, r1, r2, r3, size), lhs, rhs)
+                o1, o2, o3 = ((x,) * a(r) for r in (r1, r2, r3))
+                square("c coassociativity", (m, r1, r2, r3, x),
+                       [co.c(m, alg.add(r1, r2), r3, x), tensor(co.c(m, r1, r2, x), iso(o3)),
+                        iso(((o1, o2), o3), (o1, (o2, o3)))],
+                       [co.c(m, r1, alg.add(r2, r3), x), tensor(iso(o1), co.c(m, r2, r3, x))])
 
             if mode.weak:
                 zero = alg.zero
                 for r in grades:
-                    if not _fits_size(size, max(a(r), 1)):
+                    if not _fits_size(x, max(a(r), 1)):
                         continue
-                    # w against delta at 0.r
-                    lhs = _chain(
-                        backend.delta(m, zero, r, x_obj),
-                        backend.w_map(m, backend.act_obj(m, r, x_obj)),
-                    )
-                    _square(found, "w after delta at zero times r", (m, r, size), lhs,
-                            backend.w_map(m, x_obj))
-                    # w against iota at r.0
-                    lhs = _chain(
-                        backend.delta(m, r, zero, x_obj),
-                        backend.act_rel(m, r, backend.w_map(m, x_obj)),
-                    )
-                    rhs = _chain(backend.w_map(m, x_obj), backend.iota(m, r))
-                    _square(found, "w then iota against delta at r times zero", (m, r, size), lhs, rhs)
+                    rx = (x,) * a(r)
+                    square("w after delta at zero times r", (m, r, x),
+                           [co.delta(m, zero, r, x), co.w(m, rx)], [co.w(m, x)])
+                    square("w then iota against delta at r times zero", (m, r, x),
+                           [co.delta(m, r, zero, x), power(co.w(m, x), a(r))],
+                           [co.w(m, x), co.iota(m, r)])
                     # counit laws of (c, w)
                     if r in conts:
-                        rx = backend.act_obj(m, r, x_obj)
-                        lhs = _chain(
-                            backend.c_map(m, zero, r, x_obj),
-                            rel_tensor(backend.w_map(m, x_obj), rel_id(rx)),
-                            Rel(tensor_obj(UNIT_OBJ, rx), rx,
-                                frozenset(((u, xs), xs) for (u, xs) in tensor_obj(UNIT_OBJ, rx).elements)),
-                        )
-                        _square(found, "w counit on the left of c", (m, r, size), lhs, rel_id(rx))
-                        lhs = _chain(
-                            backend.c_map(m, r, zero, x_obj),
-                            rel_tensor(rel_id(rx), backend.w_map(m, x_obj)),
-                            Rel(tensor_obj(rx, UNIT_OBJ), rx,
-                                frozenset(((xs, u), xs) for (xs, u) in tensor_obj(rx, UNIT_OBJ).elements)),
-                        )
-                        _square(found, "w counit on the right of c", (m, r, size), lhs, rel_id(rx))
+                        square("w counit on the left of c", (m, r, x),
+                               [co.c(m, zero, r, x), tensor(co.w(m, x), iso(rx)), iso(((), rx), rx)],
+                               [iso(rx)])
+                        square("w counit on the right of c", (m, r, x),
+                               [co.c(m, r, zero, x), tensor(iso(rx), co.w(m, x)), iso((rx, ()), rx)],
+                               [iso(rx)])
 
     # mu coherence across every comparable pair (the lineator is mu here)
     for (mlo, mhi) in sorted(space.order_pairs):
@@ -1181,52 +1249,32 @@ def model_coherence_validate(
         mode_lo = space.mode(mlo)
         alg_lo = mode_lo.algebra
         grades_lo = list(alg_lo.elements(budget))
-        for x_obj in test_objs:
-            size = len(x_obj)
+        phi = partial(space.phi, mlo, mhi)
+        for x in sizes:
             for r in grades_lo:
-                ar = backend.arity(mlo, r)
-                aphi = backend.arity(mhi, space.phi(mlo, mhi, r))
-                if not _fits_size(size, max(ar, aphi)):
+                if not _fits_size(x, max(co.arity(mlo, r), co.arity(mhi, phi(r)))):
                     continue
-                # unit square
                 if r == alg_lo.one:
-                    lhs = _chain(backend.mu(mlo, mhi, r, x_obj), backend.eps(mlo, x_obj))
-                    _square(found, "mu unit square", (mlo, mhi, size), lhs,
-                            backend.eps(mhi, x_obj))
-                # zero square
+                    square("mu unit square", (mlo, mhi, x),
+                           [co.mu(mlo, mhi, r, x), co.eps(mlo, x)], [co.eps(mhi, x)])
                 if mode_lo.weak and r == alg_lo.zero:
-                    lhs = _chain(backend.mu(mlo, mhi, r, x_obj), backend.w_map(mlo, x_obj))
-                    _square(found, "mu zero square", (mlo, mhi, size), lhs,
-                            backend.w_map(mhi, x_obj))
+                    square("mu zero square", (mlo, mhi, x),
+                           [co.mu(mlo, mhi, r, x), co.w(mlo, x)], [co.w(mhi, x)])
             for q, r in itertools.product(grades_lo, repeat=2):
-                aq, ar = backend.arity(mlo, q), backend.arity(mlo, r)
-                aphi_q = backend.arity(mhi, space.phi(mlo, mhi, q))
-                aphi_r = backend.arity(mhi, space.phi(mlo, mhi, r))
-                if not _fits_size(size, aq * ar, aphi_q * aphi_r,
+                aq, ar = co.arity(mlo, q), co.arity(mlo, r)
+                aphi_q, aphi_r = co.arity(mhi, phi(q)), co.arity(mhi, phi(r))
+                if not _fits_size(x, aq * ar, aphi_q * aphi_r,
                                   ar * aphi_q, ar * aq, aphi_q * max(aphi_r, ar)):
                     continue
-                # multiplication square
-                lhs = _chain(
-                    backend.mu(mlo, mhi, alg_lo.mul(q, r), x_obj),
-                    backend.delta(mlo, q, r, x_obj),
-                )
-                rhs = _chain(
-                    backend.delta(mhi, space.phi(mlo, mhi, q), space.phi(mlo, mhi, r), x_obj),
-                    backend.act_rel(mhi, space.phi(mlo, mhi, q), backend.mu(mlo, mhi, r, x_obj)),
-                    backend.mu(mlo, mhi, q, backend.act_obj(mlo, r, x_obj)),
-                )
-                _square(found, "mu multiplication square", (mlo, mhi, q, r, size), lhs, rhs)
-                # addition square
+                square("mu multiplication square", (mlo, mhi, q, r, x),
+                       [co.mu(mlo, mhi, alg_lo.mul(q, r), x), co.delta(mlo, q, r, x)],
+                       [co.delta(mhi, phi(q), phi(r), x), power(co.mu(mlo, mhi, r, x), aphi_q),
+                        co.mu(mlo, mhi, q, (x,) * ar)])
                 if mode_lo.cont.contains(q) and mode_lo.cont.contains(r):
-                    lhs = _chain(
-                        backend.mu(mlo, mhi, alg_lo.add(q, r), x_obj),
-                        backend.c_map(mlo, q, r, x_obj),
-                    )
-                    rhs = _chain(
-                        backend.c_map(mhi, space.phi(mlo, mhi, q), space.phi(mlo, mhi, r), x_obj),
-                        rel_tensor(backend.mu(mlo, mhi, q, x_obj), backend.mu(mlo, mhi, r, x_obj)),
-                    )
-                    _square(found, "mu addition square", (mlo, mhi, q, r, size), lhs, rhs)
+                    square("mu addition square", (mlo, mhi, q, r, x),
+                           [co.mu(mlo, mhi, alg_lo.add(q, r), x), co.c(mlo, q, r, x)],
+                           [co.c(mhi, phi(q), phi(r), x),
+                            tensor(co.mu(mlo, mhi, q, x), co.mu(mlo, mhi, r, x))])
 
     return Report(tuple(found))
 

@@ -1,0 +1,184 @@
+"""The coherence validator: its reports, pinned byte for byte, and the
+index tables it decides squares on, against the element-level relations
+they stand for."""
+
+import itertools
+import random
+from array import array
+from pathlib import Path
+
+from grass.presets import system
+from grass.semantics import (
+    UNIT_OBJ,
+    FinSetObj,
+    Rel,
+    _Coherence,
+    _elements,
+    _same,
+    _size,
+    _Table,
+    model_coherence_validate,
+    positions_rel,
+    power_obj,
+    rel_compose,
+    rel_tensor,
+    spread,
+    tensor_obj,
+)
+
+from corrupted_backend import CORRUPTIONS, corrupted
+
+GOLDEN = Path(__file__).parent / "data" / "coherence_renders.txt"
+
+
+def _renders(backend) -> str:
+    """The reports on the clean backend and under each corruption, each
+    headed by its name and its number of lines."""
+    out = []
+    for which in ("clean",) + CORRUPTIONS:
+        be = backend if which == "clean" else corrupted(backend, which)
+        lines = model_coherence_validate(be, max_size=3, budget=4).render().splitlines()
+        out += [f"== {which} {len(lines)}", *lines]
+    return "\n".join(out) + "\n"
+
+
+def test_reports_match_the_golden_file():
+    assert _renders(system("all")[1]) == GOLDEN.read_text()
+
+
+# -- index tables against relations ------------------------------------------------
+
+
+def _obj(shape) -> FinSetObj:
+    """The object a shape names, built with the element-level constructors."""
+    if isinstance(shape, int):
+        return FinSetObj(tuple(f"e{i}" for i in range(shape)))
+    if shape == ():
+        return UNIT_OBJ
+    if all(s == shape[0] for s in shape):
+        return power_obj(_obj(shape[0]), len(shape))
+    return tensor_obj(*map(_obj, shape))
+
+
+def _rel(t: _Table) -> Rel:
+    """The relation a table holds."""
+    dom, cod = _obj(t.dom), _obj(t.cod)
+    return Rel(dom, cod, frozenset((dom.elements[i], cod.elements[y]) for i, row in enumerate(t.rows)
+                                   for y in ((row,) if isinstance(row, int) else row)))
+
+
+def _power_rel(f: Rel, k: int) -> Rel:
+    """f^k element by element, each k-tuple of pairs to its pair of k-tuples."""
+    pairs = {(tuple(a for a, _ in combo), tuple(b for _, b in combo))
+             for combo in itertools.product(f.pairs, repeat=k)}
+    return Rel(power_obj(f.dom, k), power_obj(f.cod, k), frozenset(pairs))
+
+
+def _shape(rng: random.Random, depth: int = 2):
+    """A test object of 0-3 elements, the unit, a tensor, or a power of arity 0-3."""
+    kind = rng.randrange(4 if depth else 2)
+    if kind == 0:
+        return rng.randrange(4)
+    if kind == 1:
+        return ()
+    if kind == 2:
+        return (_shape(rng, depth - 1), _shape(rng, depth - 1))
+    return (_shape(rng, depth - 1),) * rng.randrange(4)
+
+
+def _table(co: _Coherence, rng: random.Random, dom, cod) -> _Table:
+    """A seeded table: a function, a relation with empty rows, or an empty map."""
+    nd, nc = _size(dom), _size(cod)
+    kind = rng.randrange(3)
+    if kind == 0 and (nc or not nd):
+        return _Table(dom, cod, array("q", (rng.randrange(nc) for _ in range(nd))))
+    density = 0.0 if kind == 2 else rng.random()
+    rows = [co.rows.of(y for y in range(nc) if rng.random() < density) for _ in range(nd)]
+    # the normal form: a function is always packed
+    if all(isinstance(row, int) for row in rows):
+        rows = array("q", rows)
+    return _Table(dom, cod, rows)
+
+
+def _small_shape(rng: random.Random):
+    while _size(shape := _shape(rng)) > 27:
+        pass
+    return shape
+
+
+class _Given:
+    """A backend whose one map is the relation it is given."""
+
+    @staticmethod
+    def given(rel: Rel) -> Rel:
+        return rel
+
+
+def _read(co: _Coherence, rel: Rel, dom, cod) -> _Table:
+    """rel read by index as the validator reads a backend map."""
+    return co._map("given", (rel,), (), dom, cod)
+
+
+def _spreads(co: _Coherence) -> list[_Table]:
+    """Every spread X^s -> X^r for |X| and s, r in 0-3, read as the
+    validator reads a backend map; out of the empty power it has a fresh
+    coordinate."""
+    out = []
+    for n, s, r in itertools.product(range(4), repeat=3):
+        rel = positions_rel(spread(s, r), _obj(n))
+        t = _read(co, rel, (n,) * s, (n,) * r)
+        assert _rel(t) == rel
+        out.append(t)
+    return out
+
+
+def test_shapes_name_objects_as_finsetobj_equality_does():
+    rng = random.Random(12)
+    shapes = [_small_shape(rng) for _ in range(200)]
+    for n in range(4):
+        shapes += [(n, n), (n,) * 2, (), (n,) * 0, n, (n,), ((n,), ()), (0, n), ((), 0)]
+        assert tensor_obj(_obj(n), _obj(n)) == power_obj(_obj(n), 2) == FinSetObj(_elements((n, n)))
+        assert power_obj(_obj(n), 0) == UNIT_OBJ == FinSetObj(_elements(()))
+    for shape in shapes:
+        assert FinSetObj(_elements(shape)) == _obj(shape)
+        assert _size(shape) == len(_obj(shape))
+    for a, b in itertools.product(shapes[::7] + shapes[-36:], repeat=2):
+        assert _same(a, b) == (_obj(a) == _obj(b)), (a, b)
+    assert _same(0, ((0,), ())) and _same((1, 0), (0, 0, 0)) and not _same((), 0)
+
+
+def test_index_tables_compose_tensor_and_power_as_relations_do():
+    rng = random.Random(7)
+    co = _Coherence(_Given())
+    tables = _spreads(co)
+    for _ in range(150):
+        tables.append(_table(co, rng, _small_shape(rng), _small_shape(rng)))
+    # reading a relation back by index gives the table it came from
+    for t in tables[64:]:
+        back = _read(co, _rel(t), t.dom, t.cod)
+        assert (back.dom, back.cod, back.rows) == (t.dom, t.cod, t.rows)
+    for _ in range(400):
+        f, g = rng.sample(tables, 2)
+        if rng.random() < 0.5:  # a second map out of f's codomain, or one out of an equal object
+            dom = f.cod if _size(f.cod) or rng.random() < 0.5 else rng.choice([0, (0,), ((), 0)])
+            g = _table(co, rng, dom, _small_shape(rng))
+        if _same(f.cod, g.dom):
+            assert _rel(co.compose([f, g])) == rel_compose(_rel(f), _rel(g))
+        if _size(f.dom) * _size(g.dom) <= 729:
+            assert _rel(co.tensor(f, g)) == rel_tensor(_rel(f), _rel(g))
+    for t in tables:
+        for k in range(4):
+            if max(_size(t.dom), _size(t.cod)) ** k <= 729:
+                assert _rel(co.power(t, k)) == _power_rel(_rel(t), k)
+
+
+def test_identities_associators_swaps_and_unitors_by_index():
+    co = _Coherence(_Given())
+    for a, b, c in itertools.product([0, 1, 2, (), (2, 2)], repeat=3):
+        A, B, C = _obj(a), _obj(b), _obj(c)
+        assert _rel(co.iso(a)).pairs == {(x, x) for x in A.elements}
+        assert _rel(co.iso(((a, b), c), (a, (b, c)))).pairs == {
+            (((x, y), z), (x, (y, z))) for x in A.elements for y in B.elements for z in C.elements}
+        assert _rel(co.swap(a, b)).pairs == {((x, y), (y, x)) for x in A.elements for y in B.elements}
+        assert _rel(co.iso(((), a), a)).pairs == {(((), x), x) for x in A.elements}
+        assert _rel(co.iso((a, ()), a)).pairs == {((x, ()), x) for x in A.elements}

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -125,6 +126,66 @@ def test_every_traversal_returns_at_any_depth():
     with pytest.raises(CheckError) as err:
         check_derivation(bad, space)
     assert err.value.position == (0,) * depth
+
+
+def test_equality_and_hash_at_any_depth(lu):
+    depth = 10_000
+    d, again = _exchange_chain(lu, depth)[0][-1], _exchange_chain(lu, depth)[0][-1]
+    assert d is not again
+    assert d == again and not d != again
+    assert hash(d) == hash(again)
+    chain, _, _ = _exchange_chain(lu, depth)
+    pair = chain[0]
+    other = dataclasses.replace(pair, payload=("changed",))
+    for node in chain[1:]:
+        other = dataclasses.replace(node, premises=(other,))
+    assert d != other and not d == other
+
+
+@dataclasses.dataclass(frozen=True)
+class _Plain:
+    """A derivation's fields under the dataclass-generated __eq__ and __hash__."""
+
+    rule: str
+    premises: tuple
+    payload: tuple
+    conclusion: Judgment
+
+
+def _plain(d):
+    return _Plain(d.rule, tuple(map(_plain, d.premises)), d.payload, d.conclusion)
+
+
+def test_equal_derivations_built_separately_hash_equal(lu):
+    first = [Gen(space=lu, rng=random.Random(seed)).gen_derivation(5) for seed in range(40)]
+    again = [Gen(space=lu, rng=random.Random(seed)).gen_derivation(5) for seed in range(40)]
+    for d, e in zip(first, again):
+        assert d is not e and d == e and hash(d) == hash(e)
+    assert len(set(first) | set(again)) == len(set(map(_plain, first)))
+    # the same answers as the generated methods
+    for d in first:
+        assert hash(d) == hash(_plain(d))
+    for d, e in itertools.product(first[:12], again[:12]):
+        assert (d == e) == (_plain(d) == _plain(e))
+    # two separately built DAGs of 2^20 paths are compared and hashed node
+    # by node: each conclusion is compared once and hashed once
+    calls = []
+
+    class Counted:
+        def __eq__(self, other):
+            calls.append("eq")
+            return isinstance(other, Counted)
+
+        def __hash__(self):
+            calls.append("hash")
+            return 0
+
+    d = e = dataclasses.replace(first[0], premises=())
+    for _ in range(20):
+        d = dataclasses.replace(d, premises=(d, d), conclusion=Counted())
+        e = dataclasses.replace(e, premises=(e, e), conclusion=Counted())
+    assert d == e and hash(d) == hash(e)
+    assert calls.count("eq") == 20 and calls.count("hash") == 40
 
 
 def test_cont_needs_the_ideal(fhs):

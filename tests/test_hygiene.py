@@ -1,6 +1,8 @@
 """Source hygiene that no installed linter checks."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,33 @@ def test_no_private_name_imported_from_another_module(path):
                      and (node.level or (node.module or "").split(".")[0] == "grass")
                      for alias in node.names if alias.name.startswith("_"))
     assert not private, f"{path.name}: imports private names {private}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _definitions(path):
+    """(name, line) of each module-level function and class of a module,
+    and of each method of its classes other than dunder methods."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.name, item.lineno
+
+
+def test_every_definition_is_named_elsewhere():
+    words = Counter(word for folder in ("src", "tests", "perfbench")
+                    for path in (ROOT / folder).rglob("*.py")
+                    for word in WORD.findall(path.read_text()))
+    unnamed = []
+    for path in sorted((ROOT / "src" / "grass").glob("*.py")):
+        lines = path.read_text().splitlines()
+        for name, lineno in _definitions(path):
+            if words[name] <= WORD.findall(lines[lineno - 1]).count(name):
+                unnamed.append(f"{path.name}:{lineno} {name}")
+    assert not unnamed, f"defined but named nowhere else: {unnamed}"
