@@ -531,7 +531,8 @@ def reorder(space: ModeSpace, d: Derivation, names: tuple[str, ...]) -> Derivati
         return d
     if sorted(current) != sorted(names):
         raise InputError(f"cannot reorder {current} into {names}")
-    return mk_exchange(space, d, tuple(current.index(x) for x in names))
+    at = {x: i for i, x in enumerate(current)}
+    return mk_exchange(space, d, tuple(map(at.__getitem__, names)))
 
 
 def move_to_end(space: ModeSpace, d: Derivation, *names: str) -> Derivation:

@@ -9,7 +9,9 @@ grade of the none-one-tons semiring).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable
 
 from .errors import ConfigError, InputError, Report, Violation
@@ -43,6 +45,7 @@ class GradeAlgebra:
     kind "finite": ops are total tables over `carrier`.
     kind "nat": carrier is the naturals, ops are integer arithmetic and
     `nat_order` names the preorder; enumeration stops at the budget.
+    The tables passed in are copied and held read-only.
     """
 
     id: str
@@ -50,12 +53,14 @@ class GradeAlgebra:
     carrier: tuple[GradeValue, ...] = ()
     zero: GradeValue = 0
     one: GradeValue = 1
-    add_table: dict[tuple[GradeValue, GradeValue], GradeValue] = field(default_factory=dict)
-    mul_table: dict[tuple[GradeValue, GradeValue], GradeValue] = field(default_factory=dict)
+    add_table: Mapping[tuple[GradeValue, GradeValue], GradeValue] = field(default_factory=dict)
+    mul_table: Mapping[tuple[GradeValue, GradeValue], GradeValue] = field(default_factory=dict)
     order: frozenset[tuple[GradeValue, GradeValue]] = frozenset()
     nat_order: str = "usual"
 
     def __post_init__(self):
+        object.__setattr__(self, "add_table", MappingProxyType(dict(self.add_table)))
+        object.__setattr__(self, "mul_table", MappingProxyType(dict(self.mul_table)))
         if self.kind not in ("finite", "nat"):
             raise ConfigError(f"algebra {self.id}: unknown carrier kind {self.kind!r}")
         if self.kind == "nat" and self.nat_order not in NAT_ORDERS:
@@ -165,16 +170,18 @@ class Mode:
 class ModeMorphism:
     """A monotone semiring homomorphism preserving Cont and the Weak implication.
 
-    Finite sources carry an explicit table; naturals sources must use one
-    of the named arithmetic maps.
+    Finite sources carry an explicit table, copied and held read-only;
+    naturals sources must use one of the named arithmetic maps.
     """
 
     source: str
     target: str
-    table: dict[GradeValue, GradeValue] | None = None
+    table: Mapping[GradeValue, GradeValue] | None = None
     named: str | None = None  # one of NAT_MAPS
 
     def __post_init__(self):
+        if self.table is not None:
+            object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
         if (self.table is None) == (self.named is None):
             raise ConfigError(f"morphism {self.source}->{self.target}: give exactly one of table/named map")
         if self.named is not None and self.named not in NAT_MAPS:

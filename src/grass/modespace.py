@@ -174,7 +174,7 @@ def vector_leq(rho: GradeVector, sigma: GradeVector, modes: ModeVector, space: M
 
 def independence_check(modes: ModeVector, m: str, space: ModeSpace) -> bool:
     """True iff m <= n for every mode n in the vector."""
-    return all(space.leq(m, n) for n in modes)
+    return all(space.leq(m, n) for n in dict.fromkeys(modes))
 
 
 def add_grades(a: Grade, b: Grade, space: ModeSpace) -> Grade:

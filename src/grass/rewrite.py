@@ -8,7 +8,7 @@ nodes and re-weakening whole replacement contexts at weakening nodes.
 `beta_step` contracts the leftmost-outermost redex.  A redex is an
 eliminator whose scrutinee ends in the matching introduction, possibly
 through interleaved weak/sub/cont/exchange nodes; those are pushed below
-the eliminator first, one per recursion step, and re-applied around the
+the eliminator first, one per loop step, and re-applied around the
 contracted result, so every step corresponds to one proof case.
 """
 
@@ -288,33 +288,39 @@ def _graft(space: ModeSpace, body: Derivation, args) -> Derivation:
 
 def _contract(space: ModeSpace, d: Derivation) -> Derivation:
     """One beta contraction at the root eliminator, pushing structural
-    nodes on the scrutinee side below the eliminator first."""
-    idx = _SCRUT_INDEX[d.rule]
-    scrut = d.premises[idx]
-    rule = scrut.rule
-
-    if rule == "sub":
-        inner = _contract(space, replace_at(space, d, (idx,), scrut.premises[0]))
-        return mk_sub(space, inner, tuple(g.value for g in d.conclusion.rho))
-
-    if rule in ("exchange", "weak", "cont"):
-        # contract below the structural node, re-apply it, then exchange the
-        # context back into the eliminator's order
+    nodes on the scrutinee side below the eliminator first: each is peeled
+    off in turn, the introduction is contracted, and the peeled nodes are
+    re-applied around the result, innermost first."""
+    peeled = []  # (eliminator, structural node, the premise it was peeled to)
+    while (scrut := d.premises[_SCRUT_INDEX[d.rule]]).rule in ("sub", "exchange", "weak", "cont"):
         premise = scrut.premises[0]
-        if rule == "cont":
+        if scrut.rule == "cont":
             # the un-contracted names must not clash with the other premises'
             # variables, which may reuse a name contracted away inside scrut
             clash = set(d.conclusion.names()) - set(scrut.conclusion.names())
             premise = _freshen_last_bound(space, premise, 2, clash)
-        out = _contract(space, replace_at(space, d, (idx,), premise))
-        if rule == "weak":
-            out = mk_weak(space, out, *scrut.payload)
-        elif rule == "cont":
+        peeled.append((d, scrut, premise))
+        d = replace_at(space, d, (_SCRUT_INDEX[d.rule],), premise)
+    out = _contract_intro(space, d)
+    for elim, node, premise in reversed(peeled):
+        if node.rule == "sub":
+            out = mk_sub(space, out, tuple(g.value for g in elim.conclusion.rho))
+            continue
+        # re-apply the structural node, then exchange the context back into
+        # the eliminator's order
+        if node.rule == "weak":
+            out = mk_weak(space, out, *node.payload)
+        elif node.rule == "cont":
             out = move_to_end(space, out, *premise.conclusion.names()[-2:])
-            out = mk_cont(space, out, scrut.payload[0])
-        return reorder(space, out, d.conclusion.names())
+            out = mk_cont(space, out, node.payload[0])
+        out = reorder(space, out, elim.conclusion.names())
+    return out
 
-    # the introduction cases
+
+def _contract_intro(space: ModeSpace, d: Derivation) -> Derivation:
+    """The contraction of eliminator d against its scrutinee's introduction."""
+    scrut = d.premises[_SCRUT_INDEX[d.rule]]
+    rule = scrut.rule
     if d.rule == "arrowE" and rule == "arrowI":
         return _graft(space, scrut.premises[0], d.premises[1:])
     if d.rule == "unitE" and rule == "unitI":

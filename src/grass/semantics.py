@@ -22,6 +22,9 @@ The coherence validator reads each structure map from the backend as the
 backend builds it, once per call, family, mode, grades and object size,
 and decodes it into a table over element positions; every square is then
 composed by index and decoded back to element pairs only when it fails.
+The interpretation and the validator share one algebra of relations by
+index: `_Rows.compose`, `_Rows.product` and `_encode` (see "Denotations by
+index").
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from operator import itemgetter
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from .derivation import Derivation, fold
@@ -438,12 +441,14 @@ def _entry_positions(backend: ModelBackend, mode: str, value: GradeValue, g: Gra
 # when there is exactly one and as an interned frozenset otherwise.  Rows
 # that are all single indices are packed into an array('q'), eight bytes a
 # row, so a relation as large as ELEMENT_LIMIT stays small.
+#
+# Both the interpretation and the coherence validator build every composite
+# from three functions: `_Rows.compose` (f then g), `_Rows.product` (a tuple
+# in mixed radix to a weighted sum of its factors' images: tensors, powers,
+# swaps, exchanges, the structure maps of a context, and binding), and
+# `_encode`, the one reader of a `Rel` into rows.
 
 _EMPTY = frozenset()
-
-
-def _index(obj: FinSetObj) -> dict:
-    return {x: i for i, x in enumerate(obj.elements)}
 
 
 def _strides(radices) -> list[int]:
@@ -466,13 +471,22 @@ def _decode(rows: list, dom: FinSetObj, cod: FinSetObj) -> Rel:
                                    for c, row in enumerate(rows) for y in _each(row)))
 
 
+def _encode(rel: Rel, dom_elements, rows: _Rows):
+    """rel by index: the row of each of dom_elements, in that order, holds
+    the positions in rel.cod of its images; an array when rel is a total
+    function on them."""
+    at, image = {y: i for i, y in enumerate(rel.cod.elements)}, dict(rel.pairs)
+    if len(image) == len(rel.pairs) == len(dom_elements):
+        return array("q", map(at.__getitem__, map(image.__getitem__, dom_elements)))
+    sets = {x: set() for x in dom_elements}
+    for x, y in rel.pairs:
+        sets[x].add(at[y])
+    return [rows.of(ys) for ys in sets.values()]
+
+
 def _each(row):
     """The indices in a row."""
     return (row,) if row.__class__ is int else row
-
-
-def _scale_each(row, s: int):
-    return row * s if row.__class__ is int else tuple(v * s for v in row)
 
 
 def _pack(rows):
@@ -483,15 +497,6 @@ def _pack(rows):
         return array("q", rows)
     except TypeError:
         return rows
-
-
-def _build(make) -> list:
-    """The rows make() yields, packed without a list in between when every
-    one is a single index; make() is called again otherwise."""
-    try:
-        return array("q", make())
-    except TypeError:
-        return list(make())
 
 
 def _count(rows: list) -> int:
@@ -512,22 +517,36 @@ class _Rows:
             return next(iter(row))
         return self.seen.setdefault(row, row)
 
-    def gather(self, rows: list, tables: list[list]) -> list:
-        """Row c of the result is the union of the rows at the premise codes
-        that `tables` gives for the digits of c: tables[i][d] is the
-        contribution of digit d of entry i, or the tuple of contributions
-        unless there is exactly one."""
-        if all(table.__class__ is range or all(t.__class__ is int for t in table)
-               for table in tables):
-            return _build(lambda: (rows[c] for c in map(sum, itertools.product(*tables))))
+    def compose(self, f, g):
+        """f then g: row c is g's row at f's one image, or the union of
+        g's rows at f's images."""
+        if f.__class__ is g.__class__ is array:
+            return array("q", [g[y] for y in f])
+        return _pack([g[y] if y.__class__ is int else self.of(z for v in y for z in _each(g[v]))
+                      for y in f])
+
+    def product(self, tables, weights):
+        """The map from (x_1..x_k), numbered in mixed radix over the
+        tables' lengths, to the sum of weights[i] * f_i(x_i), where f_i is
+        tables[i]: the sum where there is one, else the row of the sums."""
+        try:  # every row one index; a factor of one row adds the same to every sum
+            sums, same = [0], 0
+            for t, w in zip(tables, weights):
+                if len(t) == 1:
+                    same += t[0] * w
+                else:
+                    sums = [x + y * w for x in sums for y in t]
+            return array("q", [x + same for x in sums] if same else sums)
+        except TypeError:
+            pass
         out = []
         for parts in itertools.product(*tables):
-            codes = {sum(p) for p in itertools.product(*map(_each, parts))}
-            if len(codes) == 1:
-                out.append(rows[next(iter(codes))])
-            else:
-                out.append(self.of(y for c in codes for y in _each(rows[c])))
-        return out
+            try:
+                out.append(sum(map(mul, parts, weights)))
+            except TypeError:
+                out.append(self.of(sum(map(mul, p, weights))
+                                   for p in itertools.product(*map(_each, parts))))
+        return _pack(out)
 
 
 def _scale_rows(backend: ModelBackend, mode: str, value: GradeValue, rows: list,
@@ -575,16 +594,10 @@ def scalar_act(
     a = backend.arity(mode, value)
     space = backend.space
     prem_objs = [backend.act_obj(n, g.value, a_obj) for g, n, a_obj in entries]
-    radices = [len(o) for o in prem_objs]
-    prem_index = [_index(o) for o in prem_objs]
-    strides = _strides(radices)
-    cod_index = _index(t.cod)
-    rows: list = [set() for _ in range(math.prod(radices))]
-    for gamma, y in t.pairs:
-        rows[sum(ix[e] * s for ix, e, s in zip(prem_index, gamma, strides))].add(cod_index[y])
     interned = _Rows()
-    out = _scale_rows(backend, mode, value, [interned.of(r) for r in rows],
-                      [(g, n) for g, n, _a_obj in entries], radices, len(t.cod), interned)
+    rows = _encode(t, tuple(itertools.product(*(o.elements for o in prem_objs))), interned)
+    out = _scale_rows(backend, mode, value, rows, [(g, n) for g, n, _a_obj in entries],
+                      [len(o) for o in prem_objs], len(t.cod), interned)
     dom = FinSetObj(tuple(itertools.product(*(
         backend.act_obj(n, space.mode(n).algebra.mul(space.phi(mode, n, value), g.value),
                         a_obj).elements
@@ -724,15 +737,12 @@ class _Interpretation:
         return _pack(_scale_rows(self.backend, mode, value, rows, zip(j.rho, j.modes),
                                  self.radices(j), self.size(j.ty), self.rows))
 
-    def bind(self, body: list, width: int, j: Judgment, values: list) -> list:
-        """Rows of a derivation of j that binds the last `width`-element
-        entry of a body to the values of a scrutinee: row (cb, cs) is the
-        union of the body rows at cb * width + v over v in values[cs]."""
-        if not width:
-            return [_EMPTY] * self.ctx_size(j)
-        return _build(lambda: (body[cb + vs] if vs.__class__ is int else
-                               self.rows.of(y for v in vs for y in _each(body[cb + v]))
-                               for cb in range(0, len(body), width) for vs in values))
+    def bind(self, body: list, n_body: int, width: int, values: list) -> list:
+        """Rows that bind the last `width`-element entry of a body, whose
+        other entries have n_body elements, to the values of a scrutinee:
+        row (cb, cs) is the union of the body rows at cb * width + v over v
+        in values[cs]."""
+        return self.rows.compose(self.rows.product([range(n_body), values], (width, 1)), body)
 
     def rel(self, d: Derivation) -> list:
         """The rows of d's denotation; d and its premises must be checked."""
@@ -756,47 +766,43 @@ class _Interpretation:
             return array("q", be.eps_positions(j.mode).table(self.size(j.ty), [1]))
 
         if rule == "weak":
-            # w sends every element of the new entry to the one element of I
+            # t tensor w, where w sends every element of the new entry to the
+            # one element of I: by index the unitor is the identity
             table = be.w_positions(j.modes[-1]).table(self.size(j.ctx[-1][1]), ())
-            return _build(lambda: (row for row in t for _ in table))
+            return R.product([t, table], (1, 1))
 
         if rule == "sub":
             prem = d.premises[0].conclusion
             tables = []
-            for rl, rh, n, (_x, ty), s in zip(prem.rho, j.rho, j.modes, j.ctx,
-                                              _strides(self.radices(prem))):
+            for rl, rh, n, (_x, ty) in zip(prem.rho, j.rho, j.modes, j.ctx):
                 p = be.preorder_positions(n, rl.value, rh.value)
                 size = self.size(ty)
-                tables.append(p.table(size, [s * w for w in _weights(size, len(p.out))]))
-            return R.gather(t, tables)
+                tables.append(p.table(size, _weights(size, len(p.out))))
+            return R.compose(R.product(tables, _strides(self.radices(prem))), t)
 
         if rule == "cont":
             prem = d.premises[0].conclusion
             radices = self.radices(prem)
             size = self.size(j.ctx[-1][1])
             p = be.c_positions(j.modes[-1], prem.rho[-2].value, prem.rho[-1].value)
-            tables = [range(0, r * s, s) for r, s in zip(radices[:-2], _strides(radices)[:-2])]
             # the split's two entries come last, so the index of the pair is
             # the index of its flattening
-            tables.append(p.table(size, _weights(size, len(p.out))))
-            return R.gather(t, tables)
+            tables = [*map(range, radices[:-2]), p.table(size, _weights(size, len(p.out)))]
+            return R.compose(R.product(tables, [*_strides(radices)[:-2], 1]), t)
 
         if rule == "exchange":
             strides = _strides(self.radices(d.premises[0].conclusion))
-            perm = d.payload[0]
-            # conclusion slot i holds premise slot perm[i]
-            tables = [range(0, r * strides[perm[i]], strides[perm[i]])
-                      for i, r in enumerate(self.radices(j))]
-            return R.gather(t, tables)
+            # conclusion slot i holds premise slot perm[i], at that slot's stride
+            weights = [strides[i] for i in d.payload[0]]
+            return R.compose(R.product([*map(range, self.radices(j))], weights), t)
 
         if rule == "unitI":
             return [0]
 
         if rule == "unitE":
             scaled = self.scaled(j.mode, d.payload[0], premises[1], d.premises[1].conclusion)
-            # q (.) I has the one element 0
-            ok = [0 in _each(row) for row in scaled]
-            return _build(lambda: (rb if keep else _EMPTY for rb in t for keep in ok))
+            # q (.) I has the one element 0: bind a one-element entry to it
+            return self.bind(t, len(t), 1, [0 if 0 in _each(row) else _EMPTY for row in scaled])
 
         if rule == "arrowI":
             prem = d.premises[0].conclusion
@@ -816,7 +822,7 @@ class _Interpretation:
                         _guard(math.prod(map(len, images)))
                         yield R.of(sum(v * w for v, w in zip(f, weights))
                                    for f in itertools.product(*images))
-            return _build(functions)
+            return list(functions())
 
         if rule == "arrowE":
             fn, arg = d.premises
@@ -826,17 +832,13 @@ class _Interpretation:
             y = self.size(fun_ty.body)
             weights = _weights(y, _power_size(self.size(fun_ty.arg), be.arity(m, q)))
             scaled = self.scaled(m, q, premises[1], arg.conclusion)
-            return _build(lambda: (
-                (rf // weights[ra]) % y if rf.__class__ is ra.__class__ is int else
-                R.of((h // weights[i]) % y for h in _each(rf) for i in _each(ra))
-                for rf in t for ra in scaled))
+            return [(rf // weights[ra]) % y if rf.__class__ is ra.__class__ is int else
+                    R.of((h // weights[i]) % y for h in _each(rf) for i in _each(ra))
+                    for rf in t for ra in scaled]
 
         if rule == "pairI":
             rl, rr = premises
-            nb = self.size(d.premises[1].conclusion.ty)
-            return _build(lambda: (ra * nb + rb if ra.__class__ is rb.__class__ is int else
-                                   R.of(a * nb + b for a in _each(ra) for b in _each(rb))
-                                   for ra in rl for rb in rr))
+            return R.product([rl, rr], (self.size(d.premises[1].conclusion.ty), 1))
 
         if rule == "pairE":
             body, scrut = d.premises
@@ -844,23 +846,19 @@ class _Interpretation:
             mode, qval = prem.modes[-1], prem.rho[-1].value
             a = be.arity(mode, qval)
             na, nb = self.size(prem.ctx[-2][1]), self.size(prem.ctx[-1][1])
-            n1, n2 = self.radices(prem)[-2:]
+            *rest, n1, n2 = self.radices(prem)
             # tau's inverse: a pairs to an a-tuple of A and one of B, by index
-            place = _transpose(2, a).place_values(_strides([na] * a + [nb] * a))
-            digits = list(zip(_strides([na, nb] * a), [na, nb] * a, place))
-            def split(z):
-                return sum((z // w) % n * p for w, n, p in digits)
-            scaled = _pack([split(row) if row.__class__ is int else tuple(map(split, row))
-                            for row in self.scaled(mode, qval, premises[1], scrut.conclusion)])
-            return self.bind(t, n1 * n2, j, scaled)
+            split = R.product([*map(range, [na, nb] * a)],
+                              _transpose(2, a).place_values(_strides([na] * a + [nb] * a)))
+            scaled = R.compose(self.scaled(mode, qval, premises[1], scrut.conclusion), split)
+            return self.bind(t, math.prod(rest), n1 * n2, scaled)
 
         if rule in ("sumIL", "raiseI", "raiseE"):
             return t
 
         if rule == "sumIR":
             shift = self.size(j.ty.left)
-            return _build(lambda: (row + shift if row.__class__ is int else
-                                   R.of(y + shift for y in row) for row in t))
+            return R.compose(t, range(shift, shift + self.size(j.ty.right)))
 
         if rule == "sumE":
             left, right, scrut = d.premises
@@ -884,17 +882,17 @@ class _Interpretation:
                             for row in self.scaled(mode, qval, premises[2], scrut.conclusion)])
             widths = (self.radices(prem)[-1], self.radices(right.conclusion)[-1])
             n_body = math.prod(self.radices(prem)[:-1])
-            return _build(lambda: (
-                premises[bs & 1][cb * widths[bs & 1] + (bs >> 1)] if bs.__class__ is int else
-                R.of(y for b in bs for y in _each(premises[b & 1][cb * widths[b & 1] + (b >> 1)]))
-                for cb in range(n_body) for bs in scaled))
+            return [premises[bs & 1][cb * widths[bs & 1] + (bs >> 1)] if bs.__class__ is int else
+                    R.of(y for b in bs for y in _each(premises[b & 1][cb * widths[b & 1] + (b >> 1)]))
+                    for cb in range(n_body) for bs in scaled]
 
         if rule == "dropI":
             prem = d.premises[0].conclusion
             return self.scaled(prem.mode, d.payload[0], t, prem)
 
         if rule == "dropE":
-            return self.bind(t, self.radices(d.premises[0].conclusion)[-1], j, premises[1])
+            *rest, width = self.radices(d.premises[0].conclusion)
+            return self.bind(t, math.prod(rest), width, premises[1])
 
         raise InputError(f"interpretation does not handle rule {rule!r}")
 
@@ -936,10 +934,8 @@ def subst_comp_check(backend: ModelBackend, bundle: SubstitutionBundle) -> bool:
     tj = bundle.target.conclusion
     scaled = [run.scaled(n, g.value, run.rel(rep), rep.conclusion)
               for rep, g, n in zip(bundle.replacements, tj.rho, tj.modes)]
-    strides = _strides(run.radices(tj))
-    t = run.rel(bundle.target)
-    tables = [[_scale_each(row, s) for row in rows] for rows, s in zip(scaled, strides)]
-    return lhs == _pack(run.rows.gather(t, tables))
+    return lhs == run.rows.compose(run.rows.product(scaled, _strides(run.radices(tj))),
+                                   run.rel(bundle.target))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,15 +1007,7 @@ class _Coherence:
         rows = self.read.get(key)
         if rows is None:
             rel = getattr(self.backend, family)(*args, *(FinSetObj(_elements(n)) for n in sizes))
-            at, image = _index(rel.cod), dict(rel.pairs)
-            if len(image) == len(rel.pairs) == len(rel.dom):
-                rows = array("q", map(at.__getitem__, map(image.__getitem__, rel.dom.elements)))
-            else:
-                sets = {x: set() for x in rel.dom.elements}
-                for x, y in rel.pairs:
-                    sets[x].add(at[y])
-                rows = [self.rows.of(ys) for ys in sets.values()]
-            self.read[key] = rows
+            rows = self.read[key] = _encode(rel, rel.dom.elements, self.rows)
         return _Table(dom, cod, rows)
 
     @_once
@@ -1068,37 +1056,26 @@ class _Coherence:
 
     @_once
     def swap(self, a, b) -> _Table:
-        na, nb = _size(a), _size(b)
-        return _Table((a, b), (b, a), array("q", [y * na + x for x in range(na) for y in range(nb)]))
+        return _Table((a, b), (b, a), self.rows.product([range(_size(a)), range(_size(b))],
+                                                        (1, _size(a))))
 
     def compose(self, path: list[_Table]) -> _Table:
         """The tables of a path composed, first to last; the validator's
         paths meet at equal shapes by construction."""
-        out = path[0]
+        rows, compose = path[0].rows, self.rows.compose
         for t in path[1:]:
-            g = t.rows
-            if out.rows.__class__ is g.__class__ is array:
-                rows = array("q", map(g.__getitem__, out.rows))
-            else:
-                rows = _pack([g[y] if y.__class__ is int else
-                              self.rows.of(z for v in y for z in _each(g[v])) for y in out.rows])
-            out = _Table(out.dom, t.cod, rows)
-        return out
+            rows = compose(rows, t.rows)
+        return _Table(path[0].dom, path[-1].cod, rows)
 
     def tensor(self, f: _Table, g: _Table) -> _Table:
-        n = _size(g.cod)
-        rows = _pack([y * n + z if y.__class__ is z.__class__ is int else
-                      self.rows.of(a * n + b for a in _each(y) for b in _each(z))
-                      for y in f.rows for z in g.rows])
-        return _Table((f.dom, g.dom), (f.cod, g.cod), rows)
+        return _Table((f.dom, g.dom), (f.cod, g.cod),
+                      self.rows.product([f.rows, g.rows], (_size(g.cod), 1)))
 
     @_once
     def power(self, f: _Table, k: int) -> _Table:
         """f^k, the functorial action of a tupling mode."""
-        out = self.iso(())
-        for _ in range(k):
-            out = self.tensor(f, out)
-        return _Table((f.dom,) * k, (f.cod,) * k, out.rows)
+        return _Table((f.dom,) * k, (f.cod,) * k,
+                      self.rows.product([f.rows] * k, _strides([_size(f.cod)] * k)))
 
     def square(self, name: str, witness: tuple, lhs: list[_Table], rhs: list[_Table]) -> None:
         """Note a violation unless the two paths compose to the same map."""

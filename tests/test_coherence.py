@@ -3,6 +3,7 @@ index tables it decides squares on, against the element-level relations
 they stand for."""
 
 import itertools
+import math
 import random
 from array import array
 from pathlib import Path
@@ -16,6 +17,7 @@ from grass.semantics import (
     _elements,
     _same,
     _size,
+    _strides,
     _Table,
     model_coherence_validate,
     positions_rel,
@@ -170,6 +172,36 @@ def test_index_tables_compose_tensor_and_power_as_relations_do():
         for k in range(4):
             if max(_size(t.dom), _size(t.cod)) ** k <= 729:
                 assert _rel(co.power(t, k)) == _power_rel(_rel(t), k)
+    # products whose weights permute the factors' codomains, as an exchange
+    # does, against rel_tensor followed by the permutation element by
+    # element; some factor is an identity held as a range, some has a
+    # domain or a codomain of radix 0
+    def nest(xs):
+        return xs[0] if len(xs) == 1 else (xs[0], nest(xs[1:]))
+
+    def flat(e, k):
+        return (e,) if k == 1 else (e[0], *flat(e[1], k - 1))
+
+    for _ in range(300):
+        k = rng.choice((2, 3))
+        fs = [rng.choice(tables) for _ in range(k)]
+        if rng.random() < 0.3:
+            shape = _small_shape(rng)
+            fs[rng.randrange(k)] = _Table(shape, shape, range(_size(shape)))
+        if rng.random() < 0.3:
+            fs[rng.randrange(k)] = _table(co, rng, *rng.sample([0, _small_shape(rng)], 2))
+        if math.prod(_size(f.dom) for f in fs) > 729:
+            continue
+        perm = rng.sample(range(k), k)  # output slot j holds factor perm[j]
+        strides = _strides([_size(fs[i].cod) for i in perm])
+        weights = [strides[perm.index(i)] for i in range(k)]
+        got = _Table(nest([f.dom for f in fs]), nest([fs[i].cod for i in perm]),
+                     co.rows.product([f.rows for f in fs], weights))
+        tensored = _rel(fs[-1])
+        for f in fs[-2::-1]:
+            tensored = rel_tensor(_rel(f), tensored)
+        want = {(x, nest([flat(y, k)[i] for i in perm])) for x, y in tensored.pairs}
+        assert _rel(got).pairs == want, (k, perm)
 
 
 def test_identities_associators_swaps_and_unitors_by_index():

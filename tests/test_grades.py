@@ -17,7 +17,7 @@ from grass.grades import (
     _table,
 )
 from grass.oracles import brute_force_ideal_closure
-from grass.presets import mode_A, mode_L, mode_U, mode_fh
+from grass.presets import mode_A, mode_L, mode_U, mode_fh, system
 
 NOE = builtin_algebra("none-one-tons")
 TOP = builtin_algebra("top")
@@ -157,3 +157,18 @@ def test_morphism_composition_is_a_morphism():
     assert mode_morphism_check(u_id, u, u).ok()
     composed = ModeMorphism("A", "U", table={x: u_id.apply(a_to_u.apply(x)) for x in (0, 1)})
     assert mode_morphism_check(composed, mode_A(), u).ok()
+
+
+def test_grade_tables_are_read_only():
+    # presets share one algebra per module, so a write would leak into
+    # every later system
+    alg = system("LU")[0].mode("U").algebra
+    phi = system("all")[0].morphism("fh", "U")
+    for table, key in ((alg.add_table, ("t", "t")), (alg.mul_table, ("t", "t")), (phi.table, 0)):
+        with pytest.raises(TypeError):
+            table[key] = "x"
+    assert system("all")[0].mode("U").algebra.add("t", "t") == "t"
+    tables = {(x, y): min(x + y, 1) for x in (0, 1) for y in (0, 1)}
+    assert GradeAlgebra("b", "finite", (0, 1), add_table=tables, mul_table=tables) == \
+        GradeAlgebra("b", "finite", (0, 1), add_table=dict(tables), mul_table=dict(tables))
+    assert ModeMorphism("A", "U", table={0: "t"}) == ModeMorphism("A", "U", table={0: "t"})

@@ -499,3 +499,19 @@ def test_beta_steps_keep_contracted_names_apart(seed, index):
         current = nxt
         steps += 1
     assert steps >= 2
+
+
+def test_beta_through_a_deep_structural_chain(lu):
+    # 1200 weak nodes between the eliminator and its introduction: more
+    # than Python's default recursion limit of 1000 frames, and few enough
+    # to stay quick, since every rebuilt node holds its whole context
+    fn = mk_arrowI(lu, mk_var(lu, "x", P))
+    for i in range(1200):
+        fn = mk_weak(lu, fn, f"w{i}", Q)
+    red = mk_arrowE(lu, fn, mk_var(lu, "y", P))
+    out, path = beta_step(red, lu)
+    assert path == ()
+    assert check_derivation(out, lu) == replace(red.conclusion, term=Var("y"))
+    del out
+    out, steps, normal = normalize(red, 1, lu)
+    assert (steps, normal, out.conclusion.term) == (1, True, Var("y"))

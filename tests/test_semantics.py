@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +14,12 @@ from grass.derivation import (
     mk_sub,
     mk_var,
 )
-from grass.errors import ShapeError, SizeLimitError
+from grass.errors import GrassError, ShapeError, SizeLimitError
 from grass.gen import Gen
 from grass.grades import Grade
 from grass.presets import system
 from grass.rewrite import SubstitutionBundle, beta_step
-from grass.sexpr import type_from_sexpr
+from grass.sexpr import derivation_from_sexpr, type_from_sexpr
 from grass.semantics import (
     FinSetObj,
     ModelBackend,
@@ -46,6 +48,7 @@ from test_acceptance import _semantic_backends
 
 P = TBase("P", "L")
 Q = TBase("Q", "U")
+CORPUS = Path(__file__).parent / "data" / "interp_corpus.txt"
 
 
 @pytest.fixture(scope="module")
@@ -427,3 +430,21 @@ def test_arity_law_failures_are_reported_not_raised():
     report = model_coherence_validate(lawless, max_size=2)
     assert {v.law for v in report.violations} == {"arity-multiplicative"}
     assert all(v.witness[0] == "L" for v in report.violations)
+
+
+def test_interpretation_matches_the_pinned_corpus():
+    # every denotation of a seeded corpus over criterion 5's backends, by
+    # digest, so a rewrite of the interpretation keeps it byte for byte
+    backends = dict(_semantic_backends())
+    lines = [line for line in CORPUS.read_text().splitlines() if not line.startswith("#")]
+    assert len(lines) == 120
+    for line in lines:
+        name, want, text = line.split("\t")
+        be = backends[name]
+        d = derivation_from_sexpr(text, be.space)
+        try:
+            pairs = interp_derivation(be, d).pairs
+            got = hashlib.sha256(repr(sorted(map(repr, pairs))).encode()).hexdigest()
+        except GrassError as e:
+            got = f"{type(e).__name__}: {e}"
+        assert got == want, text
