@@ -9,6 +9,7 @@ grade of the none-one-tons semiring).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -36,6 +37,10 @@ def order_closure(pairs: Iterable[tuple], elems: Iterable) -> frozenset[tuple]:
             if k in above:
                 above |= succ[k]
     return frozenset((a, b) for a, above in succ.items() for b in above)
+
+
+def _natural(x) -> bool:  # GradeAlgebra.contains inlines it, being called more often
+    return isinstance(x, int) and x >= 0
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,7 @@ class GradeAlgebra:
         if self.kind == "finite":
             if self.zero not in self.carrier or self.one not in self.carrier:
                 raise ConfigError(f"algebra {self.id}: zero/one outside carrier")
+        object.__setattr__(self, "ops", self._operations())
 
     def elements(self, budget: int = DEFAULT_BUDGET) -> tuple[GradeValue, ...]:
         if self.kind == "finite":
@@ -79,38 +85,38 @@ class GradeAlgebra:
             return x in self.carrier
         return isinstance(x, int) and x >= 0
 
-    def _require(self, *xs: GradeValue) -> None:
-        for x in xs:
-            if not self.contains(x):
-                raise InputError(f"algebra {self.id}: {x!r} not in carrier")
+    def _operations(self) -> tuple:
+        """`ops`: add, mul, leq and the carrier test; the operations do not
+        test their operands, for the law checks, whose operands are in the carrier."""
+        if self.kind == "nat":
+            order = {"usual": operator.le, "opposite": operator.ge, "discrete": operator.eq}
+            return operator.add, operator.mul, order[self.nat_order], _natural
+
+        def entry(op, table):
+            def look(x, y):
+                try:
+                    return table[x, y]
+                except KeyError:
+                    raise ConfigError(f"algebra {self.id}: {op} table missing {(x, y)}") from None
+            return look
+        return (entry("add", self.add_table), entry("mul", self.mul_table),
+                lambda x, y: (x, y) in self.order, self.carrier.__contains__)
+
+    def _require(self, x: GradeValue, y: GradeValue) -> tuple:
+        """ops, once x and y are in the carrier."""
+        ops = self.ops
+        if ops[3](x) and ops[3](y):
+            return ops
+        raise InputError(f"algebra {self.id}: {y if ops[3](x) else x!r} not in carrier")
 
     def add(self, x: GradeValue, y: GradeValue) -> GradeValue:
-        self._require(x, y)
-        if self.kind == "nat":
-            return x + y
-        try:
-            return self.add_table[(x, y)]
-        except KeyError:
-            raise ConfigError(f"algebra {self.id}: add table missing {(x, y)}") from None
+        return self._require(x, y)[0](x, y)
 
     def mul(self, x: GradeValue, y: GradeValue) -> GradeValue:
-        self._require(x, y)
-        if self.kind == "nat":
-            return x * y
-        try:
-            return self.mul_table[(x, y)]
-        except KeyError:
-            raise ConfigError(f"algebra {self.id}: mul table missing {(x, y)}") from None
+        return self._require(x, y)[1](x, y)
 
     def leq(self, x: GradeValue, y: GradeValue) -> bool:
-        self._require(x, y)
-        if self.kind == "nat":
-            if self.nat_order == "usual":
-                return x <= y
-            if self.nat_order == "opposite":
-                return x >= y
-            return x == y
-        return (x, y) in self.order
+        return self._require(x, y)[2](x, y)
 
 
 @dataclass(frozen=True)
@@ -287,49 +293,50 @@ def algebra_axioms_check(alg: GradeAlgebra, budget: int = DEFAULT_BUDGET) -> Rep
         raise InputError("budget must be >= 1")
     found: list[Violation] = []
     elems = alg.elements(budget)
+    add, mul, leq, _ = alg.ops  # past the closure check, every operand is in the carrier
 
     if alg.kind == "finite":
         for x, y in itertools.product(elems, repeat=2):
-            if not alg.contains(alg.add(x, y)):
+            if not alg.contains(add(x, y)):
                 found.append(Violation("add-closed", (x, y)))
-            if not alg.contains(alg.mul(x, y)):
+            if not alg.contains(mul(x, y)):
                 found.append(Violation("mul-closed", (x, y)))
         if found:
             return Report(tuple(found))
 
     for x in elems:
-        if alg.add(x, alg.zero) != x:
+        if add(x, alg.zero) != x:
             found.append(Violation("add-unit", (x,)))
-        if alg.mul(x, alg.one) != x:
+        if mul(x, alg.one) != x:
             found.append(Violation("mul-unit-right", (x,)))
-        if alg.mul(alg.one, x) != x:
+        if mul(alg.one, x) != x:
             found.append(Violation("mul-unit-left", (x,)))
-        if alg.mul(x, alg.zero) != alg.zero or alg.mul(alg.zero, x) != alg.zero:
+        if mul(x, alg.zero) != alg.zero or mul(alg.zero, x) != alg.zero:
             found.append(Violation("zero-annihilates", (x,)))
-        if not alg.leq(x, x):
+        if not leq(x, x):
             found.append(Violation("leq-reflexive", (x,)))
 
     for x, y in itertools.product(elems, repeat=2):
-        if alg.add(x, y) != alg.add(y, x):
+        if add(x, y) != add(y, x):
             found.append(Violation("add-commutative", (x, y)))
 
     for x, y, z in itertools.product(elems, repeat=3):
-        if alg.add(alg.add(x, y), z) != alg.add(x, alg.add(y, z)):
+        if add(add(x, y), z) != add(x, add(y, z)):
             found.append(Violation("add-associative", (x, y, z)))
-        if alg.mul(alg.mul(x, y), z) != alg.mul(x, alg.mul(y, z)):
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
             found.append(Violation("mul-associative", (x, y, z)))
-        if alg.mul(x, alg.add(y, z)) != alg.add(alg.mul(x, y), alg.mul(x, z)):
+        if mul(x, add(y, z)) != add(mul(x, y), mul(x, z)):
             found.append(Violation("distributes-left", (x, y, z)))
-        if alg.mul(alg.add(x, y), z) != alg.add(alg.mul(x, z), alg.mul(y, z)):
+        if mul(add(x, y), z) != add(mul(x, z), mul(y, z)):
             found.append(Violation("distributes-right", (x, y, z)))
-        if alg.leq(x, y) and alg.leq(y, z) and not alg.leq(x, z):
+        if leq(x, y) and leq(y, z) and not leq(x, z):
             found.append(Violation("leq-transitive", (x, y, z)))
 
     for x, x2, y, y2 in itertools.product(elems, repeat=4):
-        if alg.leq(x, x2) and alg.leq(y, y2):
-            if not alg.leq(alg.add(x, y), alg.add(x2, y2)):
+        if leq(x, x2) and leq(y, y2):
+            if not leq(add(x, y), add(x2, y2)):
                 found.append(Violation("add-monotone", (x, x2, y, y2)))
-            if not alg.leq(alg.mul(x, y), alg.mul(x2, y2)):
+            if not leq(mul(x, y), mul(x2, y2)):
                 found.append(Violation("mul-monotone", (x, x2, y, y2)))
     return Report(tuple(found))
 
@@ -353,12 +360,13 @@ def ideal_check(alg: GradeAlgebra, ideal: Ideal | Iterable[GradeValue], budget: 
     if alg.zero not in members:
         return False
     elems = alg.elements(budget)
+    add, mul, _leq, _ = alg.ops
     for x, y in itertools.product(members, repeat=2):
-        if alg.add(x, y) not in members:
+        if add(x, y) not in members:
             return False
     for r in elems:
         for x in members:
-            if alg.mul(r, x) not in members or alg.mul(x, r) not in members:
+            if mul(r, x) not in members or mul(x, r) not in members:
                 return False
     return True
 
@@ -416,12 +424,13 @@ def mode_morphism_check(
         found.append(Violation("preserves-zero", (src.zero, f(src.zero))))
     if f(src.one) != tgt.one:
         found.append(Violation("preserves-one", (src.one, f(src.one))))
+    (add, mul, leq, _), (tgt_add, tgt_mul, tgt_leq, _) = src.ops, tgt.ops  # f(x) checked above
     for x, y in itertools.product(elems, repeat=2):
-        if f(src.add(x, y)) != tgt.add(f(x), f(y)):
+        if f(add(x, y)) != tgt_add(f(x), f(y)):
             found.append(Violation("preserves-add", (x, y)))
-        if f(src.mul(x, y)) != tgt.mul(f(x), f(y)):
+        if f(mul(x, y)) != tgt_mul(f(x), f(y)):
             found.append(Violation("preserves-mul", (x, y)))
-        if src.leq(x, y) and not tgt.leq(f(x), f(y)):
+        if leq(x, y) and not tgt_leq(f(x), f(y)):
             found.append(Violation("monotone", (x, y)))
     for x in elems:
         if source.cont.contains(x) and not target.cont.contains(f(x)):

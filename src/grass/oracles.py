@@ -2,16 +2,17 @@
 
 These deliberately use different representations from the rest of the
 package: terms become locally-nameless trees (bound variables as indices,
-free variables as names), where simultaneous substitution is plain
-grafting, and ideal closure is recomputed by intersecting all ideals.
+free variables as names), where substitution is plain grafting, ideal closure
+intersects all ideals, and coherence reads maps built element by element.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import InputError
+from .errors import InputError, Report
 from .grades import GradeAlgebra, ideal_check
+from .semantics import FinSetObj, ModelBackend, coherence_report, encode
 from .syntax import (
     App,
     Case,
@@ -196,3 +197,19 @@ def brute_force_ideal_closure(alg: GradeAlgebra, subset) -> frozenset:
                 continue
             best = cand_set if best is None else best & cand_set
     return best
+
+
+# ---------------------------------------------------------------------------
+# Coherence on element-level relations
+
+
+def coherence_by_elements(backend: ModelBackend, modes=None, max_size=3, budget=None) -> Report:
+    """`model_coherence_validate` with every structure map read through the backend's
+    element-level relations: the brute-force reference, which also sees damaged elements."""
+    return coherence_report(backend, read_elements, modes, max_size, budget)
+
+
+def read_elements(backend, family: str, args: tuple, sizes: tuple, rows):
+    """The rows of backend.family(*args, *test objects e0..e{n-1} of those sizes)."""
+    rel = getattr(backend, family)(*args, *(FinSetObj(tuple(f"e{i}" for i in range(n))) for n in sizes))
+    return encode(rel, rel.dom.elements, rows)

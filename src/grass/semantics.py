@@ -18,13 +18,12 @@ free!", 1989), so neither view samples object sizes.
 Context objects are flat k-tuples, one component per entry, which makes
 the tensor of contexts strictly associative.
 
-The coherence validator reads each structure map from the backend as the
-backend builds it, once per call, family, mode, grades and object size,
-and decodes it into a table over element positions; every square is then
-composed by index and decoded back to element pairs only when it fails.
-The interpretation and the validator share one algebra of relations by
-index: `_Rows.compose`, `_Rows.product` and `_encode` (see "Denotations by
-index").
+The coherence validator reads each structure map off the backend's
+Positions, as the table the interpretation uses, once per call, family,
+mode, grades and object size; every square is composed by index and
+decoded to element pairs only when it fails.  `grass.oracles` runs the
+same squares on the element-level relations.  Both share one algebra of
+relations by index with the interpretation (see "Denotations by index").
 """
 
 from __future__ import annotations
@@ -343,7 +342,7 @@ class ModelBackend:
         """The image of one element under tau: a tuple of a(q)-tuples, one
         per factor, transposed into a(q) tuples over the factors."""
         a, k = self.arity(mode, value), len(entry)
-        return _chunker(k, a)(_transpose(a, k).pick(sum(entry, ())))
+        return _chunker(k, a)(self.tau_positions(mode, value, k).pick(sum(entry, ())))
 
     def tau_pair(self, mode: str, value: GradeValue, x_obj: FinSetObj, y_obj: FinSetObj) -> Rel:
         """(q (.) X) (x) (q (.) Y) -> q (.) (X (x) Y) on genuine pair objects."""
@@ -446,7 +445,7 @@ def _entry_positions(backend: ModelBackend, mode: str, value: GradeValue, g: Gra
 # from three functions: `_Rows.compose` (f then g), `_Rows.product` (a tuple
 # in mixed radix to a weighted sum of its factors' images: tensors, powers,
 # swaps, exchanges, the structure maps of a context, and binding), and
-# `_encode`, the one reader of a `Rel` into rows.
+# `encode`, the one reader of a `Rel` into rows.
 
 _EMPTY = frozenset()
 
@@ -471,7 +470,7 @@ def _decode(rows: list, dom: FinSetObj, cod: FinSetObj) -> Rel:
                                    for c, row in enumerate(rows) for y in _each(row)))
 
 
-def _encode(rel: Rel, dom_elements, rows: _Rows):
+def encode(rel: Rel, dom_elements, rows: _Rows):
     """rel by index: the row of each of dom_elements, in that order, holds
     the positions in rel.cod of its images; an array when rel is a total
     function on them."""
@@ -595,7 +594,7 @@ def scalar_act(
     space = backend.space
     prem_objs = [backend.act_obj(n, g.value, a_obj) for g, n, a_obj in entries]
     interned = _Rows()
-    rows = _encode(t, tuple(itertools.product(*(o.elements for o in prem_objs))), interned)
+    rows = encode(t, tuple(itertools.product(*(o.elements for o in prem_objs))), interned)
     out = _scale_rows(backend, mode, value, rows, [(g, n) for g, n, _a_obj in entries],
                       [len(o) for o in prem_objs], len(t.cod), interned)
     dom = FinSetObj(tuple(itertools.product(*(
@@ -984,13 +983,25 @@ def _once(method):
     return once
 
 
-class _Coherence:
-    """One validator call: each structure map read from the backend once per
-    (family, mode, grades, object sizes), at test objects of those sizes,
-    as rows by element position; nothing outlives the call."""
+def _read_positions(backend: ModelBackend, family: str, args: tuple, sizes: tuple, rows: _Rows):
+    """The rows of backend.family(*args, *objects of those sizes) off its Positions: the
+    table at that size, or for tau the factors' digits at its place values."""
+    if family == "tau_pair":
+        a, (nx, ny) = backend.arity(*args), sizes
+        place = backend.tau_positions(*args, 2).place_values(_strides([nx, ny] * a))
+        return rows.product([*map(range, [nx] * a + [ny] * a)], place)
+    n = sizes[0] if sizes else 1  # iota's object is the unit
+    p = getattr(backend, family.split("_")[0] + "_positions")(*args)  # c_map: c_positions
+    return _pack([y if y.__class__ is int else rows.of(y) for y in p.table(n, _weights(n, len(p.out)))])
 
-    def __init__(self, backend: ModelBackend):
-        self.backend = backend
+
+class _Coherence:
+    """One validator call: each structure map read from the backend by
+    `source` once per (family, mode, grades, object sizes), as rows by
+    element position; nothing outlives the call."""
+
+    def __init__(self, backend: ModelBackend, source):
+        self.backend, self.source = backend, source
         self.rows = _Rows()
         self.read, self.memo = {}, {}  # rows by map and sizes; tables by method and arguments
         self.found: list[Violation] = []
@@ -1006,8 +1017,8 @@ class _Coherence:
         key = (family, *args, *sizes)
         rows = self.read.get(key)
         if rows is None:
-            rel = getattr(self.backend, family)(*args, *(FinSetObj(_elements(n)) for n in sizes))
-            rows = self.read[key] = _encode(rel, rel.dom.elements, self.rows)
+            _guard(max(_size(dom), _size(cod)))
+            rows = self.read[key] = self.source(self.backend, family, args, sizes, self.rows)
         return _Table(dom, cod, rows)
 
     @_once
@@ -1093,19 +1104,22 @@ def _fits_size(base: int, *exponents: int) -> bool:
     return all(max(base, 1) ** e <= _SIZE_CAP for e in exponents)
 
 
-def model_coherence_validate(
-    backend: ModelBackend,
-    modes: list[str] | None = None,
-    max_size: int = 3,
-    budget: int | None = None,
-) -> Report:
+def model_coherence_validate(backend: ModelBackend, modes: list[str] | None = None,
+                             max_size: int = 3, budget: int | None = None) -> Report:
     """Enumerate every coherence diagram over the given modes, all grades
-    (naturals truncated to the budget) and objects up to the size bound.
+    (naturals truncated to the budget) and objects up to the size bound,
+    with each structure map read off the backend's Positions.
 
     Instances whose intermediate objects blow past an element cap are
     skipped; the cap only bites on large naturals grades.
     """
-    co = _Coherence(backend)
+    return coherence_report(backend, _read_positions, modes, max_size, budget)
+
+
+def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budget=None) -> Report:
+    """`model_coherence_validate` with each structure map read by source(backend,
+    family, args, sizes, rows): family names the backend's element-level method."""
+    co = _Coherence(backend, source)
     found, tensor, power, square, iso = co.found, co.tensor, co.power, co.square, co.iso
     space = backend.space
     modes = list(space.modes) if modes is None else modes

@@ -1,16 +1,20 @@
-"""A relations backend with one structure-map family deliberately damaged.
+"""Relations backends with one structure-map family deliberately damaged.
 
-Used by the mutation checks of the coherence validator: each corruption
-must make `model_coherence_validate` report at least one violation.
+Used by the mutation checks of the coherence validators.  A corruption in
+CORRUPTIONS rotates or drops elements of an element-level relation, which
+only `grass.oracles.coherence_by_elements` reads; one in
+POSITION_CORRUPTIONS damages a map's `Positions`, which both validators
+read, and `model_coherence_validate` must report it as the oracle does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from grass.semantics import ModelBackend, Rel
+from grass.semantics import ModelBackend, Positions, Rel
 
 CORRUPTIONS = ("delta", "eps", "tau", "iota", "c", "w")
+POSITION_CORRUPTIONS = ("delta", "c", "c-fresh", "tau")
 
 
 def _rotation(x_obj):
@@ -59,10 +63,49 @@ class CorruptedBackend(ModelBackend):
         return Rel(rel.dom, rel.cod, frozenset()) if self.corrupt == "w" else rel
 
 
-def corrupted(backend: ModelBackend, which: str) -> CorruptedBackend:
-    """A copy of `backend` whose `which` structure maps are damaged."""
-    if which not in CORRUPTIONS:
+@dataclass(frozen=True)
+class PositionCorruptedBackend(ModelBackend):
+    """`corrupt` names the family whose positions are damaged, one of
+    POSITION_CORRUPTIONS."""
+
+    corrupt: str = "delta"
+
+    def delta_positions(self, mode, r, q):
+        p = super().delta_positions(mode, r, q)
+        if self.corrupt != "delta":
+            return p
+        ar, aq = self.arity(mode, r), self.arity(mode, q)
+        # the a(r) chunks of a(q) coordinates in reverse order
+        return Positions(p.src, tuple(p.out[c * aq + j] for c in reversed(range(ar))
+                                      for j in range(aq)))
+
+    def c_positions(self, mode, r, q):
+        p = super().c_positions(mode, r, q)
+        ar = self.arity(mode, r)
+        if self.corrupt == "c":  # the split's halves swapped: the source's last coordinates go left
+            return Positions(p.src, p.out[ar:] + p.out[:ar])
+        if self.corrupt == "c-fresh":  # the right half fresh, not copied
+            return Positions(p.src, p.out[:ar] + (p.src,) * (len(p.out) - ar))
+        return p
+
+    def tau_positions(self, mode, value, k):
+        if self.corrupt != "tau":
+            return super().tau_positions(mode, value, k)
+        # tuple j pairs coordinate j of every factor but the last with the
+        # last factor's coordinate a-1-j: the last factor is not transposed
+        # in place.  (Leaving every factor untransposed mixes the factors'
+        # coordinates, which no carriers of different sizes admit.)
+        a = self.arity(mode, value)
+        return Positions(k * a, tuple(i * a + (a - 1 - j if i == k - 1 else j)
+                                      for j in range(a) for i in range(k)))
+
+
+def corrupted(backend: ModelBackend, which: str, positions: bool = False) -> ModelBackend:
+    """A copy of `backend` whose `which` structure maps are damaged, element
+    by element or, with `positions`, in their positions."""
+    cls, names = ((PositionCorruptedBackend, POSITION_CORRUPTIONS) if positions
+                  else (CorruptedBackend, CORRUPTIONS))
+    if which not in names:
         raise ValueError(f"unknown corruption {which!r}")
-    return CorruptedBackend(space=backend.space, arities=backend.arities,
-                            base_carriers=backend.base_carriers,
-                            nat_budget=backend.nat_budget, corrupt=which)
+    return cls(space=backend.space, arities=backend.arities, base_carriers=backend.base_carriers,
+               nat_budget=backend.nat_budget, corrupt=which)

@@ -2,16 +2,25 @@
 index tables it decides squares on, against the element-level relations
 they stand for."""
 
+import collections
+import dataclasses
 import itertools
 import math
 import random
 from array import array
 from pathlib import Path
 
-from grass.presets import system
+import pytest
+
+from grass.cli import load_modes_file
+from grass.grades import NAT_IDEALS, Ideal, Mode, ModeMorphism, builtin_algebra
+from grass.modespace import ModeSpace
+from grass.oracles import coherence_by_elements, read_elements
+from grass.presets import MODE_FACTORIES, system
 from grass.semantics import (
     UNIT_OBJ,
     FinSetObj,
+    ModelBackend,
     Rel,
     _Coherence,
     _elements,
@@ -28,24 +37,51 @@ from grass.semantics import (
     tensor_obj,
 )
 
-from corrupted_backend import CORRUPTIONS, corrupted
+from corrupted_backend import CORRUPTIONS, POSITION_CORRUPTIONS, corrupted
 
 GOLDEN = Path(__file__).parent / "data" / "coherence_renders.txt"
+SYSTEMS = Path(__file__).parent.parent / "systems"
+STOCK = ("L", "U", "R", "A", "fh", "LU", "LA", "LfhU", "all")
 
 
 def _renders(backend) -> str:
-    """The reports on the clean backend and under each corruption, each
-    headed by its name and its number of lines."""
+    """The element-level validator's reports on the clean backend and under
+    each corruption, each headed by its name and its number of lines."""
     out = []
     for which in ("clean",) + CORRUPTIONS:
         be = backend if which == "clean" else corrupted(backend, which)
-        lines = model_coherence_validate(be, max_size=3, budget=4).render().splitlines()
+        lines = coherence_by_elements(be, max_size=3, budget=4).render().splitlines()
         out += [f"== {which} {len(lines)}", *lines]
     return "\n".join(out) + "\n"
 
 
 def test_reports_match_the_golden_file():
-    assert _renders(system("all")[1]) == GOLDEN.read_text()
+    backend = system("all")[1]
+    assert _renders(backend) == GOLDEN.read_text()
+    # the corruptions damage elements, which only the element-level
+    # validator reads; the clean report is the same through both
+    clean = model_coherence_validate(backend, max_size=3, budget=4).render().splitlines()
+    assert GOLDEN.read_text().startswith("\n".join([f"== clean {len(clean)}", *clean, "=="]))
+
+
+def _splitting_backend() -> ModelBackend:
+    """One naturals mode that contracts every grade, so that contraction
+    splits wherever arities add up; no tupling backend is coherent there."""
+    ideal = Ideal("nat-usual", nat_predicate="all")
+    return ModelBackend(space=ModeSpace(modes={"N": Mode("N", builtin_algebra("nat-usual"), ideal, True)}))
+
+
+@pytest.mark.parametrize("which", POSITION_CORRUPTIONS)
+def test_position_mutants_are_reported_as_the_oracle_reports_them(which):
+    # every contraction of `all` is a diagonal or splits nothing off, and a
+    # diagonal is the same map with its halves swapped; the naturals mode splits
+    caught = []
+    for be, size, budget in ((system("all")[1], 3, 4), (_splitting_backend(), 2, 2)):
+        bad = corrupted(be, which, positions=True)
+        report = model_coherence_validate(bad, max_size=size, budget=budget).render()
+        assert report == coherence_by_elements(bad, max_size=size, budget=budget).render()
+        caught.append(report != model_coherence_validate(be, max_size=size, budget=budget).render())
+    assert caught == [which != "c", True]
 
 
 # -- index tables against relations ------------------------------------------------
@@ -151,7 +187,7 @@ def test_shapes_name_objects_as_finsetobj_equality_does():
 
 def test_index_tables_compose_tensor_and_power_as_relations_do():
     rng = random.Random(7)
-    co = _Coherence(_Given())
+    co = _Coherence(_Given(), read_elements)
     tables = _spreads(co)
     for _ in range(150):
         tables.append(_table(co, rng, _small_shape(rng), _small_shape(rng)))
@@ -205,7 +241,7 @@ def test_index_tables_compose_tensor_and_power_as_relations_do():
 
 
 def test_identities_associators_swaps_and_unitors_by_index():
-    co = _Coherence(_Given())
+    co = _Coherence(_Given(), read_elements)
     for a, b, c in itertools.product([0, 1, 2, (), (2, 2)], repeat=3):
         A, B, C = _obj(a), _obj(b), _obj(c)
         assert _rel(co.iso(a)).pairs == {(x, x) for x in A.elements}
@@ -214,3 +250,71 @@ def test_identities_associators_swaps_and_unitors_by_index():
         assert _rel(co.swap(a, b)).pairs == {((x, y), (y, x)) for x in A.elements for y in B.elements}
         assert _rel(co.iso(((), a), a)).pairs == {(((), x), x) for x in A.elements}
         assert _rel(co.iso((a, ()), a)).pairs == {((x, ()), x) for x in A.elements}
+
+
+# -- the two validators against each other ----------------------------------------
+
+
+def _outcome(validate, backend, max_size: int, budget: int) -> str:
+    """A validator's render, or the class and message of what it raised."""
+    try:
+        return validate(backend, max_size=max_size, budget=budget).render()
+    except Exception as e:  # noqa: BLE001 - the two validators must fail alike
+        return f"raised {type(e).__name__}: {e}"
+
+
+def _nat_backends():
+    """One naturals mode per ideal predicate, weak or not, with the default,
+    the square, a(0) = 1 and a(2) = 3 arities, each with the largest test
+    (max_size, budget) that keeps this test within its time: the square
+    arities reach the element limit at budget 3, and at budget 2 only after
+    seconds of work."""
+    nat = builtin_algebra("nat-usual")
+    tables = (({}, 2, 2), ({("N", v): v * v for v in range(65)}, 1, 2), ({("N", 0): 1}, 3, 4),
+              ({("N", 2): 3}, 3, 4))
+    for pred, weak, (arities, s, b) in itertools.product(NAT_IDEALS, (True, False), tables):
+        space = ModeSpace(modes={"N": Mode("N", nat, Ideal("nat-usual", nat_predicate=pred), weak)})
+        yield ModelBackend(space=space, arities=arities), s, b
+    yield ModelBackend(space=space, arities=tables[1][0]), 2, 3
+
+
+def _arity_changes():
+    """Every change of one grade's arity to 0, 1 or 2 on four stock systems."""
+    for name in ("LU", "LA", "fh", "all"):
+        be = system(name)[1]
+        for m, mode in be.space.modes.items():
+            for g, v in itertools.product(mode.algebra.elements(2), range(3)):
+                if be.arity(m, g) != v:
+                    yield dataclasses.replace(be, arities={**be.arities, (m, g): v})
+
+
+def _non_homomorphic():
+    """A below L through maps of bool into the naturals that are not homomorphisms."""
+    modes = {m: MODE_FACTORIES[m]() for m in ("A", "L")}
+    for table in ({0: 0, 1: 2}, {0: 1, 1: 1}, {0: 0, 1: 0}, {0: 2, 1: 3}):
+        space = ModeSpace(modes=modes, order_pairs=frozenset({("A", "L")}),
+                          morphisms={("A", "L"): ModeMorphism("A", "L", table=table)})
+        yield ModelBackend(space=space)
+
+
+def test_both_validators_report_alike():
+    # Each stock system and shipped file at every budget 2-4 and, within max
+    # size 3, every object size 0-3, though not at every pair of them: the
+    # element-level validator takes 13 s over the full grid on 2 vCPUs,
+    # mostly in mode L at budgets 3 and 4 (the golden file and criterion 7
+    # compare `all` at size 3, budget 4).
+    shipped = [load_modes_file(str(SYSTEMS / f"{name}.modes"))[1]
+               for name in ("allmodes", "filehandle", "lnl")]
+    cases = [(be, s, b) for be in [system(n)[1] for n in STOCK] + shipped
+             for s, b in ((0, 4), (1, 3), (3, 2))]
+    cases += _nat_backends()
+    cases += [(be, 2, 2) for be in _arity_changes()]
+    cases += [(be, 2, 2) for be in _non_homomorphic()]
+    seen = collections.Counter()
+    for be, s, b in cases:
+        want = _outcome(coherence_by_elements, be, s, b)
+        assert _outcome(model_coherence_validate, be, s, b) == want, (be, s, b)
+        seen.update(kind for kind in ("differs at", "signature mismatch", "raised SizeLimitError")
+                    if kind in want)
+    # reports, by what they hold: both kinds of failing square, and a refused map
+    assert seen == {"differs at": 5, "signature mismatch": 4, "raised SizeLimitError": 1}

@@ -1,8 +1,9 @@
 import itertools
+import re
 
 import pytest
 
-from grass.errors import InputError
+from grass.errors import ConfigError, InputError
 from grass.grades import (
     BUILTIN_ALGEBRAS,
     GradeAlgebra,
@@ -64,6 +65,21 @@ def test_non_monotone_table_is_reported():
         if bad.leq(x, x2) and bad.leq(y, y2) and not bad.leq(bad.mul(x, y), bad.mul(x2, y2)):
             found = True
     assert found
+
+
+def test_operations_refuse_operands_outside_the_carrier():
+    nat = builtin_algebra("nat-usual")
+    for alg, bad in ((nat, -1), (nat, "w"), (nat, 1.0), (NOE, 2), (builtin_algebra("top"), 0)):
+        for op in (alg.add, alg.mul, alg.leq):
+            for args in ((bad, alg.one), (alg.one, bad), (bad, "x")):
+                with pytest.raises(InputError, match=re.escape(f"algebra {alg.id}: {bad!r} not in carrier")):
+                    op(*args)
+    partial = GradeAlgebra(id="p", kind="finite", carrier=(0, 1), add_table={(0, 0): 0},
+                           mul_table={(1, 1): 1})
+    with pytest.raises(ConfigError, match=re.escape("algebra p: add table missing (0, 1)")):
+        partial.add(0, 1)
+    with pytest.raises(ConfigError, match=re.escape("algebra p: mul table missing (1, 0)")):
+        partial.mul(1, 0)
 
 
 def test_budget_must_be_positive():

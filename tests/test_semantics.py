@@ -17,6 +17,7 @@ from grass.derivation import (
 from grass.errors import GrassError, ShapeError, SizeLimitError
 from grass.gen import Gen
 from grass.grades import Grade
+from grass.oracles import coherence_by_elements
 from grass.presets import system
 from grass.rewrite import SubstitutionBundle, beta_step
 from grass.sexpr import derivation_from_sexpr, type_from_sexpr
@@ -257,7 +258,7 @@ def test_coherence_clean(all_backend):
 @pytest.mark.parametrize("which", CORRUPTIONS)
 def test_coherence_mutations_detected(all_backend, which):
     bad = corrupted(all_backend, which)
-    report = model_coherence_validate(bad, max_size=3)
+    report = coherence_by_elements(bad, max_size=3)
     assert not report.ok()
 
 
@@ -382,7 +383,7 @@ def test_validator_rejects_incoherent_tupling_backends():
 
 
 def test_coherence_reports_each_violation_once():
-    report = model_coherence_validate(corrupted(system("LU")[1], "iota"), max_size=1)
+    report = coherence_by_elements(corrupted(system("LU")[1], "iota"), max_size=1)
     lines = report.render().splitlines()
     assert "iota-iso witness=('U', 't') 0 pairs" in lines
     assert len(lines) == len(set(lines))
@@ -406,7 +407,7 @@ def test_suites_count_the_cases_their_root_filter_skips(monkeypatch):
 
 
 def test_reports_are_immutable():
-    report = model_coherence_validate(corrupted(system("LU")[1], "iota"), max_size=1)
+    report = coherence_by_elements(corrupted(system("LU")[1], "iota"), max_size=1)
     assert isinstance(report.violations, tuple) and report.violations
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.violations = ()
