@@ -18,12 +18,12 @@ free!", 1989), so neither view samples object sizes.
 Context objects are flat k-tuples, one component per entry, which makes
 the tensor of contexts strictly associative.
 
-The coherence validator reads each structure map off the backend's
-Positions, as the table the interpretation uses, once per call, family,
-mode, grades and object size; every square is composed by index and
-decoded to element pairs only when it fails.  `grass.oracles` runs the
-same squares on the element-level relations.  Both share one algebra of
-relations by index with the interpretation (see "Denotations by index").
+The coherence validator proves each square once, at every object size,
+on leaf maps read off the backend's Positions (`grass._leafmaps`); a
+square it cannot prove is read as the interpretation's tables at each
+size, composed by index and decoded to element pairs when it fails.
+`grass.oracles` runs the same squares on the element-level relations, and
+shares the one algebra of relations by index with the interpretation.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from functools import cached_property, lru_cache, partial
 from operator import itemgetter, mul
 from types import MappingProxyType
 
+from ._leafmaps import block_swap, equal, expand, identity, juxtapose, leaves, repeat, substitute
 from .derivation import Derivation, fold
 from .errors import ConfigError, InputError, Report, ShapeError, SizeLimitError, Violation
 from .grades import Grade, GradeValue
@@ -950,12 +951,13 @@ _SIZE_CAP = 4096
 
 
 class _Table:
-    """A map's rows between two shapes; equal only to itself, so it can key a memo."""
+    """A map between two shapes, as rows or a leaf map, and the most leaves
+    of an object of a map read to build it; equal only to itself."""
 
-    __slots__ = ("dom", "cod", "rows")
+    __slots__ = ("dom", "cod", "rows", "reads")
 
-    def __init__(self, dom, cod, rows):
-        self.dom, self.cod, self.rows = dom, cod, rows
+    def __init__(self, dom, cod, rows, reads=0):
+        self.dom, self.cod, self.rows, self.reads = dom, cod, rows, reads
 
 
 def _size(shape) -> int:
@@ -983,25 +985,40 @@ def _once(method):
     return once
 
 
+def _positions(backend: ModelBackend, family: str, args: tuple) -> Positions:
+    """The Positions of backend.family(*args, ...), refused with ShapeError
+    unless each output copies a source coordinate or the fresh one, and for
+    tau a coordinate of the factor whose slot it fills."""
+    if family == "tau_pair":
+        a, p = backend.arity(*args), backend.tau_positions(*args, 2)
+        ok = p.src == len(p.out) == 2 * a and all(k // a == j % 2 for j, k in enumerate(p.out))
+    else:
+        p = getattr(backend, family.split("_")[0] + "_positions")(*args)  # c_map: c_positions
+        ok = all(0 <= k <= p.src for k in p.out)
+    if not ok:
+        raise ShapeError(f"{family} positions at {args!r} are not a map between its objects: {p!r}")
+    return p
+
+
 def _read_positions(backend: ModelBackend, family: str, args: tuple, sizes: tuple, rows: _Rows):
     """The rows of backend.family(*args, *objects of those sizes) off its Positions: the
     table at that size, or for tau the factors' digits at its place values."""
+    p = _positions(backend, family, args)
     if family == "tau_pair":
-        a, (nx, ny) = backend.arity(*args), sizes
-        place = backend.tau_positions(*args, 2).place_values(_strides([nx, ny] * a))
-        return rows.product([*map(range, [nx] * a + [ny] * a)], place)
+        a, (nx, ny) = p.src // 2, sizes
+        return rows.product([*map(range, [nx] * a + [ny] * a)], p.place_values(_strides([nx, ny] * a)))
     n = sizes[0] if sizes else 1  # iota's object is the unit
-    p = getattr(backend, family.split("_")[0] + "_positions")(*args)  # c_map: c_positions
     return _pack([y if y.__class__ is int else rows.of(y) for y in p.table(n, _weights(n, len(p.out)))])
 
 
 class _Coherence:
     """One validator call: each structure map read from the backend by
     `source` once per (family, mode, grades, object sizes), as rows by
-    element position; nothing outlives the call."""
+    element position, or, proving, as the leaf map of its Positions when
+    `source` reads those (else None); nothing outlives the call."""
 
-    def __init__(self, backend: ModelBackend, source):
-        self.backend, self.source = backend, source
+    def __init__(self, backend: ModelBackend, source, proving: bool = False):
+        self.backend, self.source, self.proving = backend, source, proving
         self.rows = _Rows()
         self.read, self.memo = {}, {}  # rows by map and sizes; tables by method and arguments
         self.found: list[Violation] = []
@@ -1012,8 +1029,12 @@ class _Coherence:
 
     # -- the backend's maps, read once --------------------------------------
 
-    def _map(self, family: str, args: tuple, sizes: tuple, dom, cod) -> _Table:
-        """backend.family(*args, *test objects of those sizes), between dom and cod."""
+    def _map(self, family: str, args: tuple, objs: tuple, dom, cod) -> _Table:
+        """backend.family(*args, *objs), between dom and cod."""
+        if self.proving:
+            p = _positions(self.backend, family, args) if self.source is _read_positions else None
+            return _Table(dom, cod, p and expand(objs, p, dom, cod), max(leaves(dom), leaves(cod)))
+        sizes = tuple(map(_size, objs))
         key = (family, *args, *sizes)
         rows = self.read.get(key)
         if rows is None:
@@ -1023,19 +1044,17 @@ class _Coherence:
 
     @_once
     def eps(self, m: str, x) -> _Table:
-        return self._map("eps", (m,), (_size(x),), (x,), x)
+        return self._map("eps", (m,), (x,), (x,), x)
 
     @_once
     def delta(self, m: str, r: GradeValue, q: GradeValue, x) -> _Table:
         a, alg = partial(self.arity, m), self.backend.space.mode(m).algebra
-        return self._map("delta", (m, r, q), (_size(x),), (x,) * a(alg.mul(r, q)),
-                         ((x,) * a(q),) * a(r))
+        return self._map("delta", (m, r, q), (x,), (x,) * a(alg.mul(r, q)), ((x,) * a(q),) * a(r))
 
     @_once
     def tau(self, m: str, q: GradeValue, x, y) -> _Table:
         a = self.arity(m, q)
-        return self._map("tau_pair", (m, q), (_size(x), _size(y)), ((x,) * a, (y,) * a),
-                         ((x, y),) * a)
+        return self._map("tau_pair", (m, q), (x, y), ((x,) * a, (y,) * a), ((x, y),) * a)
 
     @_once
     def iota(self, m: str, q: GradeValue) -> _Table:
@@ -1044,18 +1063,18 @@ class _Coherence:
     @_once
     def c(self, m: str, r: GradeValue, q: GradeValue, x) -> _Table:
         a, alg = partial(self.arity, m), self.backend.space.mode(m).algebra
-        return self._map("c_map", (m, r, q), (_size(x),), (x,) * a(alg.add(r, q)),
+        return self._map("c_map", (m, r, q), (x,), (x,) * a(alg.add(r, q)),
                          ((x,) * a(r), (x,) * a(q)))
 
     @_once
     def w(self, m: str, x) -> _Table:
         zero = self.backend.space.mode(m).algebra.zero
-        return self._map("w_map", (m,), (_size(x),), (x,) * self.arity(m, zero), ())
+        return self._map("w_map", (m,), (x,), (x,) * self.arity(m, zero), ())
 
     @_once
     def mu(self, low: str, high: str, q: GradeValue, x) -> _Table:
         phi_q = self.backend.space.phi(low, high, q)
-        return self._map("mu", (low, high, q), (_size(x),), (x,) * self.arity(high, phi_q),
+        return self._map("mu", (low, high, q), (x,), (x,) * self.arity(high, phi_q),
                          (x,) * self.arity(low, q))
 
     # -- composites by index ------------------------------------------------
@@ -1063,30 +1082,34 @@ class _Coherence:
     @_once
     def iso(self, dom, cod=None) -> _Table:
         """Identity by index, dom to cod (default dom): an identity, associator or unitor."""
-        return _Table(dom, dom if cod is None else cod, array("q", range(_size(dom))))
+        cod = dom if cod is None else cod
+        return _Table(dom, cod, identity(leaves(dom)) if self.proving
+                      else array("q", range(_size(dom))))
 
     @_once
     def swap(self, a, b) -> _Table:
-        return _Table((a, b), (b, a), self.rows.product([range(_size(a)), range(_size(b))],
-                                                        (1, _size(a))))
+        return _Table((a, b), (b, a), block_swap(leaves(a), leaves(b)) if self.proving
+                      else self.rows.product([range(_size(a)), range(_size(b))], (1, _size(a))))
 
     def compose(self, path: list[_Table]) -> _Table:
         """The tables of a path composed, first to last; the validator's
         paths meet at equal shapes by construction."""
-        rows, compose = path[0].rows, self.rows.compose
+        rows, compose = path[0].rows, substitute if self.proving else self.rows.compose
         for t in path[1:]:
             rows = compose(rows, t.rows)
-        return _Table(path[0].dom, path[-1].cod, rows)
+        return _Table(path[0].dom, path[-1].cod, rows, max(t.reads for t in path))
 
     def tensor(self, f: _Table, g: _Table) -> _Table:
-        return _Table((f.dom, g.dom), (f.cod, g.cod),
-                      self.rows.product([f.rows, g.rows], (_size(g.cod), 1)))
+        rows = (juxtapose(f.rows, g.rows) if self.proving
+                else self.rows.product([f.rows, g.rows], (_size(g.cod), 1)))
+        return _Table((f.dom, g.dom), (f.cod, g.cod), rows, max(f.reads, g.reads))
 
     @_once
     def power(self, f: _Table, k: int) -> _Table:
         """f^k, the functorial action of a tupling mode."""
-        return _Table((f.dom,) * k, (f.cod,) * k,
-                      self.rows.product([f.rows] * k, _strides([_size(f.cod)] * k)))
+        rows = (repeat(f.rows, k) if self.proving
+                else self.rows.product([f.rows] * k, _strides([_size(f.cod)] * k)))
+        return _Table((f.dom,) * k, (f.cod,) * k, rows, f.reads)
 
     def square(self, name: str, witness: tuple, lhs: list[_Table], rhs: list[_Table]) -> None:
         """Note a violation unless the two paths compose to the same map."""
@@ -1108,23 +1131,38 @@ def model_coherence_validate(backend: ModelBackend, modes: list[str] | None = No
                              max_size: int = 3, budget: int | None = None) -> Report:
     """Enumerate every coherence diagram over the given modes, all grades
     (naturals truncated to the budget) and objects up to the size bound,
-    with each structure map read off the backend's Positions.
+    with each structure map read off the backend's Positions.  A square
+    proven on leaf maps holds at every object size and builds no table.
 
-    Instances whose intermediate objects blow past an element cap are
-    skipped; the cap only bites on large naturals grades.
+    Instances whose intermediate objects blow past an element cap, or that
+    read a map over the element limit, are skipped; the cap only bites on
+    large naturals grades.
     """
     return coherence_report(backend, _read_positions, modes, max_size, budget)
 
 
 def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budget=None) -> Report:
     """`model_coherence_validate` with each structure map read by source(backend,
-    family, args, sizes, rows): family names the backend's element-level method."""
-    co = _Coherence(backend, source)
-    found, tensor, power, square, iso = co.found, co.tensor, co.power, co.square, co.iso
+    family, args, sizes, rows): family names the backend's element-level method.
+    Each square's instance, its name and witness but the object size, is first
+    proven on leaf maps, which only the Positions reader gives."""
+    co, proof = _Coherence(backend, source), _Coherence(backend, source, proving=True)
+    found, unproven = co.found, {}  # (name, key) -> None if proven, else the most leaves it reads
     space = backend.space
     modes = list(space.modes) if modes is None else modes
     budget = backend.nat_budget if budget is None else budget
     sizes = range(max_size + 1)  # the shape of a test object is its size
+
+    def square(name: str, key: tuple, x: int, paths) -> None:
+        """Check square `name` at witness (*key, x), whose two paths
+        paths(c) builds with c's maps: once per key on leaf maps, else by
+        index at x unless a map it reads is over the element limit."""
+        if (bound := unproven.get((name, key), False)) is False:
+            lhs, rhs = map(proof.compose, paths(proof))
+            proven = (lhs.dom, lhs.cod) == (rhs.dom, rhs.cod) and equal(lhs.rows, rhs.rows)
+            bound = unproven[name, key] = None if proven else max(lhs.reads, rhs.reads)
+        if bound is not None and x ** bound <= ELEMENT_LIMIT:
+            co.square(name, (*key, x), *paths(co))
 
     lawless = set()  # modes whose arities break a law
     for m in modes:
@@ -1157,35 +1195,35 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
                 if not _fits_size(x, a(q)):
                     continue
                 qx = (x,) * a(q)
-                square("delta then eps is the identity", (m, q, x),
-                       [co.delta(m, alg.one, q, x), co.eps(m, qx)], [iso(qx)])
-                square("delta then q (.) eps is the identity", (m, q, x),
-                       [co.delta(m, q, alg.one, x), power(co.eps(m, x), a(q))], [iso(qx)])
+                square("delta then eps is the identity", (m, q), x, lambda c: (
+                    [c.delta(m, alg.one, q, x), c.eps(m, qx)], [c.iso(qx)]))
+                square("delta then q (.) eps is the identity", (m, q), x, lambda c: (
+                    [c.delta(m, q, alg.one, x), c.power(c.eps(m, x), a(q))], [c.iso(qx)]))
                 # tau unit law: (iota (x) id) then tau then q (.) unitor == unitor
-                square("tau unit law", (m, q, x),
-                       [tensor(co.iota(m, q), iso(qx)), co.tau(m, q, (), x),
-                        power(iso(((), x), x), a(q))], [iso(((), qx), qx)])
+                square("tau unit law", (m, q), x, lambda c: (
+                    [c.tensor(c.iota(m, q), c.iso(qx)), c.tau(m, q, (), x),
+                     c.power(c.iso(((), x), x), a(q))], [c.iso(((), qx), qx)]))
                 # tau symmetry: tau then q (.) swap == swap then tau
-                # (object sizes already bounded by the guard above)
-                square("tau symmetry", (m, q, x), [co.tau(m, q, x, x), power(co.swap(x, x), a(q))],
-                       [co.swap(qx, qx), co.tau(m, q, x, x)])
+                square("tau symmetry", (m, q), x, lambda c: (
+                    [c.tau(m, q, x, x), c.power(c.swap(x, x), a(q))],
+                    [c.swap(qx, qx), c.tau(m, q, x, x)]))
                 # tau associativity
                 if _fits_size(x, 3 * a(q)):
-                    square("tau associativity", (m, q, x),
-                           [tensor(co.tau(m, q, x, x), iso(qx)), co.tau(m, q, (x, x), x),
-                            power(iso(((x, x), x), (x, (x, x))), a(q))],
-                           [iso(((qx, qx), qx), (qx, (qx, qx))), tensor(iso(qx), co.tau(m, q, x, x)),
-                            co.tau(m, q, x, (x, x))])
+                    square("tau associativity", (m, q), x, lambda c: (
+                        [c.tensor(c.tau(m, q, x, x), c.iso(qx)), c.tau(m, q, (x, x), x),
+                         c.power(c.iso(((x, x), x), (x, (x, x))), a(q))],
+                        [c.iso(((qx, qx), qx), (qx, (qx, qx))), c.tensor(c.iso(qx), c.tau(m, q, x, x)),
+                         c.tau(m, q, x, (x, x))]))
 
             # delta coassociativity
             for q, r, s in itertools.product(grades, repeat=3):
                 if not _fits_size(x, a(q) * a(r) * a(s), a(q) * a(r), a(r) * a(s)):
                     continue
                 sx = (x,) * a(s)
-                square("delta coassociativity", (m, q, r, s, x),
-                       [co.delta(m, alg.mul(q, r), s, x), power(iso(sx), a(alg.mul(q, r))),
-                        co.delta(m, q, r, sx)],
-                       [co.delta(m, q, alg.mul(r, s), x), power(co.delta(m, r, s, x), a(q))])
+                square("delta coassociativity", (m, q, r, s), x, lambda c: (
+                    [c.delta(m, alg.mul(q, r), s, x), c.power(c.iso(sx), a(alg.mul(q, r))),
+                     c.delta(m, q, r, sx)],
+                    [c.delta(m, q, alg.mul(r, s), x), c.power(c.delta(m, r, s, x), a(q))]))
 
             # graded-comonad coherence: c against delta/tau (both squares)
             for q in grades:
@@ -1193,25 +1231,25 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
                     if not _fits_size(x, a(q) * (a(r1) + a(r2)), a(r1) + a(r2),
                                       a(q) * a(r1), a(q) * a(r2)):
                         continue
-                    square("c then delta tensor delta then tau", (m, q, r1, r2, x),
-                           [co.c(m, alg.mul(q, r1), alg.mul(q, r2), x),
-                            tensor(co.delta(m, q, r1, x), co.delta(m, q, r2, x)),
-                            co.tau(m, q, (x,) * a(r1), (x,) * a(r2))],
-                           [co.delta(m, q, alg.add(r1, r2), x), power(co.c(m, r1, r2, x), a(q))])
-                    square("c against delta on the right factor", (m, q, r1, r2, x),
-                           [co.c(m, alg.mul(r1, q), alg.mul(r2, q), x),
-                            tensor(co.delta(m, r1, q, x), co.delta(m, r2, q, x))],
-                           [co.delta(m, alg.add(r1, r2), q, x), co.c(m, r1, r2, (x,) * a(q))])
+                    square("c then delta tensor delta then tau", (m, q, r1, r2), x, lambda c: (
+                        [c.c(m, alg.mul(q, r1), alg.mul(q, r2), x),
+                         c.tensor(c.delta(m, q, r1, x), c.delta(m, q, r2, x)),
+                         c.tau(m, q, (x,) * a(r1), (x,) * a(r2))],
+                        [c.delta(m, q, alg.add(r1, r2), x), c.power(c.c(m, r1, r2, x), a(q))]))
+                    square("c against delta on the right factor", (m, q, r1, r2), x, lambda c: (
+                        [c.c(m, alg.mul(r1, q), alg.mul(r2, q), x),
+                         c.tensor(c.delta(m, r1, q, x), c.delta(m, r2, q, x))],
+                        [c.delta(m, alg.add(r1, r2), q, x), c.c(m, r1, r2, (x,) * a(q))]))
 
             # c coassociativity
             for r1, r2, r3 in itertools.product(conts, repeat=3):
                 if not _fits_size(x, a(r1) + a(r2) + a(r3)):
                     continue
                 o1, o2, o3 = ((x,) * a(r) for r in (r1, r2, r3))
-                square("c coassociativity", (m, r1, r2, r3, x),
-                       [co.c(m, alg.add(r1, r2), r3, x), tensor(co.c(m, r1, r2, x), iso(o3)),
-                        iso(((o1, o2), o3), (o1, (o2, o3)))],
-                       [co.c(m, r1, alg.add(r2, r3), x), tensor(iso(o1), co.c(m, r2, r3, x))])
+                square("c coassociativity", (m, r1, r2, r3), x, lambda c: (
+                    [c.c(m, alg.add(r1, r2), r3, x), c.tensor(c.c(m, r1, r2, x), c.iso(o3)),
+                     c.iso(((o1, o2), o3), (o1, (o2, o3)))],
+                    [c.c(m, r1, alg.add(r2, r3), x), c.tensor(c.iso(o1), c.c(m, r2, r3, x))]))
 
             if mode.weak:
                 zero = alg.zero
@@ -1219,19 +1257,19 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
                     if not _fits_size(x, max(a(r), 1)):
                         continue
                     rx = (x,) * a(r)
-                    square("w after delta at zero times r", (m, r, x),
-                           [co.delta(m, zero, r, x), co.w(m, rx)], [co.w(m, x)])
-                    square("w then iota against delta at r times zero", (m, r, x),
-                           [co.delta(m, r, zero, x), power(co.w(m, x), a(r))],
-                           [co.w(m, x), co.iota(m, r)])
+                    square("w after delta at zero times r", (m, r), x, lambda c: (
+                        [c.delta(m, zero, r, x), c.w(m, rx)], [c.w(m, x)]))
+                    square("w then iota against delta at r times zero", (m, r), x, lambda c: (
+                        [c.delta(m, r, zero, x), c.power(c.w(m, x), a(r))],
+                        [c.w(m, x), c.iota(m, r)]))
                     # counit laws of (c, w)
                     if r in conts:
-                        square("w counit on the left of c", (m, r, x),
-                               [co.c(m, zero, r, x), tensor(co.w(m, x), iso(rx)), iso(((), rx), rx)],
-                               [iso(rx)])
-                        square("w counit on the right of c", (m, r, x),
-                               [co.c(m, r, zero, x), tensor(iso(rx), co.w(m, x)), iso((rx, ()), rx)],
-                               [iso(rx)])
+                        square("w counit on the left of c", (m, r), x, lambda c: (
+                            [c.c(m, zero, r, x), c.tensor(c.w(m, x), c.iso(rx)), c.iso(((), rx), rx)],
+                            [c.iso(rx)]))
+                        square("w counit on the right of c", (m, r), x, lambda c: (
+                            [c.c(m, r, zero, x), c.tensor(c.iso(rx), c.w(m, x)), c.iso((rx, ()), rx)],
+                            [c.iso(rx)]))
 
     # mu coherence across every comparable pair (the lineator is mu here)
     for (mlo, mhi) in sorted(space.order_pairs):
@@ -1246,26 +1284,26 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
                 if not _fits_size(x, max(co.arity(mlo, r), co.arity(mhi, phi(r)))):
                     continue
                 if r == alg_lo.one:
-                    square("mu unit square", (mlo, mhi, x),
-                           [co.mu(mlo, mhi, r, x), co.eps(mlo, x)], [co.eps(mhi, x)])
+                    square("mu unit square", (mlo, mhi), x, lambda c: (
+                        [c.mu(mlo, mhi, r, x), c.eps(mlo, x)], [c.eps(mhi, x)]))
                 if mode_lo.weak and r == alg_lo.zero:
-                    square("mu zero square", (mlo, mhi, x),
-                           [co.mu(mlo, mhi, r, x), co.w(mlo, x)], [co.w(mhi, x)])
+                    square("mu zero square", (mlo, mhi), x, lambda c: (
+                        [c.mu(mlo, mhi, r, x), c.w(mlo, x)], [c.w(mhi, x)]))
             for q, r in itertools.product(grades_lo, repeat=2):
                 aq, ar = co.arity(mlo, q), co.arity(mlo, r)
                 aphi_q, aphi_r = co.arity(mhi, phi(q)), co.arity(mhi, phi(r))
                 if not _fits_size(x, aq * ar, aphi_q * aphi_r,
                                   ar * aphi_q, ar * aq, aphi_q * max(aphi_r, ar)):
                     continue
-                square("mu multiplication square", (mlo, mhi, q, r, x),
-                       [co.mu(mlo, mhi, alg_lo.mul(q, r), x), co.delta(mlo, q, r, x)],
-                       [co.delta(mhi, phi(q), phi(r), x), power(co.mu(mlo, mhi, r, x), aphi_q),
-                        co.mu(mlo, mhi, q, (x,) * ar)])
+                square("mu multiplication square", (mlo, mhi, q, r), x, lambda c: (
+                    [c.mu(mlo, mhi, alg_lo.mul(q, r), x), c.delta(mlo, q, r, x)],
+                    [c.delta(mhi, phi(q), phi(r), x), c.power(c.mu(mlo, mhi, r, x), aphi_q),
+                     c.mu(mlo, mhi, q, (x,) * ar)]))
                 if mode_lo.cont.contains(q) and mode_lo.cont.contains(r):
-                    square("mu addition square", (mlo, mhi, q, r, x),
-                           [co.mu(mlo, mhi, alg_lo.add(q, r), x), co.c(mlo, q, r, x)],
-                           [co.c(mhi, phi(q), phi(r), x),
-                            tensor(co.mu(mlo, mhi, q, x), co.mu(mlo, mhi, r, x))])
+                    square("mu addition square", (mlo, mhi, q, r), x, lambda c: (
+                        [c.mu(mlo, mhi, alg_lo.add(q, r), x), c.c(mlo, q, r, x)],
+                        [c.c(mhi, phi(q), phi(r), x),
+                         c.tensor(c.mu(mlo, mhi, q, x), c.mu(mlo, mhi, r, x))]))
 
     return Report(tuple(found))
 

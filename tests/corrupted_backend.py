@@ -4,7 +4,8 @@ Used by the mutation checks of the coherence validators.  A corruption in
 CORRUPTIONS rotates or drops elements of an element-level relation, which
 only `grass.oracles.coherence_by_elements` reads; one in
 POSITION_CORRUPTIONS damages a map's `Positions`, which both validators
-read, and `model_coherence_validate` must report it as the oracle does.
+read, and `model_coherence_validate` must report it as the oracle does;
+one in ILL_TYPED_CORRUPTIONS makes them no map between its objects.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from grass.semantics import ModelBackend, Positions, Rel
 
 CORRUPTIONS = ("delta", "eps", "tau", "iota", "c", "w")
 POSITION_CORRUPTIONS = ("delta", "c", "c-fresh", "tau")
+# positions that are no map between their objects, which the validator refuses
+ILL_TYPED_CORRUPTIONS = ("delta-overrun", "tau-untransposed")
 
 
 def _rotation(x_obj):
@@ -66,12 +69,14 @@ class CorruptedBackend(ModelBackend):
 @dataclass(frozen=True)
 class PositionCorruptedBackend(ModelBackend):
     """`corrupt` names the family whose positions are damaged, one of
-    POSITION_CORRUPTIONS."""
+    POSITION_CORRUPTIONS or ILL_TYPED_CORRUPTIONS."""
 
     corrupt: str = "delta"
 
     def delta_positions(self, mode, r, q):
         p = super().delta_positions(mode, r, q)
+        if self.corrupt == "delta-overrun" and p.out:  # the last output copies no coordinate
+            return Positions(p.src, p.out[:-1] + (p.src + 1,))
         if self.corrupt != "delta":
             return p
         ar, aq = self.arity(mode, r), self.arity(mode, q)
@@ -89,6 +94,8 @@ class PositionCorruptedBackend(ModelBackend):
         return p
 
     def tau_positions(self, mode, value, k):
+        if self.corrupt == "tau-untransposed":  # the identity: past a(q) = 1, slots of the wrong factor
+            return Positions(k * self.arity(mode, value), tuple(range(k * self.arity(mode, value))))
         if self.corrupt != "tau":
             return super().tau_positions(mode, value, k)
         # tuple j pairs coordinate j of every factor but the last with the
@@ -103,8 +110,8 @@ class PositionCorruptedBackend(ModelBackend):
 def corrupted(backend: ModelBackend, which: str, positions: bool = False) -> ModelBackend:
     """A copy of `backend` whose `which` structure maps are damaged, element
     by element or, with `positions`, in their positions."""
-    cls, names = ((PositionCorruptedBackend, POSITION_CORRUPTIONS) if positions
-                  else (CorruptedBackend, CORRUPTIONS))
+    cls, names = ((PositionCorruptedBackend, POSITION_CORRUPTIONS + ILL_TYPED_CORRUPTIONS)
+                  if positions else (CorruptedBackend, CORRUPTIONS))
     if which not in names:
         raise ValueError(f"unknown corruption {which!r}")
     return cls(space=backend.space, arities=backend.arities, base_carriers=backend.base_carriers,

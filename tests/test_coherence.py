@@ -12,18 +12,24 @@ from pathlib import Path
 
 import pytest
 
+from grass import semantics
+from grass._leafmaps import block_swap, equal, juxtapose, leaves, substitute
 from grass.cli import load_modes_file
+from grass.errors import ShapeError, SizeLimitError
 from grass.grades import NAT_IDEALS, Ideal, Mode, ModeMorphism, builtin_algebra
 from grass.modespace import ModeSpace
 from grass.oracles import coherence_by_elements, read_elements
 from grass.presets import MODE_FACTORIES, system
 from grass.semantics import (
+    ELEMENT_LIMIT,
     UNIT_OBJ,
     FinSetObj,
     ModelBackend,
+    Positions,
     Rel,
     _Coherence,
     _elements,
+    _read_positions,
     _same,
     _size,
     _strides,
@@ -37,7 +43,7 @@ from grass.semantics import (
     tensor_obj,
 )
 
-from corrupted_backend import CORRUPTIONS, POSITION_CORRUPTIONS, corrupted
+from corrupted_backend import CORRUPTIONS, ILL_TYPED_CORRUPTIONS, POSITION_CORRUPTIONS, corrupted
 
 GOLDEN = Path(__file__).parent / "data" / "coherence_renders.txt"
 SYSTEMS = Path(__file__).parent.parent / "systems"
@@ -316,5 +322,144 @@ def test_both_validators_report_alike():
         assert _outcome(model_coherence_validate, be, s, b) == want, (be, s, b)
         seen.update(kind for kind in ("differs at", "signature mismatch", "raised SizeLimitError")
                     if kind in want)
-    # reports, by what they hold: both kinds of failing square, and a refused map
-    assert seen == {"differs at": 5, "signature mismatch": 4, "raised SizeLimitError": 1}
+    # reports, by what they hold: both kinds of failing square; a map over
+    # the element limit skips its instance, so the square arities at size
+    # 2, budget 3 (the last naturals case) report that every other holds
+    assert seen == {"differs at": 5, "signature mismatch": 4}
+    assert _outcome(model_coherence_validate, *list(_nat_backends())[-1]) == ""
+
+
+# -- squares proven on leaf maps ----------------------------------------------------
+
+
+def test_every_clean_square_is_proven_without_a_table(monkeypatch):
+    # the one table a clean backend still reads is iota's, whose pairs
+    # `iota-iso` counts
+    read = collections.Counter()
+
+    def counting(backend, family, *rest):
+        read[family] += 1
+        return _read_positions(backend, family, *rest)
+
+    monkeypatch.setattr(semantics, "_read_positions", counting)
+    shipped = [load_modes_file(str(SYSTEMS / f"{name}.modes"))[1]
+               for name in ("allmodes", "filehandle", "lnl")]
+    for be in [system(n)[1] for n in STOCK] + shipped:
+        assert semantics.model_coherence_validate(be, max_size=3, budget=4).render() == ""
+    assert set(read) == {"iota"}
+
+
+@pytest.mark.parametrize("which", ILL_TYPED_CORRUPTIONS)
+def test_positions_that_are_no_map_between_their_objects_are_refused(which):
+    bad = corrupted(system("all")[1], which, positions=True)
+    with pytest.raises(ShapeError):
+        model_coherence_validate(bad, max_size=3, budget=4)
+    if which == "tau-untransposed":  # its element-level relation leaves its codomain
+        with pytest.raises(ShapeError):
+            coherence_by_elements(bad, max_size=3, budget=4)
+
+
+def test_a_map_over_the_element_limit_is_refused_before_it_is_read():
+    read = []
+    co = _Coherence(system("all")[1], lambda *args: read.append(args))
+    n = math.isqrt(ELEMENT_LIMIT) + 1
+    with pytest.raises(SizeLimitError):
+        co.delta("L", 2, 1, n)
+    assert read == []
+
+
+class _PositionsGiven:
+    """A backend whose one map family is the Positions it is given."""
+
+    @staticmethod
+    def given_positions(p: Positions) -> Positions:
+        return p
+
+
+# test objects of 0-2 leaves at size n: the unit, X, X (x) X, X^1 (x) I, X (x) I^1
+_OBJECTS = (lambda n: (), lambda n: n, lambda n: (n, n), lambda n: ((n,), ()), lambda n: (n, ((),)))
+
+
+def _build(c: _Coherence, recipe, n: int) -> _Table:
+    """A seeded composite of position maps, as c evaluates it at size n."""
+    kind, *parts = recipe
+    if kind == "map":
+        p, x = parts[0], _OBJECTS[parts[1]](n)
+        return c._map("given", (p,), (x,), (x,) * p.src, (x,) * len(p.out))
+    if kind == "iso":
+        return c.iso(_OBJECTS[parts[0]](n))
+    if kind == "swap":
+        return c.swap(*(_OBJECTS[i](n) for i in parts))
+    if kind == "compose":
+        return c.compose([_build(c, r, n) for r in parts])
+    if kind == "tensor":
+        return c.tensor(*(_build(c, r, n) for r in parts))
+    return c.power(_build(c, parts[0], n), parts[1])
+
+
+def _pairs(t: _Table) -> set:
+    return {(i, y) for i, row in enumerate(t.rows) for y in ((row,) if isinstance(row, int) else row)}
+
+
+def test_equal_leaf_maps_give_equal_tables_at_every_size():
+    rng = random.Random(15)
+    backend = _PositionsGiven()
+    proof = _Coherence(backend, _read_positions, proving=True)
+    tables = _Coherence(backend, _read_positions)
+
+    def positions():
+        src, fresh = rng.randrange(4), rng.random() < 0.5
+        span = src + 1 if fresh or not src else src  # out of no coordinates, every output is fresh
+        return Positions(src, tuple(rng.randrange(span) for _ in range(rng.randrange(4))))
+
+    made = {}  # recipe -> its leaf map, with the leaves of its domain and codomain
+
+    def add(recipe):
+        t = _build(proof, recipe, 2)
+        made[recipe] = (t, leaves(t.dom), leaves(t.cod))
+
+    for recipe in ([("map", positions(), rng.randrange(len(_OBJECTS))) for _ in range(200)]
+                   + [("iso", i) for i in range(len(_OBJECTS))]
+                   + [("swap", i, j) for i, j in itertools.product(range(len(_OBJECTS)), repeat=2)]):
+        add(recipe)
+    for _ in range(1500):
+        f, g = rng.sample(list(made), 2)
+        (_t, fd, fc), (_u, gd, gc) = made[f], made[g]
+        kind = rng.randrange(3)
+        if kind == 0:
+            after = [h for h, (_t, hd, _c) in made.items() if hd == fc]
+            add(("compose", f, rng.choice(after)))
+        elif kind == 1 and max(fd, fc) <= 2:
+            add(("power", f, rng.randrange(3)))
+        elif kind == 2 and fd + gd <= 4 and fc + gc <= 4:
+            add(("tensor", f, g))
+    # a fresh variable forgotten out of no leaves: the empty relation at
+    # size 0, the identity of the unit above it
+    dropped = ("compose", ("map", Positions(0, (0,)), 1), ("map", Positions(1, ()), 1))
+    for recipe in (dropped, ("compose", dropped, ("iso", 0)), ("tensor", ("iso", 0), dropped)):
+        add(recipe)
+    assert not equal(made[dropped][0].rows, made["iso", 0][0].rows)
+    # positions whose outputs are not its codomain's leaves are not read: a
+    # tensor or power weighs a map's digits by its codomain's size
+    assert proof._map("given", (Positions(1, (0, 0)),), (2,), (2,), (2,)).rows is None
+
+    groups = collections.defaultdict(list)
+    for recipe, (t, dl, cl) in made.items():
+        if t.rows is not None and max(dl, cl) <= 4:
+            groups[t.dom, t.cod].append((recipe, t.rows))
+    proven = collections.Counter()
+    for group in groups.values():
+        for (r1, f1), (r2, f2) in itertools.combinations(group, 2):
+            if equal(f1, f2):
+                proven["drops out of no leaves" if f1[0] == 0 and len(set(f1[1])) < f1[2]
+                       else "other"] += 1
+                for n in range(4):
+                    assert _pairs(_build(tables, r1, n)) == _pairs(_build(tables, r2, n)), (r1, r2, n)
+    # distinct composites proven equal, some forgetting a fresh variable out of no leaves
+    assert proven["other"] >= 100 and proven["drops out of no leaves"] >= 3, proven
+    # the two sides of a square number their fresh variables apart: the swap
+    # is natural on X^0 -> X (fresh) and X -> X^2 (a copy, then fresh) only
+    # once they are renumbered
+    f, g = (0, [-1], 1), (1, [0, -1], 1)
+    assert equal(substitute(juxtapose(f, g), block_swap(1, 2)),
+                 substitute(block_swap(0, 1), juxtapose(g, f)))
