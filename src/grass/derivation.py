@@ -427,7 +427,7 @@ def mk_raiseI(space: ModeSpace, premise: Derivation, high: str) -> Derivation:
     c = premise.conclusion
     if not space.leq(c.mode, high):
         _fail("raiseI", f"mode {c.mode} <= {high} fails")
-    if not all(space.leq(high, n) for n in c.modes):
+    if not independence_check(c.modes, high, space):
         _fail("raiseI", f"independence fails: {high} must be below every context mode")
     ty = TRaise(c.mode, high, c.ty)
     j = Judgment(c.rho, c.modes, c.ctx, high, RaiseTm(c.mode, high, c.term), ty)

@@ -32,6 +32,8 @@ class ModeSpace:
     The order is closed reflexively and transitively on construction.
     `base_types` maps user-declared base type names to their mode.  The
     mappings passed in are copied, never written to, and held read-only.
+    `wf_memo` holds `syntax.type_wf`'s answers for this space, keyed by
+    (type, mode); a call that raises leaves nothing in it.
     """
 
     modes: Mapping[str, Mode]
@@ -57,6 +59,8 @@ class ModeSpace:
         object.__setattr__(self, "order_pairs", order_pairs)
         object.__setattr__(self, "morphisms", MappingProxyType(morphisms))
         object.__setattr__(self, "base_types", MappingProxyType(base_types))
+        object.__setattr__(self, "wf_memo", {})
+        object.__setattr__(self, "_above", {m: frozenset(n for a, n in order_pairs if a == m) for m in modes})
 
     def mode(self, m: str) -> Mode:
         try:
@@ -65,8 +69,10 @@ class ModeSpace:
             raise InputError(f"unknown mode {m!r}") from None
 
     def leq(self, m: str, n: str) -> bool:
+        if (m, n) in self.order_pairs:  # the closed order holds declared modes only
+            return True
         self.mode(m), self.mode(n)
-        return (m, n) in self.order_pairs
+        return False
 
     def morphism(self, m: str, n: str) -> ModeMorphism:
         if not self.leq(m, n):
@@ -174,7 +180,10 @@ def vector_leq(rho: GradeVector, sigma: GradeVector, modes: ModeVector, space: M
 
 def independence_check(modes: ModeVector, m: str, space: ModeSpace) -> bool:
     """True iff m <= n for every mode n in the vector."""
-    return all(space.leq(m, n) for n in dict.fromkeys(modes))
+    above = space._above.get(m)
+    if above is not None and above.issuperset(modes):
+        return True
+    return all(space.leq(m, n) for n in dict.fromkeys(modes))  # the verdict, or which mode is unknown
 
 
 def add_grades(a: Grade, b: Grade, space: ModeSpace) -> Grade:

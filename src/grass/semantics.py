@@ -199,11 +199,16 @@ def spread(s: int, r: int) -> Positions:
     return Positions(s, tuple(min(j, s - 1) for j in range(r)) if s else (0,) * r)
 
 
-def positions_rel(p: Positions, x_obj: FinSetObj, cod: FinSetObj | None = None,
-                  regroup=tuple) -> Rel:
+def positions_rel(p: Positions, x_obj: FinSetObj, coords: tuple[int, int] | None = None,
+                  cod: FinSetObj | None = None, regroup=tuple) -> Rel:
     """p from X^src to cod (default X^len(out)), element by element: each
     source tuple to its images, regrouped into the nesting of cod's
-    elements, for X = x_obj."""
+    elements, for X = x_obj.  Refused with ShapeError unless each output
+    copies a source coordinate or the fresh one, and p goes X^s -> X^t for
+    the map's `coords` (s, t) when they are given (`ModelBackend.coordinates`)."""
+    s, t = coords or (p.src, len(p.out))
+    if (p.src, len(p.out)) != (s, t) or not all(0 <= k <= p.src for k in p.out):
+        raise ShapeError(f"positions {p!r} are not a map from X^{s} to X^{t}")
     dom = power_obj(x_obj, p.src)
     cod = power_obj(x_obj, len(p.out)) if cod is None else cod
     pick = p.pick
@@ -271,6 +276,29 @@ class ModelBackend:
     def act_obj(self, mode: str, value: GradeValue, x_obj: FinSetObj) -> FinSetObj:
         return power_obj(x_obj, self.arity(mode, value))
 
+    def coordinates(self, family: str, *args) -> tuple[int, int]:
+        """(s, t) for the map of `family` at args, which goes X^s -> X^t:
+        its objects, from the arities alone (tau_pair's flat over both factors)."""
+        a, space = self.arity, self.space
+        match family, args:
+            case "eps", (m,):
+                return a(m, space.mode(m).algebra.one), 1
+            case "delta", (m, r, q):
+                return a(m, space.mode(m).algebra.mul(r, q)), a(m, r) * a(m, q)
+            case "tau_pair", (m, q):
+                return 2 * a(m, q), 2 * a(m, q)
+            case "iota", (m, q):
+                return 0, a(m, q)
+            case "c_map", (m, r, q):
+                return a(m, space.mode(m).algebra.add(r, q)), a(m, r) + a(m, q)
+            case "w_map", (m,):
+                return a(m, space.mode(m).algebra.zero), 0
+            case "preorder_map", (m, low, high):
+                return a(m, high), a(m, low)
+            case "mu", (low, high, q):
+                return a(high, space.phi(low, high, q)), a(low, q)
+        raise InputError(f"no structure map {family!r} at {args!r}")
+
     # -- structure maps as positions ----------------------------------------
 
     def eps_positions(self, mode: str) -> Positions:
@@ -322,14 +350,15 @@ class ModelBackend:
     # -- structure maps as relations, read off the positions ----------------
 
     def eps(self, mode: str, x_obj: FinSetObj) -> Rel:
-        return positions_rel(self.eps_positions(mode), x_obj, cod=x_obj, regroup=itemgetter(0))
+        return positions_rel(self.eps_positions(mode), x_obj, self.coordinates("eps", mode),
+                             cod=x_obj, regroup=itemgetter(0))
 
     def delta(self, mode: str, r: GradeValue, q: GradeValue, x_obj: FinSetObj) -> Rel:
         """(r.q) (.) X -> r (.) (q (.) X), a chunking bijection."""
         p = self.delta_positions(mode, r, q)
         ar, aq = self.arity(mode, r), self.arity(mode, q)
-        return positions_rel(p, x_obj, cod=power_obj(power_obj(x_obj, aq), ar),
-                             regroup=_chunker(aq, ar))
+        return positions_rel(p, x_obj, self.coordinates("delta", mode, r, q),
+                             cod=power_obj(power_obj(x_obj, aq), ar), regroup=_chunker(aq, ar))
 
     def tau_many(self, mode: str, value: GradeValue, objs: list[FinSetObj]) -> Rel:
         """(x)_i (q (.) X_i) -> q (.) ((x)_i X_i) on flat-tuple objects."""
@@ -350,23 +379,26 @@ class ModelBackend:
         return self.tau_many(mode, value, [x_obj, y_obj])
 
     def iota(self, mode: str, value: GradeValue) -> Rel:
-        return positions_rel(self.iota_positions(mode, value), UNIT_OBJ)
+        return positions_rel(self.iota_positions(mode, value), UNIT_OBJ,
+                             self.coordinates("iota", mode, value))
 
     def c_map(self, mode: str, r: GradeValue, q: GradeValue, x_obj: FinSetObj) -> Rel:
         """(r+q) (.) X -> (r (.) X) (x) (q (.) X)."""
         ar, aq = self.arity(mode, r), self.arity(mode, q)
         cod = tensor_obj(power_obj(x_obj, ar), power_obj(x_obj, aq))
-        return positions_rel(self.c_positions(mode, r, q), x_obj, cod=cod,
-                             regroup=lambda ys: (ys[:ar], ys[ar:]))
+        return positions_rel(self.c_positions(mode, r, q), x_obj, self.coordinates("c_map", mode, r, q),
+                             cod=cod, regroup=lambda ys: (ys[:ar], ys[ar:]))
 
     def w_map(self, mode: str, x_obj: FinSetObj) -> Rel:
-        return positions_rel(self.w_positions(mode), x_obj)
+        return positions_rel(self.w_positions(mode), x_obj, self.coordinates("w_map", mode))
 
     def preorder_map(self, mode: str, low: GradeValue, high: GradeValue, x_obj: FinSetObj) -> Rel:
-        return positions_rel(self.preorder_positions(mode, low, high), x_obj)
+        return positions_rel(self.preorder_positions(mode, low, high), x_obj,
+                             self.coordinates("preorder_map", mode, low, high))
 
     def mu(self, low_mode: str, high_mode: str, value: GradeValue, x_obj: FinSetObj) -> Rel:
-        return positions_rel(self.mu_positions(low_mode, high_mode, value), x_obj)
+        return positions_rel(self.mu_positions(low_mode, high_mode, value), x_obj,
+                             self.coordinates("mu", low_mode, high_mode, value))
 
     # phi(q) (.) G(X) -> G(q (.) X), the lineator, is mu here since F = G = id
     lineator = mu
@@ -987,15 +1019,16 @@ def _once(method):
 
 def _positions(backend: ModelBackend, family: str, args: tuple) -> Positions:
     """The Positions of backend.family(*args, ...), refused with ShapeError
-    unless each output copies a source coordinate or the fresh one, and for
-    tau a coordinate of the factor whose slot it fills."""
+    unless they have the map's coordinates and each output copies a source
+    coordinate or the fresh one, and for tau a coordinate of the factor
+    whose slot it fills."""
     if family == "tau_pair":
         a, p = backend.arity(*args), backend.tau_positions(*args, 2)
-        ok = p.src == len(p.out) == 2 * a and all(k // a == j % 2 for j, k in enumerate(p.out))
+        ok = all(k // a == j % 2 for j, k in enumerate(p.out))
     else:
         p = getattr(backend, family.split("_")[0] + "_positions")(*args)  # c_map: c_positions
         ok = all(0 <= k <= p.src for k in p.out)
-    if not ok:
+    if not (ok and (p.src, len(p.out)) == backend.coordinates(family, *args)):
         raise ShapeError(f"{family} positions at {args!r} are not a map between its objects: {p!r}")
     return p
 
@@ -1027,12 +1060,16 @@ class _Coherence:
     def arity(self, mode: str, value: GradeValue) -> int:
         return self.backend.arity(mode, value)
 
+    @_once
+    def positions(self, family: str, args: tuple) -> Positions:
+        return _positions(self.backend, family, args)
+
     # -- the backend's maps, read once --------------------------------------
 
     def _map(self, family: str, args: tuple, objs: tuple, dom, cod) -> _Table:
         """backend.family(*args, *objs), between dom and cod."""
         if self.proving:
-            p = _positions(self.backend, family, args) if self.source is _read_positions else None
+            p = self.positions(family, args) if self.source is _read_positions else None
             return _Table(dom, cod, p and expand(objs, p, dom, cod), max(leaves(dom), leaves(cod)))
         sizes = tuple(map(_size, objs))
         key = (family, *args, *sizes)
@@ -1130,7 +1167,8 @@ def _fits_size(base: int, *exponents: int) -> bool:
 def model_coherence_validate(backend: ModelBackend, modes: list[str] | None = None,
                              max_size: int = 3, budget: int | None = None) -> Report:
     """Enumerate every coherence diagram over the given modes, all grades
-    (naturals truncated to the budget) and objects up to the size bound,
+    (naturals truncated to the budget; the arity laws also take each grade
+    with a declared arity) and objects up to the size bound,
     with each structure map read off the backend's Positions.  A square
     proven on leaf maps holds at every object size and builds no table.
 
@@ -1171,6 +1209,9 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
         grades = list(alg.elements(budget))
         conts = [g for g in grades if mode.cont.contains(g)]
         a = partial(co.arity, m)
+        # the laws also cover each grade an arity is declared at, above the budget too
+        law_grades = grades + [q for n, q in backend.arities
+                               if n == m and alg.contains(q) and q not in grades]
 
         reported = len(found)
         if a(alg.one) != 1:
@@ -1178,7 +1219,7 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
         else:
             if alg.zero != alg.one and a(alg.zero) != 0:
                 found.append(Violation("arity-of-zero", (m,), f"a(0) = {a(alg.zero)}"))
-            for q, r in itertools.product(grades, repeat=2):
+            for q, r in itertools.product(law_grades, repeat=2):
                 if a(alg.mul(q, r)) != a(q) * a(r):
                     found.append(Violation("arity-multiplicative", (m, q, r)))
         if len(found) > reported:  # the structure maps need lawful arities

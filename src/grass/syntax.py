@@ -1,5 +1,9 @@
 """Object-language types and terms, well-formedness, and term utilities.
 
+Types are hash-consed: one object per distinct type value, so they compare
+by identity, and `mode_of` reads the root mode each stores.  `type_wf`'s
+answers are memoized per `ModeSpace`, in its `wf_memo`.
+
 Binders are named; alpha-equivalence is the term equality used everywhere.
 `TERMS` is the binding signature of the term formers: free variables,
 capture-avoiding simultaneous substitution and alpha-equivalence are each
@@ -9,6 +13,8 @@ one traversal over it, tested against a de Bruijn conversion in `oracles`.
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -19,35 +25,69 @@ from .modespace import ModeSpace
 # Types
 
 
-@dataclass(frozen=True)
-class Type:
-    pass
+class _HashConsed(type):
+    """Metaclass of the type formers: one object per distinct type value, found
+    in the weak-valued `_TYPES` by former, fields and each field's class (a
+    grade's, its value's: `1` and `True` stay apart).  So types compare by
+    identity, and each stores its root mode, read from its children once."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            rest = cls.__match_args__[len(args):]
+            if kwargs.keys() != set(rest):
+                return super().__call__(*args, **kwargs)  # raises the dataclass's TypeError
+            args += tuple(kwargs[f] for f in rest)
+        key = (cls, *args, *[type(getattr(f, "value", f)) for f in args])
+        ty = _TYPES.get(key)
+        if ty is None:
+            with _BUILD:  # two threads building one value get one object
+                ty = _TYPES.get(key)
+                if ty is None:
+                    ty = super().__call__(*args)
+                    object.__setattr__(ty, "_mode", _root_mode(ty))
+                    _TYPES[key] = ty
+        return ty
 
 
-@dataclass(frozen=True)
+_TYPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_BUILD = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False)
+class Type(metaclass=_HashConsed):
+    __slots__ = ("_mode", "__weakref__")
+
+    def __reduce__(self):  # pickle and copy rebuild through the table
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class TUnit(Type):
     mode: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class TBase(Type):
     name: str
     mode: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class TTensor(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class TSum(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class TFun(Type):
     # argument used at `grade`, drawn from the argument type's mode
     arg: Type
@@ -55,7 +95,7 @@ class TFun(Type):
     body: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class TDrop(Type):
     grade: Grade
     low: str   # the mode the type lives at
@@ -63,31 +103,41 @@ class TDrop(Type):
     body: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class TRaise(Type):
     low: str   # the mode of the wrapped type
     high: str  # the mode the type lives at
     body: Type
 
 
+def _root_mode(ty: Type) -> str | None:
+    match ty:
+        case TUnit(mode) | TBase(_, mode) | TDrop(_, mode, _, _) | TRaise(_, mode, _):
+            return mode
+        case TTensor(part, _) | TSum(part, _) | TFun(_, _, part):
+            return getattr(part, "_mode", None)
+    return None
+
+
 def mode_of(ty: Type) -> str:
     """The unique mode a type belongs to, read off its root annotation."""
-    match ty:
-        case TUnit(mode) | TBase(_, mode):
-            return mode
-        case TTensor(left, _) | TSum(left, _):
-            return mode_of(left)
-        case TFun(_, _, body):
-            return mode_of(body)
-        case TDrop(_, low, _, _):
-            return low
-        case TRaise(_, high, _):
-            return high
-    raise InputError(f"not a type: {ty!r}")
+    if (mode := getattr(ty, "_mode", None)) is None:
+        raise InputError(f"not a type: {ty!r}")
+    return mode
 
 
 def type_wf(ty: Type, m: str, space: ModeSpace) -> bool:
-    """Derivability of `ty` as a type of mode m."""
+    """Derivability of `ty` as a type of mode m, memoized on the space."""
+    if not isinstance(ty, Type):
+        raise InputError(f"not a type: {ty!r}")
+    memo = space.wf_memo
+    ok = memo.get((ty, m))
+    if ok is None:
+        ok = memo[ty, m] = _type_wf(ty, m, space)
+    return ok
+
+
+def _type_wf(ty: Type, m: str, space: ModeSpace) -> bool:
     match ty:
         case TUnit(mode):
             return mode == m and m in space.modes

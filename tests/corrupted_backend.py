@@ -17,7 +17,7 @@ from grass.semantics import ModelBackend, Positions, Rel
 CORRUPTIONS = ("delta", "eps", "tau", "iota", "c", "w")
 POSITION_CORRUPTIONS = ("delta", "c", "c-fresh", "tau")
 # positions that are no map between their objects, which the validator refuses
-ILL_TYPED_CORRUPTIONS = ("delta-overrun", "tau-untransposed")
+ILL_TYPED_CORRUPTIONS = ("delta-overrun", "tau-untransposed", "mu-extra-output", "w-extra-source")
 
 
 def _rotation(x_obj):
@@ -91,6 +91,18 @@ class PositionCorruptedBackend(ModelBackend):
             return Positions(p.src, p.out[ar:] + p.out[:ar])
         if self.corrupt == "c-fresh":  # the right half fresh, not copied
             return Positions(p.src, p.out[:ar] + (p.src,) * (len(p.out) - ar))
+        return p
+
+    def mu_positions(self, low_mode, high_mode, value):
+        p = super().mu_positions(low_mode, high_mode, value)
+        if self.corrupt == "mu-extra-output":  # one output too many, a copy of the fresh coordinate
+            return Positions(p.src, p.out + (p.src,))
+        return p
+
+    def w_positions(self, mode):
+        p = super().w_positions(mode)
+        if self.corrupt == "w-extra-source":  # one source coordinate too many, forgotten like the rest
+            return Positions(p.src + 1, p.out)
         return p
 
     def tau_positions(self, mode, value, k):

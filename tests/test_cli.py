@@ -160,6 +160,31 @@ def test_cmd_modes_validate(tmp_path, capsys):
     assert "missing-morphism" in capsys.readouterr().out
 
 
+NATS = """
+[algebra nat]
+builtin = nat-usual
+[mode N]
+algebra = nat
+cont = @{cont}
+weak = true
+[backend]
+budget = 4
+arity N {grade} = {arity}
+"""
+
+
+@pytest.mark.parametrize("cont, grade, arity", [("zero-only", 7, 3), ("all", 5, 7)])
+def test_a_declared_arity_above_the_budget_is_checked(tmp_path, capsys, cont, grade, arity):
+    # with the laws over the enumerated grades alone, the first reads "ok" and the
+    # second ends in an error out of delta's positions
+    modes = _write(tmp_path, "n.modes", NATS.format(cont=cont, grade=grade, arity=arity))
+    assert main(["modes-validate", modes]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"arity-multiplicative witness=('N', {q}, {r})"
+                     for q, r in [(2, grade), (3, grade), (4, grade), (grade, 2), (grade, 3),
+                                  (grade, 4), (grade, grade)]]
+
+
 def test_parse_error_exit_code(tmp_path):
     modes = _write(tmp_path, "m.modes", LNL)
     bad = _write(tmp_path, "bad.prog", "term broken : (-o{1:L} P P = (lam x x)\n")

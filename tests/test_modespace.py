@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grass.errors import ModeOrderError
+from grass.errors import InputError, ModeOrderError
 from grass.grades import Grade, Ideal, Mode, ModeMorphism, builtin_algebra
 from grass.modespace import (
     ModeSpace,
@@ -33,6 +33,20 @@ def test_construction_leaves_the_callers_dicts_alone():
     assert len(space.morphisms) == 3
     modes["A"], base_types["Q"] = mode_L(), "U"
     assert list(space.modes) == ["L", "U"] and space.base_types == {"P": "L"}
+
+
+def test_an_unknown_mode_raises_as_it_did_without_order_tables():
+    space, _ = system("LU")
+    for call in (lambda: space.leq("X", "L"), lambda: space.leq("L", "X"),
+                 lambda: space.leq("X", "Y"), lambda: independence_check(("L", "X"), "L", space),
+                 lambda: independence_check(("U",), "X", space)):
+        with pytest.raises(InputError, match="^unknown mode 'X'$"):
+            call()
+    # the verdicts reached before an unknown mode is looked at stand
+    assert independence_check((), "X", space)
+    assert not independence_check(("L", "X"), "U", space)
+    assert independence_check(("U", "L", "U"), "L", space)
+    assert not space.leq("U", "L") and space.leq("L", "U") and space.leq("U", "U")
 
 
 def test_single_mode_space_validates():

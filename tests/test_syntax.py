@@ -1,5 +1,12 @@
+import copy
+import dataclasses
+import gc
+import pickle
 import random
-from dataclasses import fields
+import sys
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +17,8 @@ from grass.errors import InputError
 from grass.gen import Gen
 from grass.grades import Grade
 from grass.oracles import ln_eq, term_subst_oracle, to_locally_nameless
-from grass.presets import system
+from grass.presets import standard_space, system
+from grass.sexpr import type_from_sexpr, type_to_sexpr
 from grass.syntax import (
     TERMS,
     App,
@@ -74,8 +82,21 @@ def test_fun_requires_independence(space):
 
 
 def test_unknown_base_raises(space):
-    with pytest.raises(InputError):
-        type_wf(TBase("nope", "L"), "L", space)
+    # on every call: a raising call leaves nothing in the space's memo, neither False
+    for ty in [TBase("nope", "L")] * 2 + [TTensor(P, TBase("nope", "L"))] * 2:
+        with pytest.raises(InputError):
+            type_wf(ty, "L", space)
+        assert (ty, "L") not in space.wf_memo
+
+
+def test_type_wf_answers_are_per_space():
+    # one base type name declared at two modes: each space keeps its own answer
+    at_l = standard_space(("L", "U"), (("L", "U"),), {"B": "L"})
+    at_u = standard_space(("L", "U"), (("L", "U"),), {"B": "U"})
+    b_l, b_u = TBase("B", "L"), TBase("B", "U")
+    for _ in range(2):
+        assert type_wf(b_l, "L", at_l) and not type_wf(b_l, "L", at_u)
+        assert type_wf(b_u, "U", at_u) and not type_wf(b_u, "U", at_l)
 
 
 def test_types_have_a_unique_mode(space):
@@ -88,6 +109,87 @@ def test_types_have_a_unique_mode(space):
         for m in space.modes:
             if m != root:
                 assert not type_wf(ty, m, space)
+
+
+# -- hash-consed types ----------------------------------------------------------
+
+
+def test_equal_types_are_one_object_however_built(space):
+    g = Grade("nat-discrete", 2)
+    ty = TFun(TTensor(P, TUnit("L")), g, TDrop(Grade("top", "t"), "L", "U", TRaise("L", "U", P)))
+    builds = [
+        TFun(TTensor(P, TUnit("L")), Grade("nat-discrete", 2),
+             TDrop(Grade("top", "t"), "L", "U", TRaise("L", "U", TBase("P", "L")))),
+        TFun(arg=TTensor(right=TUnit(mode="L"), left=P), grade=g,
+             body=TDrop(Grade("top", "t"), "L", high="U", body=TRaise(low="L", high="U", body=P))),
+        dataclasses.replace(ty),
+        dataclasses.replace(TFun(P, g, Q), arg=ty.arg, body=ty.body),
+        copy.copy(ty),
+        copy.deepcopy(ty),
+        pickle.loads(pickle.dumps(ty)),
+    ]
+    assert all(b is ty for b in builds)
+    gen = Gen(space=space, rng=random.Random(3))
+    for _ in range(60):
+        ty = gen.gen_type(gen.rng.choice(["L", "U"]), 3)
+        assert type_from_sexpr(type_to_sexpr(ty), space) is ty
+
+
+def test_fields_read_back_as_built():
+    one, true = TFun(P, Grade("b", 1), Q), TFun(P, Grade("b", True), Q)
+    assert one is not true
+    assert type(one.grade.value) is int and type(true.grade.value) is bool
+    assert (one.arg, one.body, true.arg, true.body) == (P, Q, P, Q)
+    drop = TDrop(Grade("b", True), "L", "U", Q)
+    assert [getattr(drop, f.name) for f in fields(drop)] == [Grade("b", True), "L", "U", Q]
+    assert drop.grade.value is True and drop is not TDrop(Grade("b", 1), "L", "U", Q)
+    with pytest.raises(FrozenInstanceError):
+        drop.low = "U"
+
+
+def test_a_type_nothing_references_leaves_the_table():
+    def named():  # the tensor's key holds its base type, so this covers both
+        return [k for k in list(syntax._TYPES.keys()) if k[:2] == (TBase, "only-here")]
+
+    ty = TTensor(TBase("only-here", "L"), TUnit("L"))
+    assert len(named()) == 1
+    gone = weakref.ref(ty)
+    del ty
+    gc.collect()
+    assert gone() is None and named() == []
+
+
+def test_deep_types_hash_and_compare_without_recursion():
+    def chain():
+        ty = P
+        for _ in range(10_000):
+            ty = TTensor(ty, TUnit("L"))
+        return ty
+
+    a, b = chain(), chain()
+    assert a is b and a == b and hash(a) == hash(b) and a != TTensor(a, TUnit("L"))
+    assert mode_of(a) == "L"
+
+
+def test_threads_building_one_value_get_one_object():
+    built = [[] for _ in range(8)]
+
+    def build(out):
+        for i in range(200):
+            out.append(TTensor(TBase(f"threaded{i}", "L"), TUnit("L")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out[i] is built[0][i] for out in built for i in range(200))
 
 
 # -- alpha equivalence ----------------------------------------------------------
