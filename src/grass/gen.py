@@ -135,7 +135,7 @@ class Gen:
             except GrassError:
                 continue
             if d is not None:
-                return self.maybe_wrap(d, depth)
+                return self.maybe_wrap(d)
         return mk_var(self.space, self.fresh(), ty)
 
     def _try_of_type(self, ty: Type, mode: str, depth: int) -> Derivation | None:
@@ -208,13 +208,13 @@ class Gen:
             if not self._fits(fun_ty):
                 return None
             fn = self.gen_of_type(fun_ty, depth - 1)
-            fn = self.maybe_wrap(fn, depth - 1)
+            fn = self.maybe_wrap(fn)
             arg = self.gen_of_type(arg_ty, depth - 1)
             return mk_arrowE(space, fn, arg)
         if kind == "unitE":
             body = self.gen_of_type(ty, depth - 1)
             scrut = self.gen_of_type(TUnit(mode), depth - 1)
-            scrut = self.maybe_wrap(scrut, depth - 1)
+            scrut = self.maybe_wrap(scrut)
             q = rng.choice(self.grades_of(mode))
             return mk_unitE(space, q, body, scrut)
         if kind == "pairE":
@@ -228,7 +228,7 @@ class Gen:
             body = self._bind_fresh(body, t1, q)
             body = self._bind_fresh(body, t2, q)
             scrut = self.gen_of_type(TTensor(t1, t2), depth - 1)
-            scrut = self.maybe_wrap(scrut, depth - 1)
+            scrut = self.maybe_wrap(scrut)
             return mk_pairE(space, body, scrut)
         if kind == "sumE":
             n = rng.choice(self.modes_at_least(mode))
@@ -245,7 +245,7 @@ class Gen:
             left = self._bind_fresh(base, t1, q, weak_only=True)
             right = self._bind_fresh(base, t2, q, weak_only=True)
             scrut = self.gen_of_type(TSum(t1, t2), depth - 1)
-            scrut = self.maybe_wrap(scrut, depth - 1)
+            scrut = self.maybe_wrap(scrut)
             return mk_sumE(space, left, right, scrut)
         if kind == "dropE":
             n = rng.choice(self.modes_at_least(mode))
@@ -259,19 +259,19 @@ class Gen:
             body = self.gen_of_type(ty, depth - 1)
             body = self._bind_fresh(body, inner, q)
             scrut = self.gen_of_type(dty, depth - 1)
-            scrut = self.maybe_wrap(scrut, depth - 1)
+            scrut = self.maybe_wrap(scrut)
             return mk_dropE(space, body, scrut)
         # raiseE
         highs = self.modes_at_least(mode)
         high = rng.choice(highs)
         rty = TRaise(mode, high, ty)
         scrut = self.gen_of_type(rty, depth - 1)
-        scrut = self.maybe_wrap(scrut, depth - 1)
+        scrut = self.maybe_wrap(scrut)
         return mk_raiseE(space, scrut)
 
     # -- structural wrapping --------------------------------------------------
 
-    def maybe_wrap(self, d: Derivation, depth: int) -> Derivation:
+    def maybe_wrap(self, d: Derivation) -> Derivation:
         for _ in range(2):
             if self.rng.random() < 0.35:
                 d = self.wrap_structural(d)

@@ -76,6 +76,8 @@ class GradeAlgebra:
         object.__setattr__(self, "ops", self._operations())
 
     def elements(self, budget: int = DEFAULT_BUDGET) -> tuple[GradeValue, ...]:
+        if budget < 0:
+            raise InputError(f"budget must be 0 or more, got {budget}")
         if self.kind == "finite":
             return self.carrier
         return tuple(range(budget + 1))

@@ -108,6 +108,7 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
             if b == c and (a, d) not in space.order_pairs:
                 found.append(Violation("order-transitive", (a, b, d)))
 
+    unmapped = set()  # morphisms reported as a table over a naturals source, not applied below
     for m, n in sorted(space.order_pairs):
         if (m, n) not in space.morphisms:
             found.append(Violation("missing-morphism", (m, n), f"no morphism for {m} <= {n}"))
@@ -115,11 +116,13 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
         sub = mode_morphism_check(space.morphisms[(m, n)], space.mode(m), space.mode(n), budget)
         for v in sub.violations:
             found.append(Violation(f"morphism-{m}->{n}-{v.law}", v.witness, v.detail))
+            if v.law == "map-kind":
+                unmapped.add((m, n))
 
     # phi_{m,m} = id pointwise
     for m in ids:
         phi = space.morphisms.get((m, m))
-        if phi is None:
+        if phi is None or (m, m) in unmapped:
             continue
         alg = space.mode(m).algebra
         for x in alg.elements(budget):
@@ -132,7 +135,7 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
         for l in ids:
             if (n, l) not in space.order_pairs:
                 continue
-            if any(key not in space.morphisms for key in ((m, n), (n, l), (m, l))):
+            if any(key not in space.morphisms or key in unmapped for key in ((m, n), (n, l), (m, l))):
                 continue
             alg_n = space.mode(n).algebra
             alg_l = space.mode(l).algebra

@@ -128,7 +128,7 @@ class SubstitutionBundle:
     replacements: tuple[Derivation, ...]
 
 
-def bundle_validate(b: SubstitutionBundle, space: ModeSpace) -> None:
+def bundle_validate(b: SubstitutionBundle) -> None:
     c = b.target.conclusion
     if len(b.replacements) != len(c.ctx):
         raise InputError("bundle needs one replacement per context entry")
@@ -151,7 +151,7 @@ def subst_simultaneous(b: SubstitutionBundle, space: ModeSpace) -> Derivation:
     The result concludes
     ``r1.s1, ..., rk.sk | N1..Nk (.) D1..Dk |- [e_i/x_i]t : T``.
     """
-    bundle_validate(b, space)
+    bundle_validate(b)
     return _subst(space, b.target, tuple(b.replacements))
 
 

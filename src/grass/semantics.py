@@ -20,10 +20,10 @@ the tensor of contexts strictly associative.
 
 The coherence validator proves each square once, at every object size,
 on leaf maps read off the backend's Positions (`grass._leafmaps`); a
-square it cannot prove is read as the interpretation's tables at each
-size, composed by index and decoded to element pairs when it fails.
-`grass.oracles` runs the same squares on the element-level relations, and
-shares the one algebra of relations by index with the interpretation.
+square it cannot prove is written by index at each size from its sides'
+leaf maps and decoded to element pairs when it fails.  `grass.oracles`
+runs the same squares on the element-level relations, composed with the
+interpretation's one algebra of relations by index.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache, partial
 from operator import itemgetter, mul
 from types import MappingProxyType
 
-from ._leafmaps import block_swap, equal, expand, identity, juxtapose, leaves, repeat, substitute
+from ._leafmaps import block_swap, equal, expand, identity, juxtapose, leaves, repeat, substitute, table
 from .derivation import Derivation, fold
 from .errors import ConfigError, InputError, Report, ShapeError, SizeLimitError, Violation
 from .grades import Grade, GradeValue
@@ -983,13 +983,12 @@ _SIZE_CAP = 4096
 
 
 class _Table:
-    """A map between two shapes, as rows or a leaf map, and the most leaves
-    of an object of a map read to build it; equal only to itself."""
+    """A map between two shapes, as rows or a leaf map; equal only to itself."""
 
-    __slots__ = ("dom", "cod", "rows", "reads")
+    __slots__ = ("dom", "cod", "rows")
 
-    def __init__(self, dom, cod, rows, reads=0):
-        self.dom, self.cod, self.rows, self.reads = dom, cod, rows, reads
+    def __init__(self, dom, cod, rows):
+        self.dom, self.cod, self.rows = dom, cod, rows
 
 
 def _size(shape) -> int:
@@ -1033,27 +1032,17 @@ def _positions(backend: ModelBackend, family: str, args: tuple) -> Positions:
     return p
 
 
-def _read_positions(backend: ModelBackend, family: str, args: tuple, sizes: tuple, rows: _Rows):
-    """The rows of backend.family(*args, *objects of those sizes) off its Positions: the
-    table at that size, or for tau the factors' digits at its place values."""
-    p = _positions(backend, family, args)
-    if family == "tau_pair":
-        a, (nx, ny) = p.src // 2, sizes
-        return rows.product([*map(range, [nx] * a + [ny] * a)], p.place_values(_strides([nx, ny] * a)))
-    n = sizes[0] if sizes else 1  # iota's object is the unit
-    return _pack([y if y.__class__ is int else rows.of(y) for y in p.table(n, _weights(n, len(p.out)))])
-
-
 class _Coherence:
-    """One validator call: each structure map read from the backend by
-    `source` once per (family, mode, grades, object sizes), as rows by
-    element position, or, proving, as the leaf map of its Positions when
-    `source` reads those (else None); nothing outlives the call."""
+    """One validator call, with one evaluation: without a `source`, each
+    structure map is the leaf map of its Positions; with one, it is read by
+    `source` as rows by element position, once per (family, mode, grades,
+    object sizes).  Nothing outlives the call."""
 
-    def __init__(self, backend: ModelBackend, source, proving: bool = False):
-        self.backend, self.source, self.proving = backend, source, proving
+    def __init__(self, backend: ModelBackend, source=None):
+        self.backend, self.source = backend, source
         self.rows = _Rows()
         self.read, self.memo = {}, {}  # rows by map and sizes; tables by method and arguments
+        self.proven: set = set()  # (name, key) of the squares whose leaf maps are equal
         self.found: list[Violation] = []
 
     @_once
@@ -1067,15 +1056,15 @@ class _Coherence:
     # -- the backend's maps, read once --------------------------------------
 
     def _map(self, family: str, args: tuple, objs: tuple, dom, cod) -> _Table:
-        """backend.family(*args, *objs), between dom and cod."""
-        if self.proving:
-            p = self.positions(family, args) if self.source is _read_positions else None
-            return _Table(dom, cod, p and expand(objs, p, dom, cod), max(leaves(dom), leaves(cod)))
+        """backend.family(*args, *objs), between dom and cod, refused with
+        SizeLimitError where either is over the element limit."""
+        _guard(max(_size(dom), _size(cod)))
+        if self.source is None:
+            return _Table(dom, cod, expand(objs, self.positions(family, args)))
         sizes = tuple(map(_size, objs))
         key = (family, *args, *sizes)
         rows = self.read.get(key)
         if rows is None:
-            _guard(max(_size(dom), _size(cod)))
             rows = self.read[key] = self.source(self.backend, family, args, sizes, self.rows)
         return _Table(dom, cod, rows)
 
@@ -1120,44 +1109,56 @@ class _Coherence:
     def iso(self, dom, cod=None) -> _Table:
         """Identity by index, dom to cod (default dom): an identity, associator or unitor."""
         cod = dom if cod is None else cod
-        return _Table(dom, cod, identity(leaves(dom)) if self.proving
+        return _Table(dom, cod, identity(leaves(dom)) if self.source is None
                       else array("q", range(_size(dom))))
 
     @_once
     def swap(self, a, b) -> _Table:
-        return _Table((a, b), (b, a), block_swap(leaves(a), leaves(b)) if self.proving
+        return _Table((a, b), (b, a), block_swap(leaves(a), leaves(b)) if self.source is None
                       else self.rows.product([range(_size(a)), range(_size(b))], (1, _size(a))))
 
     def compose(self, path: list[_Table]) -> _Table:
         """The tables of a path composed, first to last; the validator's
         paths meet at equal shapes by construction."""
-        rows, compose = path[0].rows, substitute if self.proving else self.rows.compose
+        rows, compose = path[0].rows, substitute if self.source is None else self.rows.compose
         for t in path[1:]:
             rows = compose(rows, t.rows)
-        return _Table(path[0].dom, path[-1].cod, rows, max(t.reads for t in path))
+        return _Table(path[0].dom, path[-1].cod, rows)
 
     def tensor(self, f: _Table, g: _Table) -> _Table:
-        rows = (juxtapose(f.rows, g.rows) if self.proving
+        rows = (juxtapose(f.rows, g.rows) if self.source is None
                 else self.rows.product([f.rows, g.rows], (_size(g.cod), 1)))
-        return _Table((f.dom, g.dom), (f.cod, g.cod), rows, max(f.reads, g.reads))
+        return _Table((f.dom, g.dom), (f.cod, g.cod), rows)
 
     @_once
     def power(self, f: _Table, k: int) -> _Table:
         """f^k, the functorial action of a tupling mode."""
-        rows = (repeat(f.rows, k) if self.proving
+        rows = (repeat(f.rows, k) if self.source is None
                 else self.rows.product([f.rows] * k, _strides([_size(f.cod)] * k)))
-        return _Table((f.dom,) * k, (f.cod,) * k, rows, f.reads)
+        return _Table((f.dom,) * k, (f.cod,) * k, rows)
 
-    def square(self, name: str, witness: tuple, lhs: list[_Table], rhs: list[_Table]) -> None:
-        """Note a violation unless the two paths compose to the same map."""
-        lhs, rhs = self.compose(lhs), self.compose(rhs)
+    def square(self, name: str, key: tuple, x: int, paths) -> None:
+        """Note a violation of square `name` at witness (*key, x) unless the two
+        paths that paths(self) builds compose to the same map, as equal leaf maps
+        prove for every x; skip it where a map it reads is over the element limit."""
+        if (name, key) in self.proven:
+            return
+        try:
+            lhs, rhs = map(self.compose, paths(self))
+        except SizeLimitError:
+            return
+        if self.source is None:
+            if (lhs.dom, lhs.cod) == (rhs.dom, rhs.cod) and equal(lhs.rows, rhs.rows):
+                self.proven.add((name, key))
+                return
+            lhs, rhs = (_Table(t.dom, t.cod, table(t.rows, x)) for t in (lhs, rhs))
         if not (_same(lhs.dom, rhs.dom) and _same(lhs.cod, rhs.cod)):
-            self.found.append(Violation(name, witness, "signature mismatch"))
+            self.found.append(Violation(name, (*key, x), "signature mismatch"))
         elif lhs.rows != rhs.rows:
             lp, rp = (_decode(t.rows, FinSetObj(_elements(t.dom)), FinSetObj(_elements(t.cod))).pairs
                       for t in (lhs, rhs))
             diff = min(map(repr, lp ^ rp), default="?")
-            self.found.append(Violation(name, witness, f"differs at {diff}"))
+            self.found.append(Violation(name, (*key, x), f"differs at {diff}"))
 
 
 def _fits_size(base: int, *exponents: int) -> bool:
@@ -1176,31 +1177,24 @@ def model_coherence_validate(backend: ModelBackend, modes: list[str] | None = No
     read a map over the element limit, are skipped; the cap only bites on
     large naturals grades.
     """
-    return coherence_report(backend, _read_positions, modes, max_size, budget)
+    return coherence_report(backend, None, modes, max_size, budget)
 
 
 def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budget=None) -> Report:
-    """`model_coherence_validate` with each structure map read by source(backend,
-    family, args, sizes, rows): family names the backend's element-level method.
-    Each square's instance, its name and witness but the object size, is first
-    proven on leaf maps, which only the Positions reader gives."""
-    co, proof = _Coherence(backend, source), _Coherence(backend, source, proving=True)
-    found, unproven = co.found, {}  # (name, key) -> None if proven, else the most leaves it reads
+    """`model_coherence_validate` with no source, else with each structure map read by
+    source(backend, family, args, sizes, rows), family naming its element-level method.
+    A mode whose arities break a law has no square read, so over the naturals a lawless
+    arity table is reported, never raised out of a structure map.  A lawful one restates
+    a(q) = q: at the largest q >= 2 with a(q) != q, a(q*q) is the default q*q, not
+    a(q)*a(q), and a wrong a(0) or a(1) breaks `arity-of-zero` or `arity-of-one`."""
+    if max_size < 0:
+        raise InputError(f"max_size must be 0 or more, got {max_size}")
+    co = _Coherence(backend, source)
+    found, square = co.found, co.square
     space = backend.space
     modes = list(space.modes) if modes is None else modes
     budget = backend.nat_budget if budget is None else budget
     sizes = range(max_size + 1)  # the shape of a test object is its size
-
-    def square(name: str, key: tuple, x: int, paths) -> None:
-        """Check square `name` at witness (*key, x), whose two paths
-        paths(c) builds with c's maps: once per key on leaf maps, else by
-        index at x unless a map it reads is over the element limit."""
-        if (bound := unproven.get((name, key), False)) is False:
-            lhs, rhs = map(proof.compose, paths(proof))
-            proven = (lhs.dom, lhs.cod) == (rhs.dom, rhs.cod) and equal(lhs.rows, rhs.rows)
-            bound = unproven[name, key] = None if proven else max(lhs.reads, rhs.reads)
-        if bound is not None and x ** bound <= ELEMENT_LIMIT:
-            co.square(name, (*key, x), *paths(co))
 
     lawless = set()  # modes whose arities break a law
     for m in modes:
@@ -1226,9 +1220,10 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
             lawless.add(m)
             continue
         # iota is an isomorphism onto a singleton power
-        for q in grades:
-            if (n := _count(co.iota(m, q).rows)) != 1:
-                found.append(Violation("iota-iso", (m, q), f"{n} pairs"))
+        if source is not None:  # the one iota _positions accepts, spread(0, a(q)), has one pair
+            for q in grades:
+                if (n := _count(co.iota(m, q).rows)) != 1:
+                    found.append(Violation("iota-iso", (m, q), f"{n} pairs"))
 
         for x in sizes:
             # counit laws for delta/epsilon

@@ -1,5 +1,7 @@
 import pytest
 
+from corrupted_backend import CORRUPTIONS, corrupted
+from grass.oracles import coherence_by_elements
 from grass.presets import system
 
 
@@ -21,3 +23,13 @@ def lu_backend(lu):
 @pytest.fixture(scope="session")
 def fh():
     return system("fh")
+
+
+@pytest.fixture(scope="session")
+def element_reports():
+    """The element-level validator's reports on `all` at max size 3, budget
+    4, under each element-level corruption: the golden file pins them and
+    the mutation checks read them."""
+    backend = system("all")[1]
+    return {which: coherence_by_elements(corrupted(backend, which), max_size=3, budget=4)
+            for which in CORRUPTIONS}

@@ -185,6 +185,33 @@ def test_a_declared_arity_above_the_budget_is_checked(tmp_path, capsys, cont, gr
                                   (grade, 4), (grade, grade)]]
 
 
+TABLE_OVER_NATURALS = """
+[algebra nat]
+builtin = nat-usual
+[mode N]
+algebra = nat
+cont = @all
+weak = true
+[mode M]
+algebra = nat
+cont = @all
+weak = true
+[order]
+N <= M
+[morphism N M]
+map = 0 -> 0, 1 -> 1, 2 -> 2
+"""
+
+
+def test_a_table_morphism_over_the_naturals_is_reported_not_applied(tmp_path, capsys):
+    # the composition-coherence loop used to apply the table at grade 3, which it
+    # has no image for, after the morphism check had reported it
+    modes = _write(tmp_path, "t.modes", TABLE_OVER_NATURALS)
+    assert main(["modes-validate", modes]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "morphism-N->M-map-kind naturals sources require a named map"]
+
+
 def test_parse_error_exit_code(tmp_path):
     modes = _write(tmp_path, "m.modes", LNL)
     bad = _write(tmp_path, "bad.prog", "term broken : (-o{1:L} P P = (lam x x)\n")

@@ -4,6 +4,7 @@ they stand for."""
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -13,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from grass import semantics
-from grass._leafmaps import block_swap, equal, juxtapose, leaves, substitute
+from grass._leafmaps import block_swap, equal, juxtapose, leaves, substitute, table
 from grass.cli import load_modes_file
-from grass.errors import ShapeError, SizeLimitError
+from grass.errors import InputError, ShapeError, SizeLimitError
 from grass.grades import NAT_IDEALS, Ideal, Mode, ModeMorphism, builtin_algebra
 from grass.modespace import ModeSpace
 from grass.oracles import coherence_by_elements, read_elements
@@ -29,7 +30,6 @@ from grass.semantics import (
     Rel,
     _Coherence,
     _elements,
-    _read_positions,
     _same,
     _size,
     _strides,
@@ -50,20 +50,21 @@ SYSTEMS = Path(__file__).parent.parent / "systems"
 STOCK = ("L", "U", "R", "A", "fh", "LU", "LA", "LfhU", "all")
 
 
-def _renders(backend) -> str:
+def _renders(backend, element_reports) -> str:
     """The element-level validator's reports on the clean backend and under
     each corruption, each headed by its name and its number of lines."""
     out = []
     for which in ("clean",) + CORRUPTIONS:
-        be = backend if which == "clean" else corrupted(backend, which)
-        lines = coherence_by_elements(be, max_size=3, budget=4).render().splitlines()
+        report = (coherence_by_elements(backend, max_size=3, budget=4) if which == "clean"
+                  else element_reports[which])
+        lines = report.render().splitlines()
         out += [f"== {which} {len(lines)}", *lines]
     return "\n".join(out) + "\n"
 
 
-def test_reports_match_the_golden_file():
+def test_reports_match_the_golden_file(element_reports):
     backend = system("all")[1]
-    assert _renders(backend) == GOLDEN.read_text()
+    assert _renders(backend, element_reports) == GOLDEN.read_text()
     # the corruptions damage elements, which only the element-level
     # validator reads; the clean report is the same through both
     clean = model_coherence_validate(backend, max_size=3, budget=4).render().splitlines()
@@ -338,21 +339,43 @@ def test_both_validators_report_alike():
 # -- squares proven on leaf maps ----------------------------------------------------
 
 
-def test_every_clean_square_is_proven_without_a_table(monkeypatch):
-    # the one table a clean backend still reads is iota's, whose pairs
-    # `iota-iso` counts
-    read = collections.Counter()
+def test_the_validator_reaches_no_table_code(monkeypatch):
+    # clean squares are proven on leaf maps, and the failing squares of the
+    # position mutants are written by index from theirs
+    calls = collections.Counter()
 
-    def counting(backend, family, *rest):
-        read[family] += 1
-        return _read_positions(backend, family, *rest)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(semantics, "_read_positions", counting)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((Positions, "table"), (semantics._Rows, "compose"),
+                        (semantics._Rows, "product"), (semantics, "encode")):
+        counting(owner, name)
     shipped = [load_modes_file(str(SYSTEMS / f"{name}.modes"))[1]
                for name in ("allmodes", "filehandle", "lnl")]
     for be in [system(n)[1] for n in STOCK] + shipped:
         assert semantics.model_coherence_validate(be, max_size=3, budget=4).render() == ""
-    assert set(read) == {"iota"}
+    reported = [semantics.model_coherence_validate(corrupted(system("all")[1], which, positions=True),
+                                                   max_size=3, budget=4).render()
+                for which in POSITION_CORRUPTIONS]
+    assert [bool(r) for r in reported] == [which != "c" for which in POSITION_CORRUPTIONS]
+    assert calls == {}
+
+
+@pytest.mark.parametrize("validate", (model_coherence_validate, coherence_by_elements))
+def test_a_negative_size_or_budget_is_refused(validate):
+    # over the naturals both used to validate no square and report nothing
+    backend = _splitting_backend()
+    assert len(validate(backend, max_size=2, budget=3).violations) == 15
+    for max_size, budget in ((-1, 3), (2, -3)):
+        with pytest.raises(InputError):
+            validate(backend, max_size=max_size, budget=budget)
+    with pytest.raises(InputError):
+        backend.space.mode("N").algebra.elements(-1)
 
 
 @pytest.mark.parametrize("which", ILL_TYPED_CORRUPTIONS)
@@ -374,11 +397,16 @@ def test_a_map_over_the_element_limit_is_refused_before_it_is_read():
 
 
 class _PositionsGiven:
-    """A backend whose one map family is the Positions it is given."""
+    """A backend whose one map family is the Positions it is given, and the
+    relation those positions denote element by element."""
 
     @staticmethod
     def given_positions(p: Positions) -> Positions:
         return p
+
+    @staticmethod
+    def given(p: Positions, x_obj: FinSetObj) -> Rel:
+        return positions_rel(p, x_obj)
 
     @staticmethod
     def coordinates(family: str, p: Positions) -> tuple[int, int]:
@@ -389,6 +417,7 @@ class _PositionsGiven:
 _OBJECTS = (lambda n: (), lambda n: n, lambda n: (n, n), lambda n: ((n,), ()), lambda n: (n, ((),)))
 
 
+@functools.cache
 def _build(c: _Coherence, recipe, n: int) -> _Table:
     """A seeded composite of position maps, as c evaluates it at size n."""
     kind, *parts = recipe
@@ -413,8 +442,8 @@ def _pairs(t: _Table) -> set:
 def test_equal_leaf_maps_give_equal_tables_at_every_size():
     rng = random.Random(15)
     backend = _PositionsGiven()
-    proof = _Coherence(backend, _read_positions, proving=True)
-    tables = _Coherence(backend, _read_positions)
+    proof = _Coherence(backend)
+    tables = _Coherence(backend, read_elements)
 
     def positions():
         src, fresh = rng.randrange(4), rng.random() < 0.5
@@ -448,13 +477,13 @@ def test_equal_leaf_maps_give_equal_tables_at_every_size():
     for recipe in (dropped, ("compose", dropped, ("iso", 0)), ("tensor", ("iso", 0), dropped)):
         add(recipe)
     assert not equal(made[dropped][0].rows, made["iso", 0][0].rows)
-    # positions whose outputs are not its codomain's leaves are not read: a
-    # tensor or power weighs a map's digits by its codomain's size
-    assert proof._map("given", (Positions(1, (0, 0)),), (2,), (2,), (2,)).rows is None
 
     groups = collections.defaultdict(list)
     for recipe, (t, dl, cl) in made.items():
-        if t.rows is not None and max(dl, cl) <= 4:
+        # a leaf map written by index is the table of the relation it denotes
+        for n in range(4):
+            assert table(t.rows, n) == _build(tables, recipe, n).rows, (recipe, n)
+        if max(dl, cl) <= 4:
             groups[t.dom, t.cod].append((recipe, t.rows))
     proven = collections.Counter()
     for group in groups.values():

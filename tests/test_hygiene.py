@@ -61,3 +61,22 @@ def test_every_definition_is_named_elsewhere():
             if words[name] <= WORD.findall(lines[lineno - 1]).count(name):
                 unnamed.append(f"{path.name}:{lineno} {name}")
     assert not unnamed, f"defined but named nowhere else: {unnamed}"
+
+
+def test_every_parameter_is_read():
+    # dunder methods are exempt, for their protocols fix their signatures, and
+    # lambdas, which the s-expression readers give one signature on purpose; so
+    # is a parameter named with a leading underscore, unread on purpose, as in
+    # the step `check_derivation` hands `fold`, which needs no premise values
+    unread = []
+    for path in sorted((ROOT / "src" / "grass").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({p.arg})" for p in params
+                       if p.arg not in read and not p.arg.startswith("_")]
+    assert not unread, f"parameters never read: {unread}"

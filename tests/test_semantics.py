@@ -256,10 +256,9 @@ def test_coherence_clean(all_backend):
 
 
 @pytest.mark.parametrize("which", CORRUPTIONS)
-def test_coherence_mutations_detected(all_backend, which):
-    bad = corrupted(all_backend, which)
-    report = coherence_by_elements(bad, max_size=3)
-    assert not report.ok()
+def test_coherence_mutations_detected(element_reports, which):
+    # coherence_by_elements(corrupted(system("all")[1], which), max_size=3, budget=4)
+    assert not element_reports[which].ok()
 
 
 def test_v_identity_and_unit_inverses(all_backend):
