@@ -12,6 +12,7 @@ import itertools
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cache
 from types import MappingProxyType
 from typing import Iterable
 
@@ -413,13 +414,14 @@ def mode_morphism_check(
         found.append(Violation("map-kind", (), "naturals sources require a named map"))
         return Report(tuple(found))
 
-    def f(x):
-        return phi.apply(x, tgt)
-
+    f = cache(lambda x: phi.apply(x, tgt))  # each image once, kept for the call
     elems = src.elements(budget)
-    for x in elems:
-        if not tgt.contains(f(x)):
-            found.append(Violation("image-in-carrier", (x, f(x))))
+    if phi.table is not None and (missing := [x for x in elems if x not in phi.table]):
+        return Report(tuple(Violation("image-defined", (x,)) for x in missing))
+    known = [(x, f(x)) for x in elems]
+    for x, fx in known:
+        if not tgt.contains(fx):
+            found.append(Violation("image-in-carrier", (x, fx)))
     if found:
         return Report(tuple(found))
     if f(src.zero) != tgt.zero:
@@ -427,16 +429,16 @@ def mode_morphism_check(
     if f(src.one) != tgt.one:
         found.append(Violation("preserves-one", (src.one, f(src.one))))
     (add, mul, leq, _), (tgt_add, tgt_mul, tgt_leq, _) = src.ops, tgt.ops  # f(x) checked above
-    for x, y in itertools.product(elems, repeat=2):
-        if f(add(x, y)) != tgt_add(f(x), f(y)):
+    for (x, fx), (y, fy) in itertools.product(known, repeat=2):
+        if f(add(x, y)) != tgt_add(fx, fy):
             found.append(Violation("preserves-add", (x, y)))
-        if f(mul(x, y)) != tgt_mul(f(x), f(y)):
+        if f(mul(x, y)) != tgt_mul(fx, fy):
             found.append(Violation("preserves-mul", (x, y)))
-        if leq(x, y) and not tgt_leq(f(x), f(y)):
+        if leq(x, y) and not tgt_leq(fx, fy):
             found.append(Violation("monotone", (x, y)))
-    for x in elems:
-        if source.cont.contains(x) and not target.cont.contains(f(x)):
-            found.append(Violation("preserves-cont", (x, f(x))))
+    for x, fx in known:
+        if source.cont.contains(x) and not target.cont.contains(fx):
+            found.append(Violation("preserves-cont", (x, fx)))
     if source.weak and not target.weak:
         found.append(Violation("preserves-weak", (source.id, target.id), "Weak(source) -> Weak(target) is false"))
     return Report(tuple(found))

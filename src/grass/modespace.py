@@ -108,7 +108,7 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
             if b == c and (a, d) not in space.order_pairs:
                 found.append(Violation("order-transitive", (a, b, d)))
 
-    unmapped = set()  # morphisms reported as a table over a naturals source, not applied below
+    unmapped = set()  # morphisms reported as a table over a naturals source or with an image missing
     for m, n in sorted(space.order_pairs):
         if (m, n) not in space.morphisms:
             found.append(Violation("missing-morphism", (m, n), f"no morphism for {m} <= {n}"))
@@ -116,7 +116,7 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
         sub = mode_morphism_check(space.morphisms[(m, n)], space.mode(m), space.mode(n), budget)
         for v in sub.violations:
             found.append(Violation(f"morphism-{m}->{n}-{v.law}", v.witness, v.detail))
-            if v.law == "map-kind":
+            if v.law in ("map-kind", "image-defined"):
                 unmapped.add((m, n))
 
     # phi_{m,m} = id pointwise

@@ -983,12 +983,13 @@ _SIZE_CAP = 4096
 
 
 class _Table:
-    """A map between two shapes, as rows or a leaf map; equal only to itself."""
+    """A map between two shapes, as rows or a leaf map; equal only to itself.
+    A leaf map's reach is the most leaves of an object of a backend map in it."""
 
-    __slots__ = ("dom", "cod", "rows")
+    __slots__ = ("dom", "cod", "rows", "reach")
 
-    def __init__(self, dom, cod, rows):
-        self.dom, self.cod, self.rows = dom, cod, rows
+    def __init__(self, dom, cod, rows, reach=0):
+        self.dom, self.cod, self.rows, self.reach = dom, cod, rows, reach
 
 
 def _size(shape) -> int:
@@ -1004,6 +1005,11 @@ def _elements(shape) -> tuple:
     if shape.__class__ is int:  # the test object of that size
         return tuple(f"e{i}" for i in range(shape))
     return tuple(itertools.product(*map(_elements, shape)))
+
+
+def _at(shape, x: int):
+    """shape, built at size 0, with each test object of size x."""
+    return x if shape.__class__ is int else tuple(_at(s, x) for s in shape)
 
 
 def _once(method):
@@ -1034,20 +1040,27 @@ def _positions(backend: ModelBackend, family: str, args: tuple) -> Positions:
 
 class _Coherence:
     """One validator call, with one evaluation: without a `source`, each
-    structure map is the leaf map of its Positions; with one, it is read by
-    `source` as rows by element position, once per (family, mode, grades,
-    object sizes).  Nothing outlives the call."""
+    structure map is the leaf map of its Positions, `square` (pass 1) proves
+    each instance it can for every size, and `decide` (pass 2) writes the
+    rest by index at each size; with one, each is read by `source` as rows by
+    element position, once per (family, mode, grades, object sizes), and pass
+    2 builds every instance at every size.  Nothing outlives the call."""
 
     def __init__(self, backend: ModelBackend, source=None):
         self.backend, self.source = backend, source
         self.rows = _Rows()
-        self.read, self.memo = {}, {}  # rows by map and sizes; tables by method and arguments
-        self.proven: set = set()  # (name, key) of the squares whose leaf maps are equal
+        self.read, self.memo, self.arities = {}, {}, {}  # rows by map and sizes; tables; arities
+        self.open: list = []  # the instances pass 1 left open, until `decide` reads them
         self.found: list[Violation] = []
 
-    @_once
     def arity(self, mode: str, value: GradeValue) -> int:
-        return self.backend.arity(mode, value)
+        if (a := self.arities.get((mode, value))) is None:
+            a = self.arities[mode, value] = self.backend.arity(mode, value)
+        return a
+
+    def act(self, mode: str, value: GradeValue, x) -> tuple:
+        """The shape of value (.) x: a(value) copies of x."""
+        return (x,) * self.arity(mode, value)
 
     @_once
     def positions(self, family: str, args: tuple) -> Positions:
@@ -1056,11 +1069,12 @@ class _Coherence:
     # -- the backend's maps, read once --------------------------------------
 
     def _map(self, family: str, args: tuple, objs: tuple, dom, cod) -> _Table:
-        """backend.family(*args, *objs), between dom and cod, refused with
-        SizeLimitError where either is over the element limit."""
-        _guard(max(_size(dom), _size(cod)))
+        """backend.family(*args, *objs), between dom and cod; read by a source,
+        refused with SizeLimitError where either is over the element limit."""
         if self.source is None:
-            return _Table(dom, cod, expand(objs, self.positions(family, args)))
+            f = expand(objs, self.positions(family, args))
+            return _Table(dom, cod, f, max(f[0], len(f[1])))
+        _guard(max(_size(dom), _size(cod)))
         sizes = tuple(map(_size, objs))
         key = (family, *args, *sizes)
         rows = self.read.get(key)
@@ -1123,42 +1137,56 @@ class _Coherence:
         rows, compose = path[0].rows, substitute if self.source is None else self.rows.compose
         for t in path[1:]:
             rows = compose(rows, t.rows)
-        return _Table(path[0].dom, path[-1].cod, rows)
+        return _Table(path[0].dom, path[-1].cod, rows, max(t.reach for t in path))
 
     def tensor(self, f: _Table, g: _Table) -> _Table:
         rows = (juxtapose(f.rows, g.rows) if self.source is None
                 else self.rows.product([f.rows, g.rows], (_size(g.cod), 1)))
-        return _Table((f.dom, g.dom), (f.cod, g.cod), rows)
+        return _Table((f.dom, g.dom), (f.cod, g.cod), rows, max(f.reach, g.reach))
 
     @_once
     def power(self, f: _Table, k: int) -> _Table:
         """f^k, the functorial action of a tupling mode."""
         rows = (repeat(f.rows, k) if self.source is None
                 else self.rows.product([f.rows] * k, _strides([_size(f.cod)] * k)))
-        return _Table((f.dom,) * k, (f.cod,) * k, rows)
+        return _Table((f.dom,) * k, (f.cod,) * k, rows, f.reach)
 
-    def square(self, name: str, key: tuple, x: int, paths) -> None:
-        """Note a violation of square `name` at witness (*key, x) unless the two
-        paths that paths(self) builds compose to the same map, as equal leaf maps
-        prove for every x; skip it where a map it reads is over the element limit."""
-        if (name, key) in self.proven:
-            return
-        try:
-            lhs, rhs = map(self.compose, paths(self))
-        except SizeLimitError:
-            return
+    # -- the two passes -----------------------------------------------------
+
+    def square(self, name: str, key: tuple, exponents: list, paths) -> None:
+        """Pass 1 on square `name` at key, with sides paths(self, *key, x) and objects of
+        up to x**e elements, e in exponents, at object size x: without a source, proven on
+        its sides' leaf maps at size 0, which stand for every size, if it can be; else open."""
         if self.source is None:
+            lhs, rhs = map(self.compose, paths(self, *key, 0))
             if (lhs.dom, lhs.cod) == (rhs.dom, rhs.cod) and equal(lhs.rows, rhs.rows):
-                self.proven.add((name, key))
                 return
-            lhs, rhs = (_Table(t.dom, t.cod, table(t.rows, x)) for t in (lhs, rhs))
-        if not (_same(lhs.dom, rhs.dom) and _same(lhs.cod, rhs.cod)):
-            self.found.append(Violation(name, (*key, x), "signature mismatch"))
-        elif lhs.rows != rhs.rows:
-            lp, rp = (_decode(t.rows, FinSetObj(_elements(t.dom)), FinSetObj(_elements(t.cod))).pairs
-                      for t in (lhs, rhs))
-            diff = min(map(repr, lp ^ rp), default="?")
-            self.found.append(Violation(name, (*key, x), f"differs at {diff}"))
+            paths = lhs, rhs
+        self.open.append((name, key, exponents, paths))
+
+    def decide(self, sizes: range) -> None:
+        """Pass 2: at each size x, unless an object is over the cap or a map read over the
+        element limit, note a violation at (*key, x) of each open square whose sides, pass
+        1's leaf maps written by index or the source's rows composed, differ."""
+        for x, (name, key, exponents, paths) in itertools.product(sizes, self.open):
+            if not _fits_size(x, *exponents):
+                continue
+            try:
+                if self.source is None:
+                    _guard(x ** max(t.reach for t in paths))
+                    lhs, rhs = (_Table(_at(t.dom, x), _at(t.cod, x), table(t.rows, x)) for t in paths)
+                else:
+                    lhs, rhs = map(self.compose, paths(self, *key, x))
+            except SizeLimitError:
+                continue
+            if not (_same(lhs.dom, rhs.dom) and _same(lhs.cod, rhs.cod)):
+                self.found.append(Violation(name, (*key, x), "signature mismatch"))
+            elif lhs.rows != rhs.rows:
+                lp, rp = (_decode(t.rows, FinSetObj(_elements(t.dom)), FinSetObj(_elements(t.cod))).pairs
+                          for t in (lhs, rhs))
+                diff = min(map(repr, lp ^ rp), default="?")
+                self.found.append(Violation(name, (*key, x), f"differs at {diff}"))
+        self.open.clear()
 
 
 def _fits_size(base: int, *exponents: int) -> bool:
@@ -1169,13 +1197,12 @@ def model_coherence_validate(backend: ModelBackend, modes: list[str] | None = No
                              max_size: int = 3, budget: int | None = None) -> Report:
     """Enumerate every coherence diagram over the given modes, all grades
     (naturals truncated to the budget; the arity laws also take each grade
-    with a declared arity) and objects up to the size bound,
-    with each structure map read off the backend's Positions.  A square
-    proven on leaf maps holds at every object size and builds no table.
-
-    Instances whose intermediate objects blow past an element cap, or that
-    read a map over the element limit, are skipped; the cap only bites on
-    large naturals grades.
+    with a declared arity) and objects up to the size bound, with each
+    structure map read off the backend's Positions.  Each square is proven
+    once on leaf maps, with no object size; only those left open are written
+    by index, at each size, and skipped where their intermediate objects blow
+    past an element cap or they read a map over the element limit; the cap
+    only bites on large naturals grades.
     """
     return coherence_report(backend, None, modes, max_size, budget)
 
@@ -1183,6 +1210,8 @@ def model_coherence_validate(backend: ModelBackend, modes: list[str] | None = No
 def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budget=None) -> Report:
     """`model_coherence_validate` with no source, else with each structure map read by
     source(backend, family, args, sizes, rows), family naming its element-level method.
+    Each mode's (each order pair's, for mu) squares are listed once; pass 1 proves them
+    on leaf maps, and pass 2 runs the sizes over those left open, with a source all.
     A mode whose arities break a law has no square read, so over the naturals a lawless
     arity table is reported, never raised out of a structure map.  A lawful one restates
     a(q) = q: at the largest q >= 2 with a(q) != q, a(q*q) is the default q*q, not
@@ -1202,7 +1231,7 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
         alg = mode.algebra
         grades = list(alg.elements(budget))
         conts = [g for g in grades if mode.cont.contains(g)]
-        a = partial(co.arity, m)
+        a, act = partial(co.arity, m), partial(co.act, m)
         # the laws also cover each grade an arity is declared at, above the budget too
         law_grades = grades + [q for n, q in backend.arities
                                if n == m and alg.contains(q) and q not in grades]
@@ -1225,87 +1254,77 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
                 if (n := _count(co.iota(m, q).rows)) != 1:
                     found.append(Violation("iota-iso", (m, q), f"{n} pairs"))
 
-        for x in sizes:
+        for q in grades:
             # counit laws for delta/epsilon
-            for q in grades:
-                if not _fits_size(x, a(q)):
-                    continue
-                qx = (x,) * a(q)
-                square("delta then eps is the identity", (m, q), x, lambda c: (
-                    [c.delta(m, alg.one, q, x), c.eps(m, qx)], [c.iso(qx)]))
-                square("delta then q (.) eps is the identity", (m, q), x, lambda c: (
-                    [c.delta(m, q, alg.one, x), c.power(c.eps(m, x), a(q))], [c.iso(qx)]))
-                # tau unit law: (iota (x) id) then tau then q (.) unitor == unitor
-                square("tau unit law", (m, q), x, lambda c: (
-                    [c.tensor(c.iota(m, q), c.iso(qx)), c.tau(m, q, (), x),
-                     c.power(c.iso(((), x), x), a(q))], [c.iso(((), qx), qx)]))
-                # tau symmetry: tau then q (.) swap == swap then tau
-                square("tau symmetry", (m, q), x, lambda c: (
-                    [c.tau(m, q, x, x), c.power(c.swap(x, x), a(q))],
-                    [c.swap(qx, qx), c.tau(m, q, x, x)]))
-                # tau associativity
-                if _fits_size(x, 3 * a(q)):
-                    square("tau associativity", (m, q), x, lambda c: (
-                        [c.tensor(c.tau(m, q, x, x), c.iso(qx)), c.tau(m, q, (x, x), x),
-                         c.power(c.iso(((x, x), x), (x, (x, x))), a(q))],
-                        [c.iso(((qx, qx), qx), (qx, (qx, qx))), c.tensor(c.iso(qx), c.tau(m, q, x, x)),
-                         c.tau(m, q, x, (x, x))]))
+            square("delta then eps is the identity", (m, q), [a(q)], lambda c, m, q, x: (
+                [c.delta(m, alg.one, q, x), c.eps(m, act(q, x))], [c.iso(act(q, x))]))
+            square("delta then q (.) eps is the identity", (m, q), [a(q)], lambda c, m, q, x: (
+                [c.delta(m, q, alg.one, x), c.power(c.eps(m, x), a(q))], [c.iso(act(q, x))]))
+            # tau unit law: (iota (x) id) then tau then q (.) unitor == unitor
+            square("tau unit law", (m, q), [a(q)], lambda c, m, q, x: (
+                [c.tensor(c.iota(m, q), c.iso(act(q, x))), c.tau(m, q, (), x),
+                 c.power(c.iso(((), x), x), a(q))], [c.iso(((), act(q, x)), act(q, x))]))
+            # tau symmetry: tau then q (.) swap == swap then tau
+            square("tau symmetry", (m, q), [a(q)], lambda c, m, q, x: (
+                [c.tau(m, q, x, x), c.power(c.swap(x, x), a(q))],
+                [c.swap(act(q, x), act(q, x)), c.tau(m, q, x, x)]))
+            # tau associativity
+            square("tau associativity", (m, q), [3 * a(q)], lambda c, m, q, x: (
+                [c.tensor(c.tau(m, q, x, x), c.iso(act(q, x))), c.tau(m, q, (x, x), x),
+                 c.power(c.iso(((x, x), x), (x, (x, x))), a(q))],
+                [c.iso(((act(q, x), act(q, x)), act(q, x)), (act(q, x), (act(q, x), act(q, x)))),
+                 c.tensor(c.iso(act(q, x)), c.tau(m, q, x, x)), c.tau(m, q, x, (x, x))]))
 
-            # delta coassociativity
-            for q, r, s in itertools.product(grades, repeat=3):
-                if not _fits_size(x, a(q) * a(r) * a(s), a(q) * a(r), a(r) * a(s)):
-                    continue
-                sx = (x,) * a(s)
-                square("delta coassociativity", (m, q, r, s), x, lambda c: (
-                    [c.delta(m, alg.mul(q, r), s, x), c.power(c.iso(sx), a(alg.mul(q, r))),
-                     c.delta(m, q, r, sx)],
-                    [c.delta(m, q, alg.mul(r, s), x), c.power(c.delta(m, r, s, x), a(q))]))
+        # delta coassociativity
+        for q, r, s in itertools.product(grades, repeat=3):
+            square("delta coassociativity", (m, q, r, s), [a(q) * a(r) * a(s), a(q) * a(r), a(r) * a(s)],
+                   lambda c, m, q, r, s, x: (
+                       [c.delta(m, alg.mul(q, r), s, x), c.power(c.iso(act(s, x)), a(alg.mul(q, r))),
+                        c.delta(m, q, r, act(s, x))],
+                       [c.delta(m, q, alg.mul(r, s), x), c.power(c.delta(m, r, s, x), a(q))]))
 
-            # graded-comonad coherence: c against delta/tau (both squares)
-            for q in grades:
-                for r1, r2 in itertools.product(conts, repeat=2):
-                    if not _fits_size(x, a(q) * (a(r1) + a(r2)), a(r1) + a(r2),
-                                      a(q) * a(r1), a(q) * a(r2)):
-                        continue
-                    square("c then delta tensor delta then tau", (m, q, r1, r2), x, lambda c: (
-                        [c.c(m, alg.mul(q, r1), alg.mul(q, r2), x),
-                         c.tensor(c.delta(m, q, r1, x), c.delta(m, q, r2, x)),
-                         c.tau(m, q, (x,) * a(r1), (x,) * a(r2))],
-                        [c.delta(m, q, alg.add(r1, r2), x), c.power(c.c(m, r1, r2, x), a(q))]))
-                    square("c against delta on the right factor", (m, q, r1, r2), x, lambda c: (
-                        [c.c(m, alg.mul(r1, q), alg.mul(r2, q), x),
-                         c.tensor(c.delta(m, r1, q, x), c.delta(m, r2, q, x))],
-                        [c.delta(m, alg.add(r1, r2), q, x), c.c(m, r1, r2, (x,) * a(q))]))
+        # graded-comonad coherence: c against delta/tau (both squares)
+        for q in grades:
+            for r1, r2 in itertools.product(conts, repeat=2):
+                exponents = [a(q) * (a(r1) + a(r2)), a(r1) + a(r2), a(q) * a(r1), a(q) * a(r2)]
+                square("c then delta tensor delta then tau", (m, q, r1, r2), exponents,
+                       lambda c, m, q, r1, r2, x: (
+                           [c.c(m, alg.mul(q, r1), alg.mul(q, r2), x),
+                            c.tensor(c.delta(m, q, r1, x), c.delta(m, q, r2, x)),
+                            c.tau(m, q, act(r1, x), act(r2, x))],
+                           [c.delta(m, q, alg.add(r1, r2), x), c.power(c.c(m, r1, r2, x), a(q))]))
+                square("c against delta on the right factor", (m, q, r1, r2), exponents,
+                       lambda c, m, q, r1, r2, x: (
+                           [c.c(m, alg.mul(r1, q), alg.mul(r2, q), x),
+                            c.tensor(c.delta(m, r1, q, x), c.delta(m, r2, q, x))],
+                           [c.delta(m, alg.add(r1, r2), q, x), c.c(m, r1, r2, act(q, x))]))
 
-            # c coassociativity
-            for r1, r2, r3 in itertools.product(conts, repeat=3):
-                if not _fits_size(x, a(r1) + a(r2) + a(r3)):
-                    continue
-                o1, o2, o3 = ((x,) * a(r) for r in (r1, r2, r3))
-                square("c coassociativity", (m, r1, r2, r3), x, lambda c: (
-                    [c.c(m, alg.add(r1, r2), r3, x), c.tensor(c.c(m, r1, r2, x), c.iso(o3)),
-                     c.iso(((o1, o2), o3), (o1, (o2, o3)))],
-                    [c.c(m, r1, alg.add(r2, r3), x), c.tensor(c.iso(o1), c.c(m, r2, r3, x))]))
+        # c coassociativity
+        for r1, r2, r3 in itertools.product(conts, repeat=3):
+            square("c coassociativity", (m, r1, r2, r3), [a(r1) + a(r2) + a(r3)],
+                   lambda c, m, r1, r2, r3, x: (
+                       [c.c(m, alg.add(r1, r2), r3, x), c.tensor(c.c(m, r1, r2, x), c.iso(act(r3, x))),
+                        c.iso(((act(r1, x), act(r2, x)), act(r3, x)),
+                              (act(r1, x), (act(r2, x), act(r3, x))))],
+                       [c.c(m, r1, alg.add(r2, r3), x), c.tensor(c.iso(act(r1, x)), c.c(m, r2, r3, x))]))
 
-            if mode.weak:
-                zero = alg.zero
-                for r in grades:
-                    if not _fits_size(x, max(a(r), 1)):
-                        continue
-                    rx = (x,) * a(r)
-                    square("w after delta at zero times r", (m, r), x, lambda c: (
-                        [c.delta(m, zero, r, x), c.w(m, rx)], [c.w(m, x)]))
-                    square("w then iota against delta at r times zero", (m, r), x, lambda c: (
-                        [c.delta(m, r, zero, x), c.power(c.w(m, x), a(r))],
-                        [c.w(m, x), c.iota(m, r)]))
-                    # counit laws of (c, w)
-                    if r in conts:
-                        square("w counit on the left of c", (m, r), x, lambda c: (
-                            [c.c(m, zero, r, x), c.tensor(c.w(m, x), c.iso(rx)), c.iso(((), rx), rx)],
-                            [c.iso(rx)]))
-                        square("w counit on the right of c", (m, r), x, lambda c: (
-                            [c.c(m, r, zero, x), c.tensor(c.iso(rx), c.w(m, x)), c.iso((rx, ()), rx)],
-                            [c.iso(rx)]))
+        if mode.weak:
+            zero = alg.zero
+            for r in grades:
+                exponents = [max(a(r), 1)]
+                square("w after delta at zero times r", (m, r), exponents, lambda c, m, r, x: (
+                    [c.delta(m, zero, r, x), c.w(m, act(r, x))], [c.w(m, x)]))
+                square("w then iota against delta at r times zero", (m, r), exponents, lambda c, m, r, x: (
+                    [c.delta(m, r, zero, x), c.power(c.w(m, x), a(r))], [c.w(m, x), c.iota(m, r)]))
+                # counit laws of (c, w)
+                if r in conts:
+                    square("w counit on the left of c", (m, r), exponents, lambda c, m, r, x: (
+                        [c.c(m, zero, r, x), c.tensor(c.w(m, x), c.iso(act(r, x))),
+                         c.iso(((), act(r, x)), act(r, x))], [c.iso(act(r, x))]))
+                    square("w counit on the right of c", (m, r), exponents, lambda c, m, r, x: (
+                        [c.c(m, r, zero, x), c.tensor(c.iso(act(r, x)), c.w(m, x)),
+                         c.iso((act(r, x), ()), act(r, x))], [c.iso(act(r, x))]))
+        co.decide(sizes)
 
     # mu coherence across every comparable pair (the lineator is mu here)
     for (mlo, mhi) in sorted(space.order_pairs):
@@ -1315,31 +1334,28 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
         alg_lo = mode_lo.algebra
         grades_lo = list(alg_lo.elements(budget))
         phi = partial(space.phi, mlo, mhi)
-        for x in sizes:
-            for r in grades_lo:
-                if not _fits_size(x, max(co.arity(mlo, r), co.arity(mhi, phi(r)))):
-                    continue
-                if r == alg_lo.one:
-                    square("mu unit square", (mlo, mhi), x, lambda c: (
-                        [c.mu(mlo, mhi, r, x), c.eps(mlo, x)], [c.eps(mhi, x)]))
-                if mode_lo.weak and r == alg_lo.zero:
-                    square("mu zero square", (mlo, mhi), x, lambda c: (
-                        [c.mu(mlo, mhi, r, x), c.w(mlo, x)], [c.w(mhi, x)]))
-            for q, r in itertools.product(grades_lo, repeat=2):
-                aq, ar = co.arity(mlo, q), co.arity(mlo, r)
-                aphi_q, aphi_r = co.arity(mhi, phi(q)), co.arity(mhi, phi(r))
-                if not _fits_size(x, aq * ar, aphi_q * aphi_r,
-                                  ar * aphi_q, ar * aq, aphi_q * max(aphi_r, ar)):
-                    continue
-                square("mu multiplication square", (mlo, mhi, q, r), x, lambda c: (
-                    [c.mu(mlo, mhi, alg_lo.mul(q, r), x), c.delta(mlo, q, r, x)],
-                    [c.delta(mhi, phi(q), phi(r), x), c.power(c.mu(mlo, mhi, r, x), aphi_q),
-                     c.mu(mlo, mhi, q, (x,) * ar)]))
-                if mode_lo.cont.contains(q) and mode_lo.cont.contains(r):
-                    square("mu addition square", (mlo, mhi, q, r), x, lambda c: (
-                        [c.mu(mlo, mhi, alg_lo.add(q, r), x), c.c(mlo, q, r, x)],
-                        [c.c(mhi, phi(q), phi(r), x),
-                         c.tensor(c.mu(mlo, mhi, q, x), c.mu(mlo, mhi, r, x))]))
+        for r in grades_lo:
+            exponents = [max(co.arity(mlo, r), co.arity(mhi, phi(r)))]
+            if r == alg_lo.one:
+                square("mu unit square", (mlo, mhi), exponents, lambda c, lo, hi, x: (
+                    [c.mu(lo, hi, alg_lo.one, x), c.eps(lo, x)], [c.eps(hi, x)]))
+            if mode_lo.weak and r == alg_lo.zero:
+                square("mu zero square", (mlo, mhi), exponents, lambda c, lo, hi, x: (
+                    [c.mu(lo, hi, alg_lo.zero, x), c.w(lo, x)], [c.w(hi, x)]))
+        for q, r in itertools.product(grades_lo, repeat=2):
+            aq, ar = co.arity(mlo, q), co.arity(mlo, r)
+            aphi_q, aphi_r = co.arity(mhi, phi(q)), co.arity(mhi, phi(r))
+            exponents = [aq * ar, aphi_q * aphi_r, ar * aphi_q, ar * aq, aphi_q * max(aphi_r, ar)]
+            square("mu multiplication square", (mlo, mhi, q, r), exponents, lambda c, lo, hi, q, r, x: (
+                [c.mu(lo, hi, alg_lo.mul(q, r), x), c.delta(lo, q, r, x)],
+                [c.delta(hi, phi(q), phi(r), x), c.power(c.mu(lo, hi, r, x), c.arity(hi, phi(q))),
+                 c.mu(lo, hi, q, c.act(lo, r, x))]))
+            if mode_lo.cont.contains(q) and mode_lo.cont.contains(r):
+                square("mu addition square", (mlo, mhi, q, r), exponents, lambda c, lo, hi, q, r, x: (
+                    [c.mu(lo, hi, alg_lo.add(q, r), x), c.c(lo, q, r, x)],
+                    [c.c(hi, phi(q), phi(r), x),
+                     c.tensor(c.mu(lo, hi, q, x), c.mu(lo, hi, r, x))]))
+        co.decide(sizes)
 
     return Report(tuple(found))
 

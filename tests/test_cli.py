@@ -212,6 +212,15 @@ def test_a_table_morphism_over_the_naturals_is_reported_not_applied(tmp_path, ca
         "morphism-N->M-map-kind naturals sources require a named map"]
 
 
+def test_a_table_morphism_missing_an_image_is_reported(tmp_path, capsys):
+    # modes-validate used to end in "error: morphism fh->U: no image for 'w'"
+    text = (ROOT / "systems" / "allmodes.modes").read_text()
+    assert text.count("map = 0 -> t, 1 -> t, w -> t\n") == 1
+    modes = _write(tmp_path, "a.modes", text.replace("map = 0 -> t, 1 -> t, w -> t\n", "map = 0 -> t, 1 -> t\n"))
+    assert main(["modes-validate", modes]) == 1
+    assert capsys.readouterr().out == "morphism-fh->U-image-defined witness=('w',)\n"
+
+
 def test_parse_error_exit_code(tmp_path):
     modes = _write(tmp_path, "m.modes", LNL)
     bad = _write(tmp_path, "bad.prog", "term broken : (-o{1:L} P P = (lam x x)\n")

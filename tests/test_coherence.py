@@ -336,6 +336,21 @@ def test_both_validators_report_alike():
     assert {line.split()[0] for line in report} == {"arity-multiplicative"}
 
 
+def test_an_open_square_is_skipped_where_a_map_it_reads_is_over_the_element_limit(monkeypatch):
+    # A below L through 0 -> 12 (or 18), 1 -> 0: mu at grade 0 has 12 (18) leaves,
+    # over the element limit at size 3 (and 2), though the square's objects fit
+    refused = []
+
+    def guard(n, _original=semantics._guard):
+        refused.append(n > semantics.ELEMENT_LIMIT)
+        _original(n)
+    monkeypatch.setattr(semantics, "_guard", guard)
+    for be in _non_homomorphic(({0: 12, 1: 0}, {0: 18, 1: 0})):
+        refused.clear()
+        report = model_coherence_validate(be, max_size=3, budget=2).render()
+        assert any(refused) and report == coherence_by_elements(be, max_size=3, budget=2).render() != ""
+
+
 # -- squares proven on leaf maps ----------------------------------------------------
 
 
@@ -364,6 +379,35 @@ def test_the_validator_reaches_no_table_code(monkeypatch):
                 for which in POSITION_CORRUPTIONS]
     assert [bool(r) for r in reported] == [which != "c" for which in POSITION_CORRUPTIONS]
     assert calls == {}
+
+
+def test_each_square_is_proven_once_whatever_the_size_bound(monkeypatch):
+    # pass 1 proves every instance with no object size, and pass 2 writes the
+    # composite leaf maps pass 1 left open at each size, composing none again
+    calls = collections.Counter()
+    for name in ("equal", "table", "substitute"):
+        def counted(*args, _original=getattr(semantics, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(semantics, name, counted)
+
+    def count(backend, max_size):
+        calls.clear()
+        report = semantics.model_coherence_validate(backend, max_size=max_size, budget=4)
+        return report, dict(calls)
+
+    shipped = [load_modes_file(str(SYSTEMS / f"{name}.modes"))[1]
+               for name in ("allmodes", "filehandle", "lnl")]
+    for be in [system(n)[1] for n in STOCK] + shipped:
+        (clean, at_0), (_, at_3) = count(be, 0), count(be, 3)
+        assert clean.ok() and at_0["equal"] == at_3["equal"] > 0 and "table" not in at_0 | at_3, at_3
+    for which in POSITION_CORRUPTIONS:
+        bad = corrupted(system("all")[1], which, positions=True)
+        (_, at_1), (report, at_3) = count(bad, 1), count(bad, 3)
+        assert at_1["substitute"] == at_3["substitute"] and at_1["equal"] == at_3["equal"], which
+        # the c mutant's squares are all proven: its diagonal is the same map halves swapped
+        wrote = at_3.get("table", 0) > at_1.get("table", 0)
+        assert report.ok() == (which == "c") == (not wrote), which
 
 
 @pytest.mark.parametrize("validate", (model_coherence_validate, coherence_by_elements))
@@ -435,6 +479,14 @@ def _build(c: _Coherence, recipe, n: int) -> _Table:
     return c.power(_build(c, parts[0], n), parts[1])
 
 
+def _reach(recipe) -> int:
+    """The most leaves of an object of a position map in a recipe."""
+    kind, *parts = recipe
+    if kind == "map":
+        return max(parts[0].src, len(parts[0].out)) * leaves(_OBJECTS[parts[1]](1))
+    return max((_reach(r) for r in parts if isinstance(r, tuple)), default=0)
+
+
 def _pairs(t: _Table) -> set:
     return {(i, y) for i, row in enumerate(t.rows) for y in ((row,) if isinstance(row, int) else row)}
 
@@ -480,7 +532,9 @@ def test_equal_leaf_maps_give_equal_tables_at_every_size():
 
     groups = collections.defaultdict(list)
     for recipe, (t, dl, cl) in made.items():
-        # a leaf map written by index is the table of the relation it denotes
+        # a leaf map written by index is the table of the relation it denotes,
+        # and it knows the largest object of a map it reads
+        assert t.reach == _reach(recipe), recipe
         for n in range(4):
             assert table(t.rows, n) == _build(tables, recipe, n).rows, (recipe, n)
         if max(dl, cl) <= 4:

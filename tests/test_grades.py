@@ -1,11 +1,14 @@
+import collections
 import itertools
+import random
 import re
 
 import pytest
 
-from grass.errors import ConfigError, InputError
+from grass.errors import ConfigError, InputError, Report, Violation
 from grass.grades import (
     BUILTIN_ALGEBRAS,
+    NAT_MAPS,
     GradeAlgebra,
     Ideal,
     Mode,
@@ -18,7 +21,7 @@ from grass.grades import (
     _table,
 )
 from grass.oracles import brute_force_ideal_closure
-from grass.presets import mode_A, mode_L, mode_U, mode_fh, system
+from grass.presets import MODE_FACTORIES, mode_A, mode_L, mode_U, mode_fh, system
 
 NOE = builtin_algebra("none-one-tons")
 TOP = builtin_algebra("top")
@@ -173,6 +176,68 @@ def test_morphism_composition_is_a_morphism():
     assert mode_morphism_check(u_id, u, u).ok()
     composed = ModeMorphism("A", "U", table={x: u_id.apply(a_to_u.apply(x)) for x in (0, 1)})
     assert mode_morphism_check(composed, mode_A(), u).ok()
+
+
+def _morphism_check_applying_at_every_use(phi, source, target, budget):
+    """mode_morphism_check as a loop that applies phi wherever it needs an image."""
+    found = []
+    if source.id != phi.source or target.id != phi.target:
+        return Report((Violation("endpoints", (phi.source, phi.target),
+                                 "morphism endpoints do not match the supplied modes"),))
+    src, tgt = source.algebra, target.algebra
+    if src.kind == "nat" and phi.named is None:
+        return Report((Violation("map-kind", (), "naturals sources require a named map"),))
+
+    def f(x):
+        return phi.apply(x, tgt)
+
+    elems = src.elements(budget)
+    for x in elems:
+        if not tgt.contains(f(x)):
+            found.append(Violation("image-in-carrier", (x, f(x))))
+    if found:
+        return Report(tuple(found))
+    if f(src.zero) != tgt.zero:
+        found.append(Violation("preserves-zero", (src.zero, f(src.zero))))
+    if f(src.one) != tgt.one:
+        found.append(Violation("preserves-one", (src.one, f(src.one))))
+    for x, y in itertools.product(elems, repeat=2):
+        if f(src.add(x, y)) != tgt.add(f(x), f(y)):
+            found.append(Violation("preserves-add", (x, y)))
+        if f(src.mul(x, y)) != tgt.mul(f(x), f(y)):
+            found.append(Violation("preserves-mul", (x, y)))
+        if src.leq(x, y) and not tgt.leq(f(x), f(y)):
+            found.append(Violation("monotone", (x, y)))
+    for x in elems:
+        if source.cont.contains(x) and not target.cont.contains(f(x)):
+            found.append(Violation("preserves-cont", (x, f(x))))
+    if source.weak and not target.weak:
+        found.append(Violation("preserves-weak", (source.id, target.id), "Weak(source) -> Weak(target) is false"))
+    return Report(tuple(found))
+
+
+def test_morphism_check_applies_each_image_once_and_reports_as_before():
+    rng = random.Random(18)
+    modes = {m: make() for m, make in MODE_FACTORIES.items()}
+    finite = [m for m in modes.values() if m.algebra.kind == "finite"]
+    cases = []
+    for _ in range(300):  # tables between the finite algebras, now and then off the target carrier
+        src, tgt = rng.choice(finite), rng.choice(finite)
+        values = tgt.algebra.carrier + ((rng.choice(finite).algebra.one, 2) if rng.random() < 0.2 else ())
+        table = {x: rng.choice(values) for x in src.algebra.carrier}
+        cases.append((ModeMorphism(src.id, tgt.id, table=table), src, tgt, 4))
+    for name, budget, src, tgt in itertools.product(NAT_MAPS, range(2, 9), modes.values(), modes.values()):
+        if src.algebra.kind == "nat" or budget == 2:
+            cases.append((ModeMorphism(src.id, tgt.id, named=name), src, tgt, budget))
+    space = system("all")[0]  # the stock morphisms, which hold
+    cases += [(phi, space.mode(m), space.mode(n), 4) for (m, n), phi in space.morphisms.items()]
+    laws = collections.Counter()
+    for phi, src, tgt, budget in cases:
+        report = mode_morphism_check(phi, src, tgt, budget)
+        assert report == _morphism_check_applying_at_every_use(phi, src, tgt, budget), (phi, budget)
+        laws.update({v.law for v in report.violations} or {"ok"})
+    assert set(laws) == {"ok", "image-in-carrier", "preserves-zero", "preserves-one", "preserves-add",
+                         "preserves-mul", "monotone", "preserves-cont", "preserves-weak"}, laws
 
 
 def test_grade_tables_are_read_only():

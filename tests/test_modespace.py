@@ -93,6 +93,28 @@ def test_missing_morphism_is_named():
     assert any(v.law == "missing-morphism" for v in report.violations)
 
 
+def test_a_table_with_no_image_for_an_element_is_reported_not_applied():
+    # the identity- and composition-coherence loops would apply both tables to
+    # w: through phi_{fh,fh} at w, and through phi_{fh,U} at phi_{L,fh}(2) = w
+    from grass.presets import mode_fh
+
+    space = ModeSpace(
+        modes={"L": mode_L(), "fh": mode_fh(), "U": mode_U()},
+        order_pairs=frozenset({("L", "fh"), ("fh", "U")}),
+        morphisms={
+            ("L", "fh"): ModeMorphism("L", "fh", named="clamp-01w"),
+            ("L", "U"): ModeMorphism("L", "U", named="to-top"),
+            ("fh", "U"): ModeMorphism("fh", "U", table={0: "t", 1: "t"}),
+            ("fh", "fh"): ModeMorphism("fh", "fh", table={1: 1}),
+        },
+    )
+    assert [(v.law, v.witness, v.detail) for v in modespace_validate(space, budget=4).violations] == [
+        ("morphism-fh->U-image-defined", ("w",), ""),
+        ("morphism-fh->fh-image-defined", (0,), ""),
+        ("morphism-fh->fh-image-defined", ("w",), ""),
+    ]
+
+
 # -- scalar multiplication ----------------------------------------------------
 
 
