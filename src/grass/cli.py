@@ -484,10 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="grass", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, program=True, item_opt=True):
+    def common(p, item_opt=True):
         p.add_argument("modes", help="mode-system declaration file")
-        if program:
-            p.add_argument("program", help="program file")
+        p.add_argument("program", help="program file")
         if item_opt:
             p.add_argument("item", nargs="?", default=None, help="item name (default: all)")
         p.add_argument("--no-validate", action="store_true",

@@ -55,11 +55,10 @@ class ElaborationError(GrassError):
 
 
 class ParseError(GrassError):
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
         if line is not None:
-            message = f"line {line}" + (f", col {column}" if column is not None else "") + f": {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
 
 

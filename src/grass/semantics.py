@@ -10,10 +10,10 @@ connecting modes are identities.  So every structure map only copies,
 permutes, forgets or repeats tuple positions, and each has one definition,
 a `Positions` map built from the arities alone: delta and tau regroup,
 contraction splits where arities add up and spreads otherwise, weakening
-forgets, and the comparison maps are spreads.  `ModelBackend`'s relations
-and the interpretation's index tables are both read off those positions,
-which fix the map at every carrier (parametricity: Wadler, "Theorems for
-free!", 1989), so neither view samples object sizes.
+forgets, and the comparison maps are spreads.  Every view of a map reads
+them through `ModelBackend.positions`, which checks them; they then fix the
+map at every carrier (parametricity: Wadler, "Theorems for free!", 1989),
+so no view samples object sizes.
 
 Context objects are flat k-tuples, one component per entry, which makes
 the tensor of contexts strictly associative.
@@ -199,16 +199,12 @@ def spread(s: int, r: int) -> Positions:
     return Positions(s, tuple(min(j, s - 1) for j in range(r)) if s else (0,) * r)
 
 
-def positions_rel(p: Positions, x_obj: FinSetObj, coords: tuple[int, int] | None = None,
-                  cod: FinSetObj | None = None, regroup=tuple) -> Rel:
+def positions_rel(p: Positions, x_obj: FinSetObj, cod: FinSetObj | None = None,
+                  regroup=tuple) -> Rel:
     """p from X^src to cod (default X^len(out)), element by element: each
     source tuple to its images, regrouped into the nesting of cod's
-    elements, for X = x_obj.  Refused with ShapeError unless each output
-    copies a source coordinate or the fresh one, and p goes X^s -> X^t for
-    the map's `coords` (s, t) when they are given (`ModelBackend.coordinates`)."""
-    s, t = coords or (p.src, len(p.out))
-    if (p.src, len(p.out)) != (s, t) or not all(0 <= k <= p.src for k in p.out):
-        raise ShapeError(f"positions {p!r} are not a map from X^{s} to X^{t}")
+    elements, for X = x_obj.  Each output of p must copy a source coordinate
+    or the fresh one, as those `ModelBackend.positions` returns do."""
     dom = power_obj(x_obj, p.src)
     cod = power_obj(x_obj, len(p.out)) if cod is None else cod
     pick = p.pick
@@ -256,7 +252,9 @@ def default_arity(space: ModeSpace, mode: str, value: GradeValue) -> int:
 @dataclass(frozen=True)
 class ModelBackend:
     """Arity tables and base-type carriers over a validated mode space; the
-    mappings passed in are copied and held read-only."""
+    mappings passed in are copied and held read-only.  `positions_memo`
+    holds the structure maps' checked `Positions`, keyed by (family, *args);
+    a `positions` call that raises leaves nothing in it."""
 
     space: ModeSpace
     arities: Mapping[tuple[str, GradeValue], int] = field(default_factory=dict)
@@ -266,6 +264,7 @@ class ModelBackend:
     def __post_init__(self):
         object.__setattr__(self, "arities", MappingProxyType(dict(self.arities)))
         object.__setattr__(self, "base_carriers", MappingProxyType(dict(self.base_carriers)))
+        object.__setattr__(self, "positions_memo", {})
 
     def arity(self, mode: str, value: GradeValue) -> int:
         key = (mode, value)
@@ -278,15 +277,15 @@ class ModelBackend:
 
     def coordinates(self, family: str, *args) -> tuple[int, int]:
         """(s, t) for the map of `family` at args, which goes X^s -> X^t:
-        its objects, from the arities alone (tau_pair's flat over both factors)."""
+        its objects, from the arities alone (tau's flat over its k factors)."""
         a, space = self.arity, self.space
         match family, args:
             case "eps", (m,):
                 return a(m, space.mode(m).algebra.one), 1
             case "delta", (m, r, q):
                 return a(m, space.mode(m).algebra.mul(r, q)), a(m, r) * a(m, q)
-            case "tau_pair", (m, q):
-                return 2 * a(m, q), 2 * a(m, q)
+            case "tau", (m, q, k):
+                return k * a(m, q), k * a(m, q)
             case "iota", (m, q):
                 return 0, a(m, q)
             case "c_map", (m, r, q):
@@ -298,6 +297,26 @@ class ModelBackend:
             case "mu", (low, high, q):
                 return a(high, space.phi(low, high, q)), a(low, q)
         raise InputError(f"no structure map {family!r} at {args!r}")
+
+    def positions(self, family: str, *args) -> Positions:
+        """The one reader of the `*_positions` methods (c_map: c_positions; tau
+        takes its number of factors last), refused with ShapeError unless they
+        go between the map's objects (`coordinates`), each output copies a
+        source coordinate or the fresh one, and for tau one of the factor whose
+        slot it fills."""
+        key = (family, *args)
+        if (p := self.positions_memo.get(key)) is not None:
+            return p
+        coords = self.coordinates(family, *args)
+        p = getattr(self, family.split("_")[0] + "_positions")(*args)
+        ok = (p.src, len(p.out)) == coords and all(0 <= i <= p.src for i in p.out)
+        if ok and family == "tau":  # slot j of each tuple holds factor j % k
+            a, k = self.arity(*args[:2]), args[2]
+            ok = all(i // a == j % k for j, i in enumerate(p.out))
+        if not ok:
+            raise ShapeError(f"{family} positions at {args!r} are not a map between its objects: {p!r}")
+        self.positions_memo[key] = p
+        return p
 
     # -- structure maps as positions ----------------------------------------
 
@@ -350,15 +369,14 @@ class ModelBackend:
     # -- structure maps as relations, read off the positions ----------------
 
     def eps(self, mode: str, x_obj: FinSetObj) -> Rel:
-        return positions_rel(self.eps_positions(mode), x_obj, self.coordinates("eps", mode),
-                             cod=x_obj, regroup=itemgetter(0))
+        return positions_rel(self.positions("eps", mode), x_obj, cod=x_obj, regroup=itemgetter(0))
 
     def delta(self, mode: str, r: GradeValue, q: GradeValue, x_obj: FinSetObj) -> Rel:
         """(r.q) (.) X -> r (.) (q (.) X), a chunking bijection."""
-        p = self.delta_positions(mode, r, q)
+        p = self.positions("delta", mode, r, q)
         ar, aq = self.arity(mode, r), self.arity(mode, q)
-        return positions_rel(p, x_obj, self.coordinates("delta", mode, r, q),
-                             cod=power_obj(power_obj(x_obj, aq), ar), regroup=_chunker(aq, ar))
+        return positions_rel(p, x_obj, cod=power_obj(power_obj(x_obj, aq), ar),
+                             regroup=_chunker(aq, ar))
 
     def tau_many(self, mode: str, value: GradeValue, objs: list[FinSetObj]) -> Rel:
         """(x)_i (q (.) X_i) -> q (.) ((x)_i X_i) on flat-tuple objects."""
@@ -372,33 +390,30 @@ class ModelBackend:
         """The image of one element under tau: a tuple of a(q)-tuples, one
         per factor, transposed into a(q) tuples over the factors."""
         a, k = self.arity(mode, value), len(entry)
-        return _chunker(k, a)(self.tau_positions(mode, value, k).pick(sum(entry, ())))
+        return _chunker(k, a)(self.positions("tau", mode, value, k).pick(sum(entry, ())))
 
     def tau_pair(self, mode: str, value: GradeValue, x_obj: FinSetObj, y_obj: FinSetObj) -> Rel:
         """(q (.) X) (x) (q (.) Y) -> q (.) (X (x) Y) on genuine pair objects."""
         return self.tau_many(mode, value, [x_obj, y_obj])
 
     def iota(self, mode: str, value: GradeValue) -> Rel:
-        return positions_rel(self.iota_positions(mode, value), UNIT_OBJ,
-                             self.coordinates("iota", mode, value))
+        return positions_rel(self.positions("iota", mode, value), UNIT_OBJ)
 
     def c_map(self, mode: str, r: GradeValue, q: GradeValue, x_obj: FinSetObj) -> Rel:
         """(r+q) (.) X -> (r (.) X) (x) (q (.) X)."""
         ar, aq = self.arity(mode, r), self.arity(mode, q)
         cod = tensor_obj(power_obj(x_obj, ar), power_obj(x_obj, aq))
-        return positions_rel(self.c_positions(mode, r, q), x_obj, self.coordinates("c_map", mode, r, q),
-                             cod=cod, regroup=lambda ys: (ys[:ar], ys[ar:]))
+        return positions_rel(self.positions("c_map", mode, r, q), x_obj, cod=cod,
+                             regroup=lambda ys: (ys[:ar], ys[ar:]))
 
     def w_map(self, mode: str, x_obj: FinSetObj) -> Rel:
-        return positions_rel(self.w_positions(mode), x_obj, self.coordinates("w_map", mode))
+        return positions_rel(self.positions("w_map", mode), x_obj)
 
     def preorder_map(self, mode: str, low: GradeValue, high: GradeValue, x_obj: FinSetObj) -> Rel:
-        return positions_rel(self.preorder_positions(mode, low, high), x_obj,
-                             self.coordinates("preorder_map", mode, low, high))
+        return positions_rel(self.positions("preorder_map", mode, low, high), x_obj)
 
     def mu(self, low_mode: str, high_mode: str, value: GradeValue, x_obj: FinSetObj) -> Rel:
-        return positions_rel(self.mu_positions(low_mode, high_mode, value), x_obj,
-                             self.coordinates("mu", low_mode, high_mode, value))
+        return positions_rel(self.positions("mu", low_mode, high_mode, value), x_obj)
 
     # phi(q) (.) G(X) -> G(q (.) X), the lineator, is mu here since F = G = id
     lineator = mu
@@ -451,9 +466,9 @@ def _entry_positions(backend: ModelBackend, mode: str, value: GradeValue, g: Gra
     """One context entry of q . t, F delta followed by mu, from
     (phi(q).g) (.) A to q (.) (g (.) A), as positions over the coordinates
     of g (.) A.  By index delta is the identity, so the composite is mu;
-    delta_positions refuses arities that are not multiplicative."""
-    backend.delta_positions(n, backend.space.phi(mode, n, value), g.value)
-    return backend.mu_positions(mode, n, value)
+    delta is still read, which refuses arities that are not multiplicative."""
+    backend.positions("delta", n, backend.space.phi(mode, n, value), g.value)
+    return backend.positions("mu", mode, n, value)
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +609,12 @@ def _scale_rows(backend: ModelBackend, mode: str, value: GradeValue, rows: list,
     # entry i's table gives the index in (the context object)^a(q) of tau's
     # image: output coordinate i of tuple j has entry i's radix, and the
     # coordinate j of entry i that tau moves there takes its place value
-    tau = backend.tau_positions(mode, value, len(maps))
+    tau = backend.positions("tau", mode, value, len(maps))
     place = tau.place_values(_strides([r for _j in range(a) for r in radices]))
     ctx_size = math.prod(radices)
     ctx_w, cod_w = _weights(ctx_size, a), _weights(cod_size, a)
     tables = ([p.table(r, place[i * a:(i + 1) * a]) for i, (p, r) in enumerate(zip(maps, radices))]
-              or [backend.iota_positions(mode, value).table(1, ctx_w)])
+              or [backend.positions("iota", mode, value).table(1, ctx_w)])
     _guard(math.prod(max(_count(t), 1) for t in tables))
     out = []
     for parts in itertools.product(*tables):
@@ -709,7 +724,8 @@ class _Interpretation:
     """The state of one interpretation call: object sizes and denotations,
     each computed once and shared by the derivations the call interprets
     (both sides of a `semantic_eq`, or a bundle and its substitution), which
-    are checked on construction.  Nothing outlives the call.
+    are checked on construction.  Nothing outlives the call but the
+    backend's checked Positions (`ModelBackend.positions`).
 
     A node's denotation is its rows (see above); no object is enumerated,
     and only the denotations of nodes reached more than once are kept
@@ -795,19 +811,19 @@ class _Interpretation:
         t = premises[0] if premises else None
 
         if rule == "var":
-            return array("q", be.eps_positions(j.mode).table(self.size(j.ty), [1]))
+            return array("q", be.positions("eps", j.mode).table(self.size(j.ty), [1]))
 
         if rule == "weak":
             # t tensor w, where w sends every element of the new entry to the
             # one element of I: by index the unitor is the identity
-            table = be.w_positions(j.modes[-1]).table(self.size(j.ctx[-1][1]), ())
+            table = be.positions("w_map", j.modes[-1]).table(self.size(j.ctx[-1][1]), ())
             return R.product([t, table], (1, 1))
 
         if rule == "sub":
             prem = d.premises[0].conclusion
             tables = []
             for rl, rh, n, (_x, ty) in zip(prem.rho, j.rho, j.modes, j.ctx):
-                p = be.preorder_positions(n, rl.value, rh.value)
+                p = be.positions("preorder_map", n, rl.value, rh.value)
                 size = self.size(ty)
                 tables.append(p.table(size, _weights(size, len(p.out))))
             return R.compose(R.product(tables, _strides(self.radices(prem))), t)
@@ -816,7 +832,7 @@ class _Interpretation:
             prem = d.premises[0].conclusion
             radices = self.radices(prem)
             size = self.size(j.ctx[-1][1])
-            p = be.c_positions(j.modes[-1], prem.rho[-2].value, prem.rho[-1].value)
+            p = be.positions("c_map", j.modes[-1], prem.rho[-2].value, prem.rho[-1].value)
             # the split's two entries come last, so the index of the pair is
             # the index of its flattening
             tables = [*map(range, radices[:-2]), p.table(size, _weights(size, len(p.out)))]
@@ -1022,29 +1038,14 @@ def _once(method):
     return once
 
 
-def _positions(backend: ModelBackend, family: str, args: tuple) -> Positions:
-    """The Positions of backend.family(*args, ...), refused with ShapeError
-    unless they have the map's coordinates and each output copies a source
-    coordinate or the fresh one, and for tau a coordinate of the factor
-    whose slot it fills."""
-    if family == "tau_pair":
-        a, p = backend.arity(*args), backend.tau_positions(*args, 2)
-        ok = all(k // a == j % 2 for j, k in enumerate(p.out))
-    else:
-        p = getattr(backend, family.split("_")[0] + "_positions")(*args)  # c_map: c_positions
-        ok = all(0 <= k <= p.src for k in p.out)
-    if not (ok and (p.src, len(p.out)) == backend.coordinates(family, *args)):
-        raise ShapeError(f"{family} positions at {args!r} are not a map between its objects: {p!r}")
-    return p
-
-
 class _Coherence:
     """One validator call, with one evaluation: without a `source`, each
-    structure map is the leaf map of its Positions, `square` (pass 1) proves
-    each instance it can for every size, and `decide` (pass 2) writes the
-    rest by index at each size; with one, each is read by `source` as rows by
-    element position, once per (family, mode, grades, object sizes), and pass
-    2 builds every instance at every size.  Nothing outlives the call."""
+    structure map is the leaf map of its checked Positions, `square` (pass 1)
+    proves each instance it can for every size, and `decide` (pass 2) writes
+    the rest by index at each size; with one, each is read by `source` as rows
+    by element position, once per (family, mode, grades, object sizes), and
+    pass 2 builds every instance at every size.  Nothing outlives the call
+    but the backend's checked Positions."""
 
     def __init__(self, backend: ModelBackend, source=None):
         self.backend, self.source = backend, source
@@ -1062,17 +1063,15 @@ class _Coherence:
         """The shape of value (.) x: a(value) copies of x."""
         return (x,) * self.arity(mode, value)
 
-    @_once
-    def positions(self, family: str, args: tuple) -> Positions:
-        return _positions(self.backend, family, args)
-
     # -- the backend's maps, read once --------------------------------------
 
     def _map(self, family: str, args: tuple, objs: tuple, dom, cod) -> _Table:
         """backend.family(*args, *objs), between dom and cod; read by a source,
         refused with SizeLimitError where either is over the element limit."""
         if self.source is None:
-            f = expand(objs, self.positions(family, args))
+            p = (self.backend.positions("tau", *args, len(objs)) if family == "tau_pair"
+                 else self.backend.positions(family, *args))
+            f = expand(objs, p)
             return _Table(dom, cod, f, max(f[0], len(f[1])))
         _guard(max(_size(dom), _size(cod)))
         sizes = tuple(map(_size, objs))

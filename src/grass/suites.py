@@ -170,35 +170,37 @@ def _nonnatural_structure(backend: ModelBackend, d: Derivation) -> str | None:
     return None
 
 
-def _fitting(backend: ModelBackend, seed: int, count: int, max_depth: int, max_obj: int,
-             res: SuiteResult, draw, objects):
+MAX_OBJ = 400  # the most elements of an object of a case the semantic suites interpret
+
+
+def _fitting(backend: ModelBackend, seed: int, count: int, max_depth: int, res: SuiteResult,
+             draw, objects):
     """Each (index, case) of the `count` cases `draw(gen, max_depth)` draws whose
-    objects' sizes, `objects(sizes, case)`, are at most max_obj; a note counts the rest."""
+    objects' sizes, `objects(sizes, case)`, are at most MAX_OBJ; a note counts the rest."""
     gen = Gen(space=backend.space, rng=random.Random(seed), max_depth=max_depth,
-              max_obj_size=max_obj,
+              max_obj_size=MAX_OBJ,
               base_sizes={b: len(c) for b, c in backend.base_carriers.items()})
     sizes = ObjectSizes.of(backend)
     skipped = 0
     for i in range(count):
         case = draw(gen, max_depth)
         try:
-            fits = max(objects(sizes, case)) <= max_obj
+            fits = max(objects(sizes, case)) <= MAX_OBJ
         except SizeLimitError:
             fits = False
         if fits:
             yield i, case
         else:
             skipped += 1
-    res.notes.append(f"skipped {skipped} of {count} generated cases: an object over {max_obj} elements")
+    res.notes.append(f"skipped {skipped} of {count} generated cases: an object over {MAX_OBJ} elements")
 
 
-def semantic_suite(backend: ModelBackend, seed: int, count: int, max_depth: int = 5,
-                   max_obj: int = 400) -> SuiteResult:
+def semantic_suite(backend: ModelBackend, seed: int, count: int, max_depth: int = 5) -> SuiteResult:
     """Exact relation equality across every generated beta step and eta
     expansion; sum-involving cases are tagged as the flagged extension."""
     space = backend.space
     res = SuiteResult("semantic-soundness")
-    for i, d in _fitting(backend, seed, count, max_depth, max_obj, res, Gen.gen_derivation,
+    for i, d in _fitting(backend, seed, count, max_depth, res, Gen.gen_derivation,
                          lambda sizes, d: (sizes.ctx_size(d.conclusion), sizes.size(d.conclusion.ty))):
         tag = " [extension:sum]" if _mentions_sum(d) else ""
         try:
@@ -221,12 +223,11 @@ def semantic_suite(backend: ModelBackend, seed: int, count: int, max_depth: int 
     return res
 
 
-def subst_comp_suite(backend: ModelBackend, seed: int, count: int, max_depth: int = 3,
-                     max_obj: int = 400) -> SuiteResult:
+def subst_comp_suite(backend: ModelBackend, seed: int, count: int, max_depth: int = 3) -> SuiteResult:
     """interp(subst(bundle)) equals target composed with the scaled
     replacement interpretations."""
     res = SuiteResult("subst-comp")
-    for i, bundle in _fitting(backend, seed, count, max_depth, max_obj, res, Gen.gen_bundle,
+    for i, bundle in _fitting(backend, seed, count, max_depth, res, Gen.gen_bundle,
                               lambda sizes, b: [sizes.ctx_size(d.conclusion)
                                                 for d in (*b.replacements, b.target)]):
         res.cases += 1

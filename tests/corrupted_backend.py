@@ -5,7 +5,8 @@ CORRUPTIONS rotates or drops elements of an element-level relation, which
 only `grass.oracles.coherence_by_elements` reads; one in
 POSITION_CORRUPTIONS damages a map's `Positions`, which both validators
 read, and `model_coherence_validate` must report it as the oracle does;
-one in ILL_TYPED_CORRUPTIONS makes them no map between its objects.
+one in ILL_TYPED_CORRUPTIONS makes them no map between its objects,
+which `ModelBackend.positions` refuses for every reader.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from grass.semantics import ModelBackend, Positions, Rel
 
 CORRUPTIONS = ("delta", "eps", "tau", "iota", "c", "w")
 POSITION_CORRUPTIONS = ("delta", "c", "c-fresh", "tau")
-# positions that are no map between their objects, which the validator refuses
-ILL_TYPED_CORRUPTIONS = ("delta-overrun", "tau-untransposed", "mu-extra-output", "w-extra-source")
+# positions that are no map between their objects, which every reader refuses
+ILL_TYPED_CORRUPTIONS = ("delta-overrun", "tau-untransposed", "mu-extra-output", "w-extra-source",
+                         "tau-zero-output")
 
 
 def _rotation(x_obj):
@@ -106,6 +108,8 @@ class PositionCorruptedBackend(ModelBackend):
         return p
 
     def tau_positions(self, mode, value, k):
+        if self.corrupt == "tau-zero-output" and self.arity(mode, value) == 0:  # one output, fresh
+            return Positions(0, (0,))
         if self.corrupt == "tau-untransposed":  # the identity: past a(q) = 1, slots of the wrong factor
             return Positions(k * self.arity(mode, value), tuple(range(k * self.arity(mode, value))))
         if self.corrupt != "tau":

@@ -16,11 +16,13 @@ import pytest
 from grass import semantics
 from grass._leafmaps import block_swap, equal, juxtapose, leaves, substitute, table
 from grass.cli import load_modes_file
+from grass.derivation import mk_dropI, mk_pairI, mk_var, mk_weak
 from grass.errors import InputError, ShapeError, SizeLimitError
 from grass.grades import NAT_IDEALS, Ideal, Mode, ModeMorphism, builtin_algebra
 from grass.modespace import ModeSpace
 from grass.oracles import coherence_by_elements, read_elements
 from grass.presets import MODE_FACTORIES, system
+from grass.rewrite import SubstitutionBundle
 from grass.semantics import (
     ELEMENT_LIMIT,
     UNIT_OBJ,
@@ -34,14 +36,18 @@ from grass.semantics import (
     _size,
     _strides,
     _Table,
+    interp_derivation,
     model_coherence_validate,
     positions_rel,
     power_obj,
     rel_compose,
     rel_tensor,
+    semantic_eq,
     spread,
+    subst_comp_check,
     tensor_obj,
 )
+from grass.syntax import TBase
 
 from corrupted_backend import CORRUPTIONS, ILL_TYPED_CORRUPTIONS, POSITION_CORRUPTIONS, corrupted
 
@@ -318,7 +324,8 @@ def test_both_validators_report_alike():
     cases += _nat_backends()
     cases += [(be, 2, 2) for be in _arity_changes()]
     cases += [(be, 2, 2) for be in _non_homomorphic()]
-    # its failing mu squares read 13 leaves: at size 3 over the element limit, which skips them
+    # its failing mu squares have objects of 13 leaves or more: at sizes 2 and 3 the
+    # element cap (`_fits_size`) skips them, before the element limit is asked
     cases += [(be, 3, 2) for be in _non_homomorphic(({0: 0, 1: 13},))]
     seen = collections.Counter()
     for be, s, b in cases:
@@ -422,13 +429,41 @@ def test_a_negative_size_or_budget_is_refused(validate):
         backend.space.mode("N").algebra.elements(-1)
 
 
+# for each ill-typed mutant of `all`: a mode, a base type of it and a grade at
+# which `_reading` first reads the damaged map where the validators refuse it
+_READ_FIRST = {"delta-overrun": ("U", "Q", "t"), "tau-untransposed": ("L", "P", 2),
+               "mu-extra-output": ("A", "B", 0), "w-extra-source": ("U", "Q", "t"),
+               "tau-zero-output": ("A", "B", 0)}
+
+
+def _reading(space, mode: str, base: str, q):
+    """drop q over (x, y), then a z weakened in where the mode weakens: it reads
+    eps, then delta and mu at (mode, q, 1), tau at (mode, q, 2), then w."""
+    x, y = (mk_var(space, name, TBase(base, mode)) for name in "xy")
+    d = mk_dropI(space, mk_pairI(space, x, y), q, mode)
+    return mk_weak(space, d, "z", TBase(base, mode)) if space.mode(mode).weak else d
+
+
 @pytest.mark.parametrize("which", ILL_TYPED_CORRUPTIONS)
 def test_positions_that_are_no_map_between_their_objects_are_refused(which):
-    bad = corrupted(system("all")[1], which, positions=True)
-    with pytest.raises(ShapeError):
+    # every reader goes through ModelBackend.positions, so each refuses the
+    # mutant with the one message the validators give
+    space, clean = system("all")
+    bad = corrupted(clean, which, positions=True)
+    with pytest.raises(ShapeError) as refused:
         model_coherence_validate(bad, max_size=3, budget=4)
-    with pytest.raises(ShapeError):
-        coherence_by_elements(bad, max_size=3, budget=4)
+    d = _reading(space, *_READ_FIRST[which])
+    bundle = SubstitutionBundle(d, tuple(mk_var(space, f"r{i}", ty)
+                                         for i, (_x, ty) in enumerate(d.conclusion.ctx)))
+    for read in (lambda: coherence_by_elements(bad, max_size=3, budget=4),
+                 lambda: interp_derivation(bad, d), lambda: semantic_eq(bad, d, d),
+                 lambda: subst_comp_check(bad, bundle)):
+        with pytest.raises(ShapeError) as again:
+            read()
+        assert str(again.value) == str(refused.value)
+    # the clean backend reads them all, and a read that raised kept nothing
+    assert semantic_eq(clean, d, d) and subst_comp_check(clean, bundle)
+    assert all(clean.positions(*key) == p for key, p in bad.positions_memo.items())
 
 
 def test_a_map_over_the_element_limit_is_refused_before_it_is_read():
@@ -445,16 +480,12 @@ class _PositionsGiven:
     relation those positions denote element by element."""
 
     @staticmethod
-    def given_positions(p: Positions) -> Positions:
+    def positions(_family: str, p: Positions) -> Positions:
         return p
 
     @staticmethod
     def given(p: Positions, x_obj: FinSetObj) -> Rel:
         return positions_rel(p, x_obj)
-
-    @staticmethod
-    def coordinates(family: str, p: Positions) -> tuple[int, int]:
-        return p.src, len(p.out)
 
 
 # test objects of 0-2 leaves at size n: the unit, X, X (x) X, X^1 (x) I, X (x) I^1

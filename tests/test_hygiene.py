@@ -80,3 +80,22 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {node.name}({p.arg})" for p in params
                        if p.arg not in read and not p.arg.startswith("_")]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_positions_are_read_only_through_the_checked_accessor():
+    # ModelBackend.positions checks a structure map's Positions before any
+    # reader sees them; a `*_positions` method called anywhere else would skip it
+    accessors, calls = 0, []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "ModelBackend":
+                for item in cls.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "positions":
+                        accessors += 1
+                        inside |= {id(n) for n in ast.walk(item)}
+        calls += [f"{path.name}:{n.lineno} {n.func.attr}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr.endswith("_positions") and id(n) not in inside]
+    assert accessors == 1 and not calls, calls

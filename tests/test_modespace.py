@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grass.errors import InputError, ModeOrderError
-from grass.grades import Grade, Ideal, Mode, ModeMorphism, builtin_algebra
+from grass.grades import Grade, Ideal, Mode, ModeMorphism, builtin_algebra, order_closure
 from grass.modespace import (
     ModeSpace,
     independence_check,
@@ -231,3 +231,30 @@ def test_vector_leq_is_a_preorder(values, data):
     assert vector_leq(rho, mid, modes, space)
     assert vector_leq(mid, hi, modes, space)
     assert vector_leq(rho, hi, modes, space)
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))))
+@settings(max_examples=100, deadline=None)
+def test_the_mode_order_is_closed_on_construction(case):
+    # why modespace_validate checks no order law: none can fail on a ModeSpace
+    n, declared = case
+    names = [f"m{i}" for i in range(n)]
+    pairs = frozenset((names[a], names[b]) for a, b in declared)
+    nat = builtin_algebra("nat-usual")
+    modes = {m: Mode(m, nat, Ideal("nat-usual", nat_predicate="all"), True) for m in names}
+    order = ModeSpace(modes=modes, order_pairs=pairs).order_pairs
+    assert all((m, m) in order for m in names)
+    assert all((a, d) in order for a, b in order for c, d in order if b == c)
+    assert order == order_closure(pairs, names)
+
+    def above(m):  # the modes a path of declared pairs reaches from m
+        seen, todo = {m}, [m]
+        while todo:
+            x = todo.pop()
+            for a, b in pairs:
+                if a == x and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        return seen
+    assert order == {(m, k) for m in names for k in above(m)}
