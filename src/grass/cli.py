@@ -39,12 +39,6 @@ from .sexpr import (
     term_to_sexpr,
     type_from_sexpr,
 )
-from .suites import (
-    preservation_suite,
-    semantic_suite,
-    subst_comp_suite,
-    substitution_suite,
-)
 from .syntax import Judgment, mode_of
 
 
@@ -445,6 +439,9 @@ def cmd_modes_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # imported here: the suites and their generators are only compiled for this command
+    from .suites import preservation_suite, semantic_suite, subst_comp_suite, substitution_suite
+
     space, backend = load_modes_file(args.modes)
     _validate_space(space, args)
     # the smaller suites run at least one case, unless none was asked for

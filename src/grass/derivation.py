@@ -184,10 +184,10 @@ def mk_weak(space: ModeSpace, premise: Derivation, name: str, ty: Type) -> Deriv
         _fail("weak", f"judgment mode {c.mode} <= {n} fails")
     if not type_wf(ty, n, space):
         _fail("weak", f"type not well-formed at mode {n}")
+    # no test of name against the term's free variables: every rule keeps those among
+    # its conclusion's context names, and check_derivation validates a premise first
     if name in c.names():
         _fail("weak", f"variable {name!r} already in the context")
-    if name in free_vars(c.term):
-        _fail("weak", f"weakened variable {name!r} occurs in the term")
     zero = space.mode(n).algebra
     j = Judgment(
         c.rho + (Grade(zero.id, zero.zero),), c.modes + (n,), c.ctx + ((name, ty),),

@@ -667,8 +667,8 @@ class ObjectSizes:
     from an arity function (mode, grade value) -> int and a base-type
     size function name -> int, without enumerating any object.  A size is
     refused with SizeLimitError where `interp_type`/`interp_ctx` would
-    refuse to build the object.  Type sizes are cached for the life of
-    the instance."""
+    refuse to build the object.  Type sizes and entry radices |g (.) A|,
+    by (type, mode, grade value), are cached for the life of the instance."""
 
     def __init__(self, arity: Callable[[str, GradeValue], int], base_size: Callable[[str], int]):
         self.arity = arity
@@ -697,10 +697,9 @@ class ObjectSizes:
             case TSum(left, right):
                 n = self.size(left) + self.size(right)
             case TFun(arg, grade, body):
-                n = fun_size(_power_size(self.size(arg), self.arity(mode_of(arg), grade.value)),
-                             self.size(body))
+                n = fun_size(self.radix(arg, mode_of(arg), grade.value), self.size(body))
             case TDrop(grade, _low, high, body):
-                n = _power_size(self.size(body), self.arity(high, grade.value))
+                n = self.radix(body, high, grade.value)
             case TRaise(_low, _high, body):
                 n = self.size(body)
             case _:
@@ -708,40 +707,56 @@ class ObjectSizes:
         self.cache[ty] = n
         return n
 
-    def radices(self, j: Judgment) -> list[int]:
-        """The sizes of the context entries' objects g (.) A."""
-        return [_power_size(self.size(ty), self.arity(n, g.value))
-                for g, n, (_x, ty) in zip(j.rho, j.modes, j.ctx)]
+    def radix(self, ty: Type, mode: str, value: GradeValue) -> int:
+        """|value (.) [[ty]]| at `mode`, with power_obj's guard."""
+        n = self.cache.get((ty, mode, value))
+        if n is None:
+            n = self.cache[ty, mode, value] = _power_size(self.size(ty), self.arity(mode, value))
+        return n
+
+    def context(self, j: Judgment) -> tuple[list[int], int]:
+        """j's radices, the sizes of its entries' objects g (.) A, and
+        |[[j's context]]|, their product."""
+        radices = [self.radix(ty, n, g.value) for g, n, (_x, ty) in zip(j.rho, j.modes, j.ctx)]
+        n = math.prod(radices)  # the guard counts an empty entry as one element, as interp_ctx's
+        _guard(n or math.prod(max(r, 1) for r in radices))
+        return radices, n
 
     def ctx_size(self, j: Judgment) -> int:
         """|[[j's context]]|, the product of its radices."""
-        radices = self.radices(j)
-        _guard(math.prod(max(r, 1) for r in radices))
-        return math.prod(radices)
+        return self.context(j)[1]
 
 
 class _Interpretation:
     """The state of one interpretation call: object sizes and denotations,
     each computed once and shared by the derivations the call interprets
     (both sides of a `semantic_eq`, or a bundle and its substitution), which
-    are checked on construction.  Nothing outlives the call but the
-    backend's checked Positions (`ModelBackend.positions`).
+    are checked on construction: each entry radix |g (.) A|, each node's
+    radices and context size (in `check`), and each structure map's table
+    per carrier size.  Nothing outlives the call but the backend's checked
+    Positions (`ModelBackend.positions`).
 
     A node's denotation is its rows (see above); no object is enumerated,
     and only the denotations of nodes reached more than once are kept
-    after their parent used them.  `check` refuses a derivation before any
-    work when a node's context or type object, or the grade power of a
-    scaled premise's, would exceed ELEMENT_LIMIT, so an oversized case
-    fails fast and small and no rows list is longer than the limit."""
+    after their parent used them.  A structural rule whose map of contexts
+    is the identity by index (`through`) returns its premise's rows: `weak`
+    with a one-element new entry, `exchange` moving only one-element
+    entries, and `sub` and `cont` whose preorder or c maps are identities.
+    `check` refuses a derivation before any work when a node's context or
+    type object, or the grade power of a scaled premise's, would exceed
+    ELEMENT_LIMIT, so an oversized case fails fast and small and no rows
+    list is longer than the limit."""
 
     def __init__(self, backend: ModelBackend, *derivations: Derivation):
         self.backend = backend
-        sizes = ObjectSizes.of(backend)
-        self.size, self.radices, self.ctx_size = sizes.size, sizes.radices, sizes.ctx_size
+        self.sizes = ObjectSizes.of(backend)
+        self.size = self.sizes.size
         self.rows = _Rows()
         self.seen: dict = {}  # id(node) -> node, for every checked node
         self.shared: set = set()  # ids of nodes reached more than once
         self.done: dict = {}  # id(shared node) -> rows
+        self.contexts: dict = {}  # id(node) -> (radices, size) of its context
+        self.tables: dict = {}  # (Positions, carrier size) -> table
         for d in derivations:
             self.check(d)
 
@@ -757,17 +772,37 @@ class _Interpretation:
                 self.shared.add(id(node))
                 continue
             self.seen[id(node)] = node
-            j = node.conclusion
-            self.ctx_size(j)
-            self.size(j.ty)
+            self.context(node)
+            self.size(node.conclusion.ty)
             scaled = _SCALED.get(node.rule)
             if scaled is not None:
                 index, scaling = scaled
                 a = self.backend.arity(*scaling(node))
-                prem = node.premises[index].conclusion
-                _power_size(self.ctx_size(prem), a)
-                _power_size(self.size(prem.ty), a)
+                prem = node.premises[index]
+                _power_size(self.context(prem)[1], a)
+                _power_size(self.size(prem.conclusion.ty), a)
             stack.extend(node.premises)
+
+    def context(self, d: Derivation) -> tuple[list[int], int]:
+        """The radices and size of d's context object."""
+        out = self.contexts.get(id(d))
+        if out is None:
+            out = self.contexts[id(d)] = self.sizes.context(d.conclusion)
+        return out
+
+    def radices(self, d: Derivation) -> list[int]:
+        return self.context(d)[0]
+
+    def table(self, p: Positions, n: int):
+        """p by index at |X| = n into X^len(p.out), numbered in base n; range(k)
+        where it is the identity by index."""
+        t = self.tables.get((p, n))
+        if t is None:
+            t = p.table(n, _weights(n, len(p.out)))
+            if t == list(range(len(t))):
+                t = range(len(t))
+            self.tables[p, n] = t
+        return t
 
     def same_objects(self, j1: Judgment, j2: Judgment) -> bool:
         """Whether two judgments have equal context and type objects."""
@@ -780,10 +815,26 @@ class _Interpretation:
 
     # -- denotations ---------------------------------------------------------
 
-    def scaled(self, mode: str, value: GradeValue, rows: list, j: Judgment) -> list:
-        """Rows of q . t for t the rows of a derivation of j."""
+    def scaled(self, mode: str, value: GradeValue, rows: list, d: Derivation) -> list:
+        """Rows of q . t for t the rows of d."""
+        j = d.conclusion
         return _pack(_scale_rows(self.backend, mode, value, rows, zip(j.rho, j.modes),
-                                 self.radices(j), self.size(j.ty), self.rows))
+                                 self.radices(d), self.size(j.ty), self.rows))
+
+    def through(self, tables, weights, t: list) -> list:
+        """The rows of t read through the map of contexts by index that sends
+        (x_1..x_k) to the sum of weights[i] * tables[i][x_i] (`_Rows.product`):
+        t itself where that map is the identity, each table of more than one
+        entry a range(k) at its mixed-radix place value."""
+        place = 1
+        for table, w in zip(reversed(tables), reversed(weights)):
+            if table != range(len(table)) or (len(table) > 1 and w != place):
+                break
+            place *= len(table)
+        else:
+            if place == len(t):
+                return t
+        return self.rows.compose(self.rows.product(tables, weights), t)
 
     def bind(self, body: list, n_body: int, width: int, values: list) -> list:
         """Rows that bind the last `width`-element entry of a body, whose
@@ -811,52 +862,48 @@ class _Interpretation:
         t = premises[0] if premises else None
 
         if rule == "var":
-            return array("q", be.positions("eps", j.mode).table(self.size(j.ty), [1]))
+            return array("q", self.table(be.positions("eps", j.mode), self.size(j.ty)))
 
         if rule == "weak":
             # t tensor w, where w sends every element of the new entry to the
-            # one element of I: by index the unitor is the identity
-            table = be.positions("w_map", j.modes[-1]).table(self.size(j.ctx[-1][1]), ())
-            return R.product([t, table], (1, 1))
+            # one element of I: by index the unitor is the identity, so row (c, k) is t's row c
+            table = self.table(be.positions("w_map", j.modes[-1]), self.size(j.ctx[-1][1]))
+            return self.through([range(len(t)), table], (1, 1), t)
 
         if rule == "sub":
             prem = d.premises[0].conclusion
-            tables = []
-            for rl, rh, n, (_x, ty) in zip(prem.rho, j.rho, j.modes, j.ctx):
-                p = be.positions("preorder_map", n, rl.value, rh.value)
-                size = self.size(ty)
-                tables.append(p.table(size, _weights(size, len(p.out))))
-            return R.compose(R.product(tables, _strides(self.radices(prem))), t)
+            tables = [self.table(be.positions("preorder_map", n, rl.value, rh.value), self.size(ty))
+                      for rl, rh, n, (_x, ty) in zip(prem.rho, j.rho, j.modes, j.ctx)]
+            return self.through(tables, _strides(self.radices(d.premises[0])), t)
 
         if rule == "cont":
             prem = d.premises[0].conclusion
-            radices = self.radices(prem)
-            size = self.size(j.ctx[-1][1])
+            radices = self.radices(d.premises[0])
             p = be.positions("c_map", j.modes[-1], prem.rho[-2].value, prem.rho[-1].value)
             # the split's two entries come last, so the index of the pair is
             # the index of its flattening
-            tables = [*map(range, radices[:-2]), p.table(size, _weights(size, len(p.out)))]
-            return R.compose(R.product(tables, [*_strides(radices)[:-2], 1]), t)
+            tables = [*map(range, radices[:-2]), self.table(p, self.size(j.ctx[-1][1]))]
+            return self.through(tables, [*_strides(radices)[:-2], 1], t)
 
         if rule == "exchange":
-            strides = _strides(self.radices(d.premises[0].conclusion))
+            strides = _strides(self.radices(d.premises[0]))
             # conclusion slot i holds premise slot perm[i], at that slot's stride
             weights = [strides[i] for i in d.payload[0]]
-            return R.compose(R.product([*map(range, self.radices(j))], weights), t)
+            return self.through([*map(range, self.radices(d))], weights, t)
 
         if rule == "unitI":
             return [0]
 
         if rule == "unitE":
-            scaled = self.scaled(j.mode, d.payload[0], premises[1], d.premises[1].conclusion)
+            scaled = self.scaled(j.mode, d.payload[0], premises[1], d.premises[1])
             # q (.) I has the one element 0: bind a one-element entry to it
             return self.bind(t, len(t), 1, [0 if 0 in _each(row) else _EMPTY for row in scaled])
 
         if rule == "arrowI":
             prem = d.premises[0].conclusion
-            x = self.radices(prem)[-1]
+            x = self.radices(d.premises[0])[-1]
             if not x:  # the one function out of an empty set, from every context element
-                return [0] * self.ctx_size(j)
+                return [0] * self.context(d)[1]
             if x == 1:  # a function out of a singleton is its one result
                 return t
             weights = _weights(self.size(prem.ty), x)
@@ -878,8 +925,8 @@ class _Interpretation:
             assert isinstance(fun_ty, TFun)
             m, q = mode_of(fun_ty.arg), fun_ty.grade.value
             y = self.size(fun_ty.body)
-            weights = _weights(y, _power_size(self.size(fun_ty.arg), be.arity(m, q)))
-            scaled = self.scaled(m, q, premises[1], arg.conclusion)
+            weights = _weights(y, self.sizes.radix(fun_ty.arg, m, q))
+            scaled = self.scaled(m, q, premises[1], arg)
             return [(rf // weights[ra]) % y if rf.__class__ is ra.__class__ is int else
                     R.of((h // weights[i]) % y for h in _each(rf) for i in _each(ra))
                     for rf in t for ra in scaled]
@@ -894,11 +941,11 @@ class _Interpretation:
             mode, qval = prem.modes[-1], prem.rho[-1].value
             a = be.arity(mode, qval)
             na, nb = self.size(prem.ctx[-2][1]), self.size(prem.ctx[-1][1])
-            *rest, n1, n2 = self.radices(prem)
+            *rest, n1, n2 = self.radices(body)
             # tau's inverse: a pairs to an a-tuple of A and one of B, by index
             split = R.product([*map(range, [na, nb] * a)],
                               _transpose(2, a).place_values(_strides([na] * a + [nb] * a)))
-            scaled = R.compose(self.scaled(mode, qval, premises[1], scrut.conclusion), split)
+            scaled = R.compose(self.scaled(mode, qval, premises[1], scrut), split)
             return self.bind(t, math.prod(rest), n1 * n2, scaled)
 
         if rule in ("sumIL", "raiseI", "raiseE"):
@@ -927,19 +974,18 @@ class _Interpretation:
                 return out[0] if len(out) == 1 else out  # mixed tuples carry no branch
             scaled = _pack([branches(row) if row.__class__ is int else
                             tuple(b for z in row for b in _each(branches(z)))
-                            for row in self.scaled(mode, qval, premises[2], scrut.conclusion)])
-            widths = (self.radices(prem)[-1], self.radices(right.conclusion)[-1])
-            n_body = math.prod(self.radices(prem)[:-1])
+                            for row in self.scaled(mode, qval, premises[2], scrut)])
+            widths = (self.radices(left)[-1], self.radices(right)[-1])
+            n_body = math.prod(self.radices(left)[:-1])
             return [premises[bs & 1][cb * widths[bs & 1] + (bs >> 1)] if bs.__class__ is int else
                     R.of(y for b in bs for y in _each(premises[b & 1][cb * widths[b & 1] + (b >> 1)]))
                     for cb in range(n_body) for bs in scaled]
 
         if rule == "dropI":
-            prem = d.premises[0].conclusion
-            return self.scaled(prem.mode, d.payload[0], t, prem)
+            return self.scaled(d.premises[0].conclusion.mode, d.payload[0], t, d.premises[0])
 
         if rule == "dropE":
-            *rest, width = self.radices(d.premises[0].conclusion)
+            *rest, width = self.radices(d.premises[0])
             return self.bind(t, math.prod(rest), width, premises[1])
 
         raise InputError(f"interpretation does not handle rule {rule!r}")
@@ -980,9 +1026,9 @@ def subst_comp_check(backend: ModelBackend, bundle: SubstitutionBundle) -> bool:
     lhs = run.rel(out)
 
     tj = bundle.target.conclusion
-    scaled = [run.scaled(n, g.value, run.rel(rep), rep.conclusion)
+    scaled = [run.scaled(n, g.value, run.rel(rep), rep)
               for rep, g, n in zip(bundle.replacements, tj.rho, tj.modes)]
-    return lhs == run.rows.compose(run.rows.product(scaled, _strides(run.radices(tj))),
+    return lhs == run.rows.compose(run.rows.product(scaled, _strides(run.radices(bundle.target))),
                                    run.rel(bundle.target))
 
 

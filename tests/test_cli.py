@@ -237,6 +237,16 @@ def test_cmd_oracle_deterministic(tmp_path):
     assert r1.stdout == r2.stdout
 
 
+def test_importing_the_cli_leaves_the_oracle_suites_out():
+    # only `grass oracle` needs the suites, the generator and the oracles
+    code = ("import sys; sys.path.insert(0, 'src'); import grass.cli; "
+            "print(sorted(m for m in ('grass.suites', 'grass.gen', 'grass.oracles') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_shipped_mode_files_validate():
     for name in ("lnl.modes", "filehandle.modes", "allmodes.modes"):
         path = str(ROOT / "systems" / name)

@@ -44,6 +44,7 @@ from grass.syntax import (
     TUnit,
     Var,
     alpha_eq,
+    free_vars,
 )
 
 P = TBase("P", "L")
@@ -206,6 +207,18 @@ def test_weak_needs_the_flag(lu):
         mk_weak(lu, d, "y", P)  # Weak(L) is false
     ok = mk_weak(lu, d, "y", Q)  # Weak(U) is true and L <= U
     assert ok.conclusion.rho[-1].value == "t"
+
+
+@pytest.mark.parametrize("name", ["L", "U", "R", "A", "fh", "LU", "LA", "LfhU", "all"])
+def test_free_variables_stay_among_the_context_names(name):
+    # why mk_weak tests a new name against the context alone: every node keeps
+    # its term's free variables among its context's names
+    space = system(name)[0]
+    gen = Gen(space=space, rng=random.Random(21))
+    for _ in range(60):
+        for node in gen.gen_derivation(5).walk():
+            c = node.conclusion
+            assert free_vars(c.term) <= set(c.names()), derivation_to_sexpr(node)
 
 
 def test_sub_needs_entrywise_leq(lu):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -432,15 +433,19 @@ def test_arity_law_failures_are_reported_not_raised():
     assert all(v.witness[0] == "L" for v in report.violations)
 
 
+def _corpus():
+    """The pinned corpus: (backend, expected digest, derivation text) a line."""
+    backends = dict(_semantic_backends())
+    lines = [line for line in CORPUS.read_text().splitlines() if not line.startswith("#")]
+    return [(backends[name], want, text) for name, want, text in (l.split("\t") for l in lines)]
+
+
 def test_interpretation_matches_the_pinned_corpus():
     # every denotation of a seeded corpus over criterion 5's backends, by
     # digest, so a rewrite of the interpretation keeps it byte for byte
-    backends = dict(_semantic_backends())
-    lines = [line for line in CORPUS.read_text().splitlines() if not line.startswith("#")]
-    assert len(lines) == 120
-    for line in lines:
-        name, want, text = line.split("\t")
-        be = backends[name]
+    corpus = _corpus()
+    assert len(corpus) == 120
+    for be, want, text in corpus:
         d = derivation_from_sexpr(text, be.space)
         try:
             pairs = interp_derivation(be, d).pairs
@@ -448,3 +453,52 @@ def test_interpretation_matches_the_pinned_corpus():
         except GrassError as e:
             got = f"{type(e).__name__}: {e}"
         assert got == want, text
+
+
+def test_the_corpus_reads_each_structural_rule_as_identity_and_as_a_map(monkeypatch):
+    # so the pinned digests guard both of weak, exchange, sub and cont's ways: their
+    # premise's rows returned where the map of contexts is the identity by index, else
+    # the rows read through it; weak at fh, where a(0) = 0, and at U, where 0 = 1 and
+    # a(0) = 1, so w projects and is the identity only on one-element types
+    import grass.semantics as semantics
+
+    taken = collections.Counter()
+    rule = semantics._Interpretation._rule
+
+    def counted(self, d, premises):
+        out = rule(self, d, premises)
+        if d.rule in ("weak", "exchange", "sub", "cont"):
+            mode = d.conclusion.modes[-1] if d.rule == "weak" else None
+            taken[d.rule, mode, out is premises[0]] += 1
+        return out
+
+    monkeypatch.setattr(semantics._Interpretation, "_rule", counted)
+    for be, _want, text in _corpus():
+        try:
+            interp_derivation(be, derivation_from_sexpr(text, be.space))
+        except GrassError:
+            pass
+    for key in [("exchange", None), ("sub", None), ("cont", None), ("weak", "U")]:
+        assert taken[(*key, True)] and taken[(*key, False)], key
+    assert taken["weak", "fh", True] and not taken["weak", "fh", False]
+
+
+def test_an_interpretation_call_leaves_only_checked_positions_on_the_backend():
+    # sizes, contexts and tables live on the call: the backend gains no attribute
+    # and keeps every value it had, but for the checked Positions it read
+    space, be = system("LU")
+    before = dict(vars(be))
+    gen = Gen(space=space, rng=random.Random(5), max_obj_size=400, base_sizes={"P": 2, "Q": 2})
+    for _ in range(20):
+        d = gen.gen_derivation(4)
+        try:
+            interp_derivation(be, d)
+            semantic_eq(be, d, d)
+            subst_comp_check(be, gen.gen_bundle(3))
+        except SizeLimitError:
+            pass
+    assert vars(be).keys() == before.keys()
+    assert all(vars(be)[name] is value for name, value in before.items())
+    clean = system("LU")[1]
+    assert be.positions_memo and all(clean.positions(*key) == p
+                                     for key, p in be.positions_memo.items())
