@@ -1,9 +1,10 @@
 """Explicit derivation trees, rule constructors, the checker, and elaboration.
 
-Every construction path goes through the `mk_*` rule constructors, which
-validate all side conditions and compute the conclusion judgment, so a
-`Derivation` in memory is valid by construction; `check_derivation`
-re-validates a whole tree (useful after deserialization or hand editing).
+The `mk_*` rule constructors validate all side conditions and compute the
+conclusion; over premises sealed with their `ModeSpace` they seal the node
+with it, so a sealed node's whole subtree is valid there.  Any other node is
+unsealed (`Derivation(...)`, `replace`, copy, pickle, or over an unsealed
+premise); `check_derivation` checks only those, and seals each that passes.
 
 Contexts are ordered; exchange is an explicit node carrying a permutation.
 Contraction acts on the last two context entries, as in the rule itself;
@@ -12,7 +13,7 @@ callers arrange entries with exchanges first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CheckError, ElaborationError, InputError
 from .grades import Grade, GradeValue
@@ -56,12 +57,16 @@ from .syntax import (
     type_wf,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     rule: str
     premises: tuple["Derivation", ...]
     payload: tuple
     conclusion: Judgment
+    _seal: ModeSpace | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild an unsealed node
+        return Derivation, (self.rule, self.premises, self.payload, self.conclusion)
 
     def __eq__(self, other):
         """The generated comparison at any depth; a pair of nodes is compared once."""
@@ -150,7 +155,9 @@ def _fail(rule: str, condition: str):
 def _finish(rule: str, premises, payload, j: Judgment, space: ModeSpace) -> Derivation:
     if not independence_check(j.modes, j.mode, space):
         _fail(rule, f"independence fails: some context mode is not above {j.mode}")
-    return Derivation(rule, tuple(premises), tuple(payload), j)
+    d = Derivation(rule, tuple(premises), tuple(payload), j)
+    object.__setattr__(d, "_seal", space if all(p._seal is space for p in d.premises) else None)
+    return d
 
 
 def _disjoint(rule: str, *ctxs: Context):
@@ -485,35 +492,33 @@ def rebuild(space: ModeSpace, rule: str, premises, payload) -> Derivation:
     return build(space, *premises, *payload)
 
 
-def check_derivation(d: Derivation, space: ModeSpace, memo: dict | None = None) -> Judgment:
+def check_derivation(d: Derivation, space: ModeSpace) -> Judgment:
     """Validate every side condition in the tree; returns the conclusion.
 
-    Deterministic and total on well-formed trees; each violation raises a
-    CheckError naming the rule, the condition, and the node position.
-
-    Each node object is checked once per `memo` (id(node) -> node, kept so
-    that its id is not reused): a node enters it once its premises, side
-    conditions and stored conclusion pass, and is not descended into
-    again.  Without a memo the call uses a fresh one; `normalize` shares
-    one across the trees it builds from one another.
+    Checks only the nodes not sealed with `space`, each once, and seals each
+    that passes: O(1) on a tree `mk_*` built in `space`, O(unsealed nodes) on
+    any.  Deterministic; a violation raises a CheckError naming the rule, the
+    condition, and the node position.
     """
-    memo = {} if memo is None else memo
-
     def check(node: Derivation, _premises) -> None:
+        nonlocal failed
+        if node._seal is space:  # a shared subtree, passed where it was met first
+            return
+        failed = node  # until it passes
         c = node.conclusion
         r = rebuild(space, node.rule, node.premises, node.payload).conclusion
         if (c.rho, c.modes, c.ctx, c.mode, c.ty) != (r.rho, r.modes, r.ctx, r.mode, r.ty):
             _fail(node.rule, "stored conclusion does not match the rule application")
         if not alpha_eq(c.term, r.term):
             _fail(node.rule, "stored conclusion term does not match the rule application")
-        memo[id(node)] = node
+        object.__setattr__(node, "_seal", space)
 
+    failed = d
     try:
-        fold(d, check, memo)
+        fold(d, check, children=lambda node: [p for p in node.premises if p._seal is not space])
     except CheckError as e:
-        # premises are checked left to right and enter the memo as they pass, so the
-        # failed node is the first, in preorder, outside the memo with its premises in it
-        path, _ = next(d.find(lambda n: id(n) not in memo and all(id(p) in memo for p in n.premises)))
+        # a node is checked at its first place in preorder
+        path, _ = next(d.find(lambda n: n is failed))
         raise CheckError(e.rule, e.condition, path) from None
     return d.conclusion
 

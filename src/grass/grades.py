@@ -122,7 +122,7 @@ class GradeAlgebra:
         return self._require(x, y)[2](x, y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Grade:
     """A carrier element tagged with the algebra it comes from."""
 

@@ -409,13 +409,11 @@ def preservation_check(before: Derivation, after: Derivation) -> bool:
 def normalize(d: Derivation, fuel: int, space: ModeSpace):
     """Apply beta steps until normal or out of fuel.
 
-    Returns (derivation, steps_taken, normal?).  Every reduct is
-    preservation-checked and checked by check_derivation, every node
-    included; the checks share one memo, so each node object of every
-    reduct is checked once per call.  The memo starts empty: `d` itself
-    is not checked, but its nodes that survive into the first reduct are.
+    Returns (derivation, steps_taken, normal?).  `d` and every reduct are
+    checked by check_derivation, which costs only their unsealed nodes (none
+    in a reduct of a sealed tree); every reduct is preservation-checked.
     """
-    memo: dict = {}
+    check_derivation(d, space)
     steps = 0
     current = d
     while steps < fuel:
@@ -425,7 +423,7 @@ def normalize(d: Derivation, fuel: int, space: ModeSpace):
         nxt, _path = step
         if not preservation_check(current, nxt):
             raise InputError("beta step changed the conclusion judgment")
-        check_derivation(nxt, space, memo)
+        check_derivation(nxt, space)
         current = nxt
         steps += 1
     return current, steps, next(current.find(_is_redex), None) is None

@@ -73,17 +73,16 @@ def preservation_suite(space: ModeSpace, seed: int, count: int, max_depth: int =
     for i in range(count):
         d = gen.gen_derivation(max_depth)
         res.cases += 1
-        memo: dict = {}  # one per case: its beta trace and eta pairs share nodes
         try:
-            check_derivation(d, space, memo)
+            check_derivation(d, space)
             for before, after in _beta_trace(d, space):
                 if not preservation_check(before, after):
                     res.failures.append(f"case {i}: beta step changed the judgment")
-                check_derivation(after, space, memo)
+                check_derivation(after, space)
             for before, after, rule in _eta_pairs(d, space):
                 if not preservation_check(before, after):
                     res.failures.append(f"case {i}: eta-{rule} changed the judgment")
-                check_derivation(after, space, memo)
+                check_derivation(after, space)
         except GrassError as e:
             res.failures.append(f"case {i}: {e}")
     return res

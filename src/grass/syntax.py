@@ -174,47 +174,46 @@ def _type_wf(ty: Type, m: str, space: ModeSpace) -> bool:
 # Terms
 
 
-@dataclass(frozen=True)
 class Term:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     name: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Term):
     mode: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LetStar(Term):
     grade: GradeValue
     scrutinee: Term
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LetPair(Term):
     grade: GradeValue
     left_name: str
@@ -223,17 +222,17 @@ class LetPair(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inl(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inr(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Term):
     grade: GradeValue
     scrutinee: Term
@@ -243,7 +242,7 @@ class Case(Term):
     right_body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropTm(Term):
     grade: GradeValue
     low: str
@@ -251,7 +250,7 @@ class DropTm(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LetDrop(Term):
     grade: GradeValue
     low: str
@@ -261,14 +260,14 @@ class LetDrop(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RaiseTm(Term):
     low: str
     high: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnraiseTm(Term):
     low: str
     high: str
@@ -423,7 +422,7 @@ ContextEntry = tuple[str, Type]
 Context = tuple[ContextEntry, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Judgment:
     """rho | M (.) Gamma |-_mode term : ty"""
 

@@ -1,12 +1,16 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
 
 from grass.derivation import (
+    Derivation,
     check_derivation,
     elaborate,
+    fold,
     mk_arrowE,
     mk_arrowI,
     mk_cont,
@@ -114,6 +118,7 @@ def test_every_traversal_returns_at_any_depth():
     chain, _, _ = _exchange_chain(space, depth)
     d, pair = chain[-1], chain[0]
     assert check_derivation(d, space) == d.conclusion
+    assert check_derivation(_unsealed(d), space) == d.conclusion
     assert beta_step(d, space) is None
     assert normalize(d, 8, space) == (d, 0, True)
     assert all_single_steps(d, space) == []
@@ -288,11 +293,17 @@ def test_checker_is_deterministic(lu):
         assert check_derivation(d, lu) == check_derivation(d, lu) == d.conclusion
 
 
-def test_checker_checks_a_shared_subtree_once(lu, monkeypatch):
+def _unsealed(d):
+    """A copy of d in which no node is sealed, built at any depth."""
+    return fold(d, lambda node, premises: Derivation(node.rule, tuple(premises), node.payload,
+                                                     node.conclusion))
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """The rules check_derivation rebuilds, in order."""
     import grass.derivation as derivation
 
-    unit = mk_unitI(lu, "L")
-    d = mk_pairI(lu, unit, unit)
     rules = []
     real = derivation.rebuild
 
@@ -301,23 +312,109 @@ def test_checker_checks_a_shared_subtree_once(lu, monkeypatch):
         return real(space, rule, premises, payload)
 
     monkeypatch.setattr(derivation, "rebuild", counting)
+    return rules
+
+
+def test_checker_checks_a_shared_subtree_once(lu, rebuilds):
+    unit = Derivation("unitI", (), ("L",), mk_unitI(lu, "L").conclusion)
+    d = Derivation("pairI", (unit, unit), (), mk_pairI(lu, unit, unit).conclusion)
     assert check_derivation(d, lu) == d.conclusion
-    assert rules == ["unitI", "pairI"]
+    assert rebuilds == ["unitI", "pairI"]
 
 
-def test_checker_memo_holds_only_nodes_that_passed(lu):
-    good = mk_arrowI(lu, mk_var(lu, "x", P))
+def test_checker_seals_only_nodes_that_passed(lu, rebuilds):
+    good = _unsealed(mk_arrowI(lu, mk_var(lu, "x", P)))
     bad = good.premises[0]
     tampered = type(bad)(bad.rule, bad.premises, ("x", Q), bad.conclusion)
     wrapped = type(good)(good.rule, (tampered,), good.payload, good.conclusion)
-    memo = {}
     for _ in range(2):
-        with pytest.raises(CheckError):
-            check_derivation(wrapped, lu, memo)
-        assert memo == {}
-    assert check_derivation(good, lu, memo) == good.conclusion
-    assert set(memo) == {id(good), id(bad)}
-    assert check_derivation(good, lu, memo) == good.conclusion
+        with pytest.raises(CheckError) as err:
+            check_derivation(wrapped, lu)
+        assert err.value.position == (0,)
+        assert wrapped._seal is tampered._seal is good._seal is bad._seal is None
+    assert rebuilds == ["var", "var"]
+    assert check_derivation(good, lu) == good.conclusion
+    assert good._seal is bad._seal is lu
+    assert check_derivation(good, lu) == good.conclusion
+    assert rebuilds == ["var", "var", "var", "arrowI"]
+
+
+def _sample(space, seed=31, count=30):
+    gen = Gen(space=space, rng=random.Random(seed))
+    return [gen.gen_derivation(4) for _ in range(count)]
+
+
+def test_a_tree_built_by_the_constructors_is_not_checked_again(lu, rebuilds):
+    for d in _sample(lu):
+        assert all(node._seal is lu for node in d.walk())
+        assert check_derivation(d, lu) == d.conclusion
+    assert rebuilds == []
+
+
+def test_copy_deepcopy_and_pickle_drop_the_seal(lu, rebuilds):
+    for d in _sample(lu):
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert twin == d and hash(twin) == hash(d) and twin is not d
+            assert twin._seal is None
+            new = {id(n) for n in twin.walk()} - {id(n) for n in d.walk()}
+            rebuilds.clear()
+            assert check_derivation(twin, lu) == d.conclusion
+            assert len(rebuilds) == len(new) and twin._seal is lu
+            rebuilds.clear()
+            assert check_derivation(twin, lu) == d.conclusion
+            assert rebuilds == []
+
+
+def test_a_tree_is_fully_checked_in_an_equal_but_distinct_space(lu, rebuilds):
+    other = system("LU")[0]
+    assert other == lu and other is not lu
+    for d in _sample(lu):
+        rebuilds.clear()
+        assert check_derivation(d, other) == d.conclusion
+        assert len(rebuilds) == len({id(n) for n in d.walk()})
+        assert all(node._seal is other for node in d.walk())
+
+
+def test_a_node_over_an_unsealed_premise_is_unsealed(lu):
+    x = mk_var(lu, "x", P)
+    loose = Derivation(x.rule, x.premises, x.payload, x.conclusion)
+    assert x._seal is lu and loose._seal is None
+    assert mk_arrowI(lu, x)._seal is lu
+    assert mk_arrowI(lu, loose)._seal is None
+    assert mk_pairI(lu, mk_var(lu, "y", P), loose)._seal is None
+    assert mk_arrowI(system("LU")[0], x)._seal is None
+    assert dataclasses.replace(mk_arrowI(lu, x))._seal is None
+
+
+def test_a_replaced_conclusion_is_rejected_with_its_path(lu):
+    d = mk_pairI(lu, mk_arrowI(lu, mk_var(lu, "x", P)), mk_var(lu, "y", P))
+    node = d.premises[0].premises[0]
+    lying = dataclasses.replace(node, conclusion=dataclasses.replace(node.conclusion, ty=Q))
+    inner = dataclasses.replace(d.premises[0], premises=(lying,))
+    top = dataclasses.replace(d, premises=(inner, d.premises[1]))
+    for _ in range(2):
+        with pytest.raises(CheckError, match="stored conclusion does not match") as err:
+            check_derivation(top, lu)
+        assert (err.value.rule, err.value.position) == ("var", (0, 0))
+
+
+def test_a_root_with_one_grade_changed_over_sealed_premises_is_rejected(lu, rebuilds):
+    # the check workload's reject items: the root replaced, its premises as built
+    rejected = 0
+    for d in _sample(lu, seed=32):
+        c = d.conclusion
+        if "L" not in c.modes:
+            continue
+        i = c.modes.index("L")  # a grade of nat-discrete, where v + 1 is another
+        rho = c.rho[:i] + (dataclasses.replace(c.rho[i], value=c.rho[i].value + 1),) + c.rho[i + 1:]
+        bad = dataclasses.replace(d, conclusion=dataclasses.replace(c, rho=rho))
+        assert all(p._seal is lu for p in bad.premises)
+        rebuilds.clear()
+        with pytest.raises(CheckError, match="stored conclusion does not match") as err:
+            check_derivation(bad, lu)
+        assert (err.value.rule, err.value.position, rebuilds) == (d.rule, (), [d.rule])
+        rejected += 1
+    assert rejected >= 10
 
 
 # -- elaboration ------------------------------------------------------------------

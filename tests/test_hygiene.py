@@ -1,6 +1,8 @@
 """Source hygiene that no installed linter checks."""
 
 import ast
+import copy
+import pickle
 import re
 from collections import Counter
 from pathlib import Path
@@ -8,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import grass
+from grass.derivation import mk_arrowI, mk_var
+from grass.presets import system
+from grass.syntax import TERMS, TBase, Var
 
 MODULES = sorted(p for p in Path(grass.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -99,3 +104,22 @@ def test_positions_are_read_only_through_the_checked_accessor():
                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                   and n.func.attr.endswith("_positions") and id(n) not in inside]
     assert accessors == 1 and not calls, calls
+
+
+def _slotted_values():
+    """One instance of each slotted value class of the kernel: a derivation,
+    its judgment, a grade, and every term former."""
+    space = system("LU")[0]
+    d = mk_arrowI(space, mk_var(space, "x", TBase("P", "L")))
+    fill = {"name": "x", "grade": 1, "mode": "L"}
+    terms = [Var("x")] + [former(*(fill.get(kind, Var("y")) for kind in kinds))
+                          for former, kinds in TERMS.items()]
+    return [d, d.conclusion, d.conclusion.ty.grade, *terms]
+
+
+@pytest.mark.parametrize("value", _slotted_values(), ids=lambda v: type(v).__name__)
+def test_kernel_values_are_slotted_and_copy_and_pickle_round_trip(value):
+    # slots keep the memory of a tree of these small
+    assert not hasattr(value, "__dict__")
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)

@@ -8,6 +8,7 @@ import pytest
 from grass.derivation import (
     Derivation,
     check_derivation,
+    fold,
     mk_arrowE,
     mk_arrowI,
     mk_cont,
@@ -273,34 +274,46 @@ def test_normalize_checks_a_bad_node_among_checked_ones(lu, monkeypatch):
     assert len(calls) == 2
 
 
+def _unsealed(d):
+    """A copy of d in which no node is sealed, built at any depth."""
+    return fold(d, lambda node, premises: Derivation(node.rule, tuple(premises), node.payload,
+                                                     node.conclusion))
+
+
 def test_normalize_checks_every_reduct_node_once(lu, monkeypatch):
+    # every node of d and of each reduct is checked once: by the mk_* that built
+    # it in lu, which sealed it, or else by check_derivation, which rebuilds each
+    # unsealed node it is handed once and seals it, so no reduct needs a rebuild
+    import grass.derivation as derivation
     import grass.rewrite as rewrite
 
-    real = rewrite.check_derivation
-    reducts, checked = [], []
+    real_check, real_rebuild = rewrite.check_derivation, derivation.rebuild
+    trees, rebuilt = [], []
 
-    def top_level(d, space, memo):
-        # normalize's own call: d is the reduct of one step, and the nodes
-        # it checks are the ones it adds to normalize's memo
-        reducts.append(d)
-        before = set(memo)
-        out = real(d, space, memo)
-        checked.extend(key for key in memo if key not in before)
-        return out
+    def top_level(d, space):
+        trees.append(d)
+        return real_check(d, space)
+
+    def counting(space, rule, premises, payload):
+        rebuilt.append(rule)
+        return real_rebuild(space, rule, premises, payload)
 
     monkeypatch.setattr(rewrite, "check_derivation", top_level)
+    monkeypatch.setattr(derivation, "rebuild", counting)
     gen = Gen(space=lu, rng=random.Random(22))
     inputs = [_identity_chain(lu, 6)] + [gen.gen_derivation(4) for _ in range(40)]
     total_steps = 0
     for d in inputs:
-        reducts.clear()
-        checked.clear()
-        _out, steps, _normal = normalize(d, 30, lu)
-        assert len(reducts) == steps
-        total_steps += steps
-        nodes = {id(n) for r in reducts for n in r.walk()}
-        assert sorted(checked) == sorted(nodes)
-    assert total_steps >= 20
+        for given in (d, _unsealed(d)):
+            unsealed = {id(n) for n in given.walk() if n._seal is not lu}
+            trees.clear()
+            rebuilt.clear()
+            _out, steps, _normal = normalize(given, 30, lu)
+            assert len(trees) == steps + 1 and trees[0] is given
+            assert all(n._seal is lu for tree in trees for n in tree.walk())
+            assert len(rebuilt) == len(unsealed)
+            total_steps += steps
+    assert total_steps >= 40
 
 
 def test_normalize_checker_work_grows_linearly_on_chains(lu, monkeypatch):
@@ -313,8 +326,8 @@ def test_normalize_checker_work_grows_linearly_on_chains(lu, monkeypatch):
         calls[0] += 1
         return real(*args)
 
-    def rebuilds(depth):
-        d = _identity_chain(lu, depth)
+    def rebuilds(depth, copy=lambda d: d):
+        d = copy(_identity_chain(lu, depth))
         calls[0] = 0
         monkeypatch.setattr(derivation, "rebuild", counting)
         try:
@@ -324,7 +337,8 @@ def test_normalize_checker_work_grows_linearly_on_chains(lu, monkeypatch):
         assert (out.conclusion.term, steps, normal) == (Var("y"), depth, True)
         return calls[0]
 
-    small, large = rebuilds(80), rebuilds(160)
+    assert rebuilds(80) == rebuilds(160) == 0
+    small, large = rebuilds(80, _unsealed), rebuilds(160, _unsealed)
     assert small > 0
     assert large / small <= 2.5
 
