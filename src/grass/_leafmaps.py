@@ -8,10 +8,15 @@ else fresh variable -1 - out[j], one of `fresh` variables that range over
 X; some may go uncopied.  With tuples flattened, as the validator numbers
 a shape's elements, it denotes at a carrier X the pairs (u, v) of
 X^s x X^m for which some f in X^fresh gives v_j = u[out_j] or f[-1 - out_j],
-and `table` writes that relation by index at one carrier size.  out is a
-list: a call builds and drops thousands, and CPython keeps up to 2000
-dropped tuples of each length below 20 for reuse (+1.2 MB peak RSS on the
-`coherence` benchmark when they were tuples).
+and `table` writes that relation by index at one carrier size.  The
+identity on n leaves is (n, range(n), 0), and a range out marks it and no
+other map; every other out is a list, for a call builds and drops
+thousands and CPython keeps up to 2000 dropped tuples of each length below
+20 for reuse (+1.2 MB peak RSS on the `coherence` benchmark when they were
+tuples).  Most maps of a square are identities, so `substitute`,
+`juxtapose`, `repeat` and `equal` short-circuit on them by the unit laws;
+each short-circuit returns, element for element, the triple the list path
+builds, and a range is immutable, so nothing is cached or shared.
 
 Soundness.  At every carrier each function below denotes the relation
 that composing the maps' index tables builds: composition substitutes,
@@ -48,6 +53,8 @@ def expand(objs, p):
     other maps' of one object; none is the unit), and whose fresh
     coordinate ranges over objs[0]."""
     widths = [*map(leaves, objs)] or [0]
+    if p.out == tuple(range(p.src)):
+        return identity(sum(widths) * (p.src // len(widths)))
     starts = [0, *itertools.accumulate(w for w in widths for _ in range(p.src // len(widths)))]
     blocks = [*map(range, starts, starts[1:]), range(-1, -1 - widths[0], -1)]
     out = [i for k in p.out for i in blocks[k]]
@@ -57,7 +64,7 @@ def expand(objs, p):
 
 def identity(n: int):
     """The identity on n leaves."""
-    return n, [*range(n)], 0
+    return n, range(n), 0
 
 
 def block_swap(a: int, b: int):
@@ -69,17 +76,25 @@ def substitute(f, g):
     """f then g: each output of g copies f's output at its source leaf, or
     names a fresh variable of g, numbered after f's."""
     fo, k = f[1], f[2]
+    if g[1].__class__ is range:
+        return f
+    if fo.__class__ is range:
+        return g
     return f[0], [fo[j] if j >= 0 else j - k for j in g[1]], k + g[2]
 
 
 def juxtapose(f, g):
     """f (x) g: g's source leaves after f's, its fresh variables after f's."""
     s, k = f[0], f[2]
-    return s + g[0], f[1] + [j + s if j >= 0 else j - k for j in g[1]], k + g[2]
+    if f[1].__class__ is g[1].__class__ is range:
+        return identity(s + g[0])
+    return s + g[0], [*f[1], *(j + s if j >= 0 else j - k for j in g[1])], k + g[2]
 
 
 def repeat(f, k: int):
     """f^k, k copies of f side by side."""
+    if f[1].__class__ is range:
+        return identity(f[0] * k)
     out = (0, [], 0)
     for _ in range(k):
         out = juxtapose(out, f)
@@ -97,6 +112,8 @@ def _key(f):
 
 def equal(f, g) -> bool:
     """Whether f and g denote equal relations at every carrier."""
+    if f[1].__class__ is g[1].__class__ is range:
+        return f[0] == g[0]
     return _key(f) == _key(g)
 
 

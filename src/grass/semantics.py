@@ -1179,6 +1179,8 @@ class _Coherence:
     def compose(self, path: list[_Table]) -> _Table:
         """The tables of a path composed, first to last; the validator's
         paths meet at equal shapes by construction."""
+        if len(path) == 1:
+            return path[0]
         rows, compose = path[0].rows, substitute if self.source is None else self.rows.compose
         for t in path[1:]:
             rows = compose(rows, t.rows)

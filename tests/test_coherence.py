@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from grass import semantics
-from grass._leafmaps import block_swap, equal, juxtapose, leaves, substitute, table
+from grass._leafmaps import (_key, block_swap, equal, expand, identity, juxtapose, leaves, repeat,
+                             substitute, table)
 from grass.cli import load_modes_file
 from grass.derivation import mk_dropI, mk_pairI, mk_var, mk_weak
 from grass.errors import InputError, ShapeError, SizeLimitError
@@ -36,6 +37,7 @@ from grass.semantics import (
     _size,
     _strides,
     _Table,
+    _transpose,
     interp_derivation,
     model_coherence_validate,
     positions_rel,
@@ -586,3 +588,53 @@ def test_equal_leaf_maps_give_equal_tables_at_every_size():
     f, g = (0, [-1], 1), (1, [0, -1], 1)
     assert equal(substitute(juxtapose(f, g), block_swap(1, 2)),
                  substitute(block_swap(0, 1), juxtapose(g, f)))
+
+
+def _spelled(n: int):
+    """The identity on n leaves with a list out, which takes the list path."""
+    return n, [*range(n)], 0
+
+
+def _same_map(short, listed) -> None:
+    """short is, element for element, the leaf map listed, and so has its key and tables."""
+    assert (short[0], [*short[1]], short[2]) == (listed[0], [*listed[1]], listed[2]), (short, listed)
+    assert _key(short) == _key(listed)
+    for n in range(4):
+        assert table(short, n) == table(listed, n), (short, listed, n)
+
+
+def test_identities_short_circuit_to_what_the_list_path_builds():
+    # the unit laws: an identity held as a range composes, tensors, powers and
+    # compares as its list spelling does, and expand holds only identities so
+    rng = random.Random(22)
+    maps = []
+    for _ in range(300):
+        src, fresh = rng.randrange(4), rng.random() < 0.5
+        span = src + 1 if fresh or not src else src  # out of no coordinates, every output is fresh
+        p = Positions(src, tuple(rng.randrange(span) for _ in range(rng.randrange(4))))
+        f = expand((_OBJECTS[rng.randrange(len(_OBJECTS))](0),), p)
+        assert f[1].__class__ is not range or (f[1] == range(f[0]) and f[2] == 0), f  # only identities
+        maps.append(f)
+    assert sum(f[1].__class__ is range for f in maps) >= 10 and sum(f[2] > 0 for f in maps) >= 50
+    assert sum(f[0] == 0 for f in maps) >= 50
+    for f in maps:
+        s, m = f[0], len(f[1])
+        _same_map(substitute(f, identity(m)), substitute(f, _spelled(m)))
+        _same_map(substitute(identity(s), f), substitute(_spelled(s), f))
+    for a, b in itertools.product(range(4), repeat=2):
+        _same_map(juxtapose(identity(a), identity(b)), juxtapose(_spelled(a), _spelled(b)))
+        assert equal(identity(a), identity(b)) == equal(_spelled(a), _spelled(b)) == (a == b)
+    for n, k in itertools.product(range(4), range(4)):
+        _same_map(repeat(identity(n), k), repeat(_spelled(n), k))
+    # expand of an identity's positions: one object, or tau's two factors of any leaf counts
+    for n, x in itertools.product(range(4), range(len(_OBJECTS))):
+        obj = _OBJECTS[x](0)
+        _same_map(expand((obj,), spread(n, n)), _spelled(n * leaves(obj)))
+        _same_map(expand((obj,) * n, _transpose(1, n)), _spelled(n * leaves(obj)))
+        for y in range(len(_OBJECTS)):
+            other = _OBJECTS[y](0)
+            _same_map(expand((obj, other), _transpose(1, 2)), _spelled(leaves(obj) + leaves(other)))
+    # a fresh variable forgotten out of no leaves is still no identity
+    dropped = substitute(expand((1,), Positions(0, (0,))), expand((1,), Positions(1, ())))
+    assert dropped == (0, [], 1)
+    assert not equal(dropped, identity(0)) and not equal(identity(0), dropped)

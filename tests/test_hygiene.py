@@ -4,12 +4,14 @@ import ast
 import copy
 import pickle
 import re
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import grass
+from grass import _leafmaps
 from grass.derivation import mk_arrowI, mk_var
 from grass.presets import system
 from grass.syntax import TERMS, TBase, Var
@@ -104,6 +106,24 @@ def test_positions_are_read_only_through_the_checked_accessor():
                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                   and n.func.attr.endswith("_positions") and id(n) not in inside]
     assert accessors == 1 and not calls, calls
+
+
+def test_leaf_maps_keep_no_module_level_cache_or_container():
+    # an identity is a fresh range, so repeated validator calls share nothing
+    # through grass._leafmaps: no memo, interning table or mutable default
+    tree = ast.parse(Path(_leafmaps.__file__).read_text())
+    docstring = tree.body[0]
+    kept = [f"{node.lineno} {type(node).__name__}" for node in tree.body[1:]
+            if not isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef))
+            or isinstance(node, ast.FunctionDef) and node.decorator_list]
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant) and not kept, kept
+    for name, value in vars(_leafmaps).items():
+        if name.startswith("__") or name == "annotations":
+            continue
+        assert isinstance(value, (types.ModuleType, types.FunctionType, type)), name
+        if isinstance(value, types.FunctionType):
+            defaults = [*(value.__defaults__ or ()), *(value.__kwdefaults__ or {}).values()]
+            assert all(isinstance(d, (int, str, type(None))) for d in defaults), name
 
 
 def _slotted_values():
