@@ -53,7 +53,7 @@ def expand(objs, p):
     other maps' of one object; none is the unit), and whose fresh
     coordinate ranges over objs[0]."""
     widths = [*map(leaves, objs)] or [0]
-    if p.out == tuple(range(p.src)):
+    if p.is_identity:
         return identity(sum(widths) * (p.src // len(widths)))
     starts = [0, *itertools.accumulate(w for w in widths for _ in range(p.src // len(widths)))]
     blocks = [*map(range, starts, starts[1:]), range(-1, -1 - widths[0], -1)]

@@ -6,6 +6,7 @@ the independence check that every typing judgment must satisfy.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -96,15 +97,34 @@ class ModeSpace:
 
 
 def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report:
-    """Check morphism laws, identity and composition coherence.  The order
-    needs no check: `ModeSpace` closes it reflexively and transitively."""
+    """Check that each finite algebra's `add` and `mul` tables are total, then
+    the morphism laws and identity and composition coherence.  The order needs
+    no check: `ModeSpace` closes it reflexively and transitively.  Neither do
+    the laws of the named identity at (m, m), nor a composite through it: each
+    holds by definition.  The morphisms from or to a mode over a partial table,
+    and those reported `map-kind` or `image-defined`, are checked no further."""
     found: list[Violation] = []
     ids = list(space.modes)
 
-    unmapped = set()  # morphisms reported as a table over a naturals source or with an image missing
+    holes: dict[str, list] = {}  # by algebra id: the pairs its add or mul table misses
+    for mode in space.modes.values():
+        alg = mode.algebra
+        if alg.kind == "finite" and alg.id not in holes:
+            holes[alg.id] = [(op, pair) for op, table in (("add", alg.add_table), ("mul", alg.mul_table))
+                             for pair in itertools.product(alg.carrier, repeat=2) if pair not in table]
+            found += (Violation(f"algebra-{alg.id}-{op}-defined", pair) for op, pair in holes[alg.id])
+    partial = {m for m in ids if holes.get(space.mode(m).algebra.id)}
+
+    unmapped = set()  # morphisms checked no further
+    named_ids = {(m, m) for m in ids if space.morphisms[(m, m)].named == "identity"}
     for m, n in sorted(space.order_pairs):
         if (m, n) not in space.morphisms:
             found.append(Violation("missing-morphism", (m, n), f"no morphism for {m} <= {n}"))
+            continue
+        if m in partial or n in partial:
+            unmapped.add((m, n))
+            continue
+        if (m, n) in named_ids:
             continue
         sub = mode_morphism_check(space.morphisms[(m, n)], space.mode(m), space.mode(n), budget)
         for v in sub.violations:
@@ -114,10 +134,9 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
 
     # phi_{m,m} = id pointwise
     for m in ids:
-        phi = space.morphisms.get((m, m))
-        if phi is None or (m, m) in unmapped:
+        if (m, m) in unmapped or (m, m) in named_ids:
             continue
-        alg = space.mode(m).algebra
+        phi, alg = space.morphisms[(m, m)], space.mode(m).algebra
         for x in alg.elements(budget):
             if phi.apply(x, alg) != x:
                 found.append(Violation("identity-coherence", (m, x), f"phi_({m},{m}) is not the identity"))
@@ -126,7 +145,7 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
     # phi_{n,l} . phi_{m,n} = phi_{m,l} pointwise
     for m, n in sorted(space.order_pairs):
         for l in ids:
-            if (n, l) not in space.order_pairs:
+            if (n, l) not in space.order_pairs or (m, n) in named_ids or (n, l) in named_ids:
                 continue
             if any(key not in space.morphisms or key in unmapped for key in ((m, n), (n, l), (m, l))):
                 continue

@@ -166,6 +166,10 @@ class Positions:
         return self.src in self.out
 
     @cached_property
+    def is_identity(self) -> bool:
+        return self.out == tuple(range(self.src))
+
+    @cached_property
     def pick(self):
         """The image of a source tuple, with the fresh value appended if
         the map has one."""
@@ -1046,12 +1050,19 @@ _SIZE_CAP = 4096
 
 class _Table:
     """A map between two shapes, as rows or a leaf map; equal only to itself.
-    A leaf map's reach is the most leaves of an object of a backend map in it."""
+    `parts` holds the tables a composite is built of, None for a backend map."""
 
-    __slots__ = ("dom", "cod", "rows", "reach")
+    __slots__ = ("dom", "cod", "rows", "parts")
 
-    def __init__(self, dom, cod, rows, reach=0):
-        self.dom, self.cod, self.rows, self.reach = dom, cod, rows, reach
+    def __init__(self, dom, cod, rows, parts=()):
+        self.dom, self.cod, self.rows, self.parts = dom, cod, rows, parts
+
+    @property
+    def reach(self) -> int:
+        """The most leaves of an object of a backend map in this leaf map."""
+        if self.parts is None:
+            return max(self.rows[0], len(self.rows[1]))
+        return max((t.reach for t in self.parts), default=0)
 
 
 def _size(shape) -> int:
@@ -1117,8 +1128,7 @@ class _Coherence:
         if self.source is None:
             p = (self.backend.positions("tau", *args, len(objs)) if family == "tau_pair"
                  else self.backend.positions(family, *args))
-            f = expand(objs, p)
-            return _Table(dom, cod, f, max(f[0], len(f[1])))
+            return _Table(dom, cod, expand(objs, p), None)
         _guard(max(_size(dom), _size(cod)))
         sizes = tuple(map(_size, objs))
         key = (family, *args, *sizes)
@@ -1133,8 +1143,8 @@ class _Coherence:
 
     @_once
     def delta(self, m: str, r: GradeValue, q: GradeValue, x) -> _Table:
-        a, alg = partial(self.arity, m), self.backend.space.mode(m).algebra
-        return self._map("delta", (m, r, q), (x,), (x,) * a(alg.mul(r, q)), ((x,) * a(q),) * a(r))
+        a, alg = self.arity, self.backend.space.mode(m).algebra
+        return self._map("delta", (m, r, q), (x,), (x,) * a(m, alg.mul(r, q)), ((x,) * a(m, q),) * a(m, r))
 
     @_once
     def tau(self, m: str, q: GradeValue, x, y) -> _Table:
@@ -1147,9 +1157,9 @@ class _Coherence:
 
     @_once
     def c(self, m: str, r: GradeValue, q: GradeValue, x) -> _Table:
-        a, alg = partial(self.arity, m), self.backend.space.mode(m).algebra
-        return self._map("c_map", (m, r, q), (x,), (x,) * a(alg.add(r, q)),
-                         ((x,) * a(r), (x,) * a(q)))
+        a, alg = self.arity, self.backend.space.mode(m).algebra
+        return self._map("c_map", (m, r, q), (x,), (x,) * a(m, alg.add(r, q)),
+                         ((x,) * a(m, r), (x,) * a(m, q)))
 
     @_once
     def w(self, m: str, x) -> _Table:
@@ -1184,26 +1194,27 @@ class _Coherence:
         rows, compose = path[0].rows, substitute if self.source is None else self.rows.compose
         for t in path[1:]:
             rows = compose(rows, t.rows)
-        return _Table(path[0].dom, path[-1].cod, rows, max(t.reach for t in path))
+        return _Table(path[0].dom, path[-1].cod, rows, path)
 
     def tensor(self, f: _Table, g: _Table) -> _Table:
         rows = (juxtapose(f.rows, g.rows) if self.source is None
                 else self.rows.product([f.rows, g.rows], (_size(g.cod), 1)))
-        return _Table((f.dom, g.dom), (f.cod, g.cod), rows, max(f.reach, g.reach))
+        return _Table((f.dom, g.dom), (f.cod, g.cod), rows, (f, g))
 
     @_once
     def power(self, f: _Table, k: int) -> _Table:
         """f^k, the functorial action of a tupling mode."""
         rows = (repeat(f.rows, k) if self.source is None
                 else self.rows.product([f.rows] * k, _strides([_size(f.cod)] * k)))
-        return _Table((f.dom,) * k, (f.cod,) * k, rows, f.reach)
+        return _Table((f.dom,) * k, (f.cod,) * k, rows, (f,))
 
     # -- the two passes -----------------------------------------------------
 
-    def square(self, name: str, key: tuple, exponents: list, paths) -> None:
+    def square(self, name: str, key: tuple, exponents, paths) -> None:
         """Pass 1 on square `name` at key, with sides paths(self, *key, x) and objects of
-        up to x**e elements, e in exponents, at object size x: without a source, proven on
-        its sides' leaf maps at size 0, which stand for every size, if it can be; else open."""
+        up to x**e elements, e in exponents(*key), at object size x: without a source, proven on
+        its sides' leaf maps at size 0, which stand for every size, if it can be; else open.
+        Only pass 2 reads exponents and reach, so neither is built for a proven square."""
         if self.source is None:
             lhs, rhs = map(self.compose, paths(self, *key, 0))
             if (lhs.dom, lhs.cod) == (rhs.dom, rhs.cod) and equal(lhs.rows, rhs.rows):
@@ -1215,7 +1226,8 @@ class _Coherence:
         """Pass 2: at each size x, unless an object is over the cap or a map read over the
         element limit, note a violation at (*key, x) of each open square whose sides, pass
         1's leaf maps written by index or the source's rows composed, differ."""
-        for x, (name, key, exponents, paths) in itertools.product(sizes, self.open):
+        opened = [(name, key, exponents(*key), paths) for name, key, exponents, paths in self.open]
+        for x, (name, key, exponents, paths) in itertools.product(sizes, opened):
             if not _fits_size(x, *exponents):
                 continue
             try:
@@ -1303,20 +1315,20 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
 
         for q in grades:
             # counit laws for delta/epsilon
-            square("delta then eps is the identity", (m, q), [a(q)], lambda c, m, q, x: (
+            square("delta then eps is the identity", (m, q), lambda m, q: [a(q)], lambda c, m, q, x: (
                 [c.delta(m, alg.one, q, x), c.eps(m, act(q, x))], [c.iso(act(q, x))]))
-            square("delta then q (.) eps is the identity", (m, q), [a(q)], lambda c, m, q, x: (
+            square("delta then q (.) eps is the identity", (m, q), lambda m, q: [a(q)], lambda c, m, q, x: (
                 [c.delta(m, q, alg.one, x), c.power(c.eps(m, x), a(q))], [c.iso(act(q, x))]))
             # tau unit law: (iota (x) id) then tau then q (.) unitor == unitor
-            square("tau unit law", (m, q), [a(q)], lambda c, m, q, x: (
+            square("tau unit law", (m, q), lambda m, q: [a(q)], lambda c, m, q, x: (
                 [c.tensor(c.iota(m, q), c.iso(act(q, x))), c.tau(m, q, (), x),
                  c.power(c.iso(((), x), x), a(q))], [c.iso(((), act(q, x)), act(q, x))]))
             # tau symmetry: tau then q (.) swap == swap then tau
-            square("tau symmetry", (m, q), [a(q)], lambda c, m, q, x: (
+            square("tau symmetry", (m, q), lambda m, q: [a(q)], lambda c, m, q, x: (
                 [c.tau(m, q, x, x), c.power(c.swap(x, x), a(q))],
                 [c.swap(act(q, x), act(q, x)), c.tau(m, q, x, x)]))
             # tau associativity
-            square("tau associativity", (m, q), [3 * a(q)], lambda c, m, q, x: (
+            square("tau associativity", (m, q), lambda m, q: [3 * a(q)], lambda c, m, q, x: (
                 [c.tensor(c.tau(m, q, x, x), c.iso(act(q, x))), c.tau(m, q, (x, x), x),
                  c.power(c.iso(((x, x), x), (x, (x, x))), a(q))],
                 [c.iso(((act(q, x), act(q, x)), act(q, x)), (act(q, x), (act(q, x), act(q, x)))),
@@ -1324,16 +1336,16 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
 
         # delta coassociativity
         for q, r, s in itertools.product(grades, repeat=3):
-            square("delta coassociativity", (m, q, r, s), [a(q) * a(r) * a(s), a(q) * a(r), a(r) * a(s)],
-                   lambda c, m, q, r, s, x: (
+            square("delta coassociativity", (m, q, r, s),
+                   lambda m, q, r, s: [a(q) * a(r) * a(s), a(q) * a(r), a(r) * a(s)], lambda c, m, q, r, s, x: (
                        [c.delta(m, alg.mul(q, r), s, x), c.power(c.iso(act(s, x)), a(alg.mul(q, r))),
                         c.delta(m, q, r, act(s, x))],
                        [c.delta(m, q, alg.mul(r, s), x), c.power(c.delta(m, r, s, x), a(q))]))
 
         # graded-comonad coherence: c against delta/tau (both squares)
+        exponents = lambda m, q, r1, r2: [a(q) * (a(r1) + a(r2)), a(r1) + a(r2), a(q) * a(r1), a(q) * a(r2)]
         for q in grades:
             for r1, r2 in itertools.product(conts, repeat=2):
-                exponents = [a(q) * (a(r1) + a(r2)), a(r1) + a(r2), a(q) * a(r1), a(q) * a(r2)]
                 square("c then delta tensor delta then tau", (m, q, r1, r2), exponents,
                        lambda c, m, q, r1, r2, x: (
                            [c.c(m, alg.mul(q, r1), alg.mul(q, r2), x),
@@ -1348,7 +1360,7 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
 
         # c coassociativity
         for r1, r2, r3 in itertools.product(conts, repeat=3):
-            square("c coassociativity", (m, r1, r2, r3), [a(r1) + a(r2) + a(r3)],
+            square("c coassociativity", (m, r1, r2, r3), lambda m, r1, r2, r3: [a(r1) + a(r2) + a(r3)],
                    lambda c, m, r1, r2, r3, x: (
                        [c.c(m, alg.add(r1, r2), r3, x), c.tensor(c.c(m, r1, r2, x), c.iso(act(r3, x))),
                         c.iso(((act(r1, x), act(r2, x)), act(r3, x)),
@@ -1356,9 +1368,8 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
                        [c.c(m, r1, alg.add(r2, r3), x), c.tensor(c.iso(act(r1, x)), c.c(m, r2, r3, x))]))
 
         if mode.weak:
-            zero = alg.zero
+            zero, exponents = alg.zero, lambda m, r: [max(a(r), 1)]
             for r in grades:
-                exponents = [max(a(r), 1)]
                 square("w after delta at zero times r", (m, r), exponents, lambda c, m, r, x: (
                     [c.delta(m, zero, r, x), c.w(m, act(r, x))], [c.w(m, x)]))
                 square("w then iota against delta at r times zero", (m, r), exponents, lambda c, m, r, x: (
@@ -1381,18 +1392,19 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
         alg_lo = mode_lo.algebra
         grades_lo = list(alg_lo.elements(budget))
         phi = partial(space.phi, mlo, mhi)
+        at_grade = lambda lo, hi, r: [max(co.arity(lo, r), co.arity(hi, phi(r)))]
         for r in grades_lo:
-            exponents = [max(co.arity(mlo, r), co.arity(mhi, phi(r)))]
             if r == alg_lo.one:
-                square("mu unit square", (mlo, mhi), exponents, lambda c, lo, hi, x: (
-                    [c.mu(lo, hi, alg_lo.one, x), c.eps(lo, x)], [c.eps(hi, x)]))
+                square("mu unit square", (mlo, mhi), lambda lo, hi: at_grade(lo, hi, alg_lo.one),
+                       lambda c, lo, hi, x: ([c.mu(lo, hi, alg_lo.one, x), c.eps(lo, x)], [c.eps(hi, x)]))
             if mode_lo.weak and r == alg_lo.zero:
-                square("mu zero square", (mlo, mhi), exponents, lambda c, lo, hi, x: (
-                    [c.mu(lo, hi, alg_lo.zero, x), c.w(lo, x)], [c.w(hi, x)]))
+                square("mu zero square", (mlo, mhi), lambda lo, hi: at_grade(lo, hi, alg_lo.zero),
+                       lambda c, lo, hi, x: ([c.mu(lo, hi, alg_lo.zero, x), c.w(lo, x)], [c.w(hi, x)]))
+
+        def exponents(lo, hi, q, r):
+            aq, ar, aphi_q, aphi_r = co.arity(lo, q), co.arity(lo, r), co.arity(hi, phi(q)), co.arity(hi, phi(r))
+            return [aq * ar, aphi_q * aphi_r, ar * aphi_q, ar * aq, aphi_q * max(aphi_r, ar)]
         for q, r in itertools.product(grades_lo, repeat=2):
-            aq, ar = co.arity(mlo, q), co.arity(mlo, r)
-            aphi_q, aphi_r = co.arity(mhi, phi(q)), co.arity(mhi, phi(r))
-            exponents = [aq * ar, aphi_q * aphi_r, ar * aphi_q, ar * aq, aphi_q * max(aphi_r, ar)]
             square("mu multiplication square", (mlo, mhi, q, r), exponents, lambda c, lo, hi, q, r, x: (
                 [c.mu(lo, hi, alg_lo.mul(q, r), x), c.delta(lo, q, r, x)],
                 [c.delta(hi, phi(q), phi(r), x), c.power(c.mu(lo, hi, r, x), c.arity(hi, phi(q))),

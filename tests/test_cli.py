@@ -221,6 +221,57 @@ def test_a_table_morphism_missing_an_image_is_reported(tmp_path, capsys):
     assert capsys.readouterr().out == "morphism-fh->U-image-defined witness=('w',)\n"
 
 
+TWO = """
+[algebra two]
+carrier = 0 1
+order = 0<=1
+add 0 0 = 0
+add 0 1 = 1
+add 1 0 = 1
+add 1 1 = 1
+mul 0 1 = 0
+mul 1 0 = 0
+mul 1 1 = 1
+[mode T]
+algebra = two
+cont = 0
+weak = true
+"""
+TWO_BASE = TWO + "[backend]\nbudget = 2\n[base P T]\ncarrier = a b\n"
+TWO_ADD = TWO.replace("add 1 0 = 1\n", "").replace("mul 0 1 = 0\n", "mul 0 0 = 0\nmul 0 1 = 0\n")
+# the table to top fails no law; checked, it would raise out of the missing mul 0 0
+TWO_OUT = TWO + """[algebra top]
+builtin = top
+[mode U]
+algebra = top
+cont = t
+weak = true
+[order]
+T <= U
+[morphism T U]
+map = 0 -> t, 1 -> t
+"""
+
+
+@pytest.mark.parametrize("text, violation", [
+    (TWO, "algebra-two-mul-defined witness=(0, 0)"),
+    (TWO_BASE, "algebra-two-mul-defined witness=(0, 0)"),
+    (TWO_ADD, "algebra-two-add-defined witness=(1, 0)"),
+    (TWO_OUT, "algebra-two-mul-defined witness=(0, 0)"),
+], ids=["no-base", "base", "partial-add", "outgoing-morphism"])
+def test_a_partial_table_is_reported_and_refused_up_front(tmp_path, capsys, text, violation):
+    # modes-validate used to end in "error: algebra two: mul table missing (0, 0)",
+    # raised out of the law check of the identity at (T, T)
+    space, _backend = parse_modes_text(text)
+    assert modespace_validate(space).render() == violation
+    modes = _write(tmp_path, "two.modes", text)
+    assert main(["modes-validate", modes]) == 1
+    assert capsys.readouterr() == (violation + "\n", "")
+    prog = _write(tmp_path, "p.prog", "term u : Unit = unit\n")
+    assert main(["check", modes, prog]) == 1
+    assert capsys.readouterr() == ("", f"error: mode system failed validation:\n{violation}\n")
+
+
 def test_parse_error_exit_code(tmp_path):
     modes = _write(tmp_path, "m.modes", LNL)
     bad = _write(tmp_path, "bad.prog", "term broken : (-o{1:L} P P = (lam x x)\n")

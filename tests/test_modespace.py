@@ -1,11 +1,23 @@
+import collections
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grass.errors import InputError, ModeOrderError
-from grass.grades import Grade, Ideal, Mode, ModeMorphism, builtin_algebra, order_closure
+from grass.cli import load_modes_file
+from grass.errors import InputError, ModeOrderError, Report, Violation
+from grass.grades import (
+    Grade,
+    Ideal,
+    Mode,
+    ModeMorphism,
+    builtin_algebra,
+    mode_morphism_check,
+    order_closure,
+)
 from grass.modespace import (
     ModeSpace,
     independence_check,
@@ -14,7 +26,9 @@ from grass.modespace import (
     scale_vector,
     vector_leq,
 )
-from grass.presets import mode_L, mode_U, standard_space, system
+from grass.presets import MODE_FACTORIES, mode_fh, mode_L, mode_U, standard_space, system
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 
 def test_lnl_space_validates():
@@ -54,12 +68,10 @@ def test_single_mode_space_validates():
     assert modespace_validate(space).ok()
 
 
-def test_identity_coherence_failure_is_named():
+def _rigged_identity_space():
     # phi_{fh,fh} rigged to a non-identity permutation of the carrier
-    from grass.presets import mode_fh
-
     rigged = ModeMorphism("fh", "fh", table={0: 0, 1: "w", "w": 1})
-    space = ModeSpace(
+    return ModeSpace(
         modes={"fh": mode_fh(), "U": mode_U()},
         order_pairs=frozenset({("fh", "U")}),
         morphisms={
@@ -67,19 +79,25 @@ def test_identity_coherence_failure_is_named():
             ("fh", "fh"): rigged,
         },
     )
-    report = modespace_validate(space, budget=8)
+
+
+def _succ_identity_space():
+    succ = ModeMorphism("L", "L", table={n: n + 1 for n in range(20)})
+    return ModeSpace(
+        modes={"L": mode_L(), "U": mode_U()},
+        order_pairs=frozenset({("L", "U")}),
+        morphisms={("L", "U"): ModeMorphism("L", "U", named="to-top"), ("L", "L"): succ},
+    )
+
+
+def test_identity_coherence_failure_is_named():
+    report = modespace_validate(_rigged_identity_space(), budget=8)
     assert any(v.law == "identity-coherence" for v in report.violations)
 
 
 def test_nat_identity_map_checked_on_budget():
     # a non-identity table on a naturals source is rejected as unnamed
-    succ = ModeMorphism("L", "L", table={n: n + 1 for n in range(20)})
-    space = ModeSpace(
-        modes={"L": mode_L(), "U": mode_U()},
-        order_pairs=frozenset({("L", "U")}),
-        morphisms={("L", "U"): ModeMorphism("L", "U", named="to-top"), ("L", "L"): succ},
-    )
-    report = modespace_validate(space, budget=8)
+    report = modespace_validate(_succ_identity_space(), budget=8)
     assert not report.ok()
 
 
@@ -93,12 +111,8 @@ def test_missing_morphism_is_named():
     assert any(v.law == "missing-morphism" for v in report.violations)
 
 
-def test_a_table_with_no_image_for_an_element_is_reported_not_applied():
-    # the identity- and composition-coherence loops would apply both tables to
-    # w: through phi_{fh,fh} at w, and through phi_{fh,U} at phi_{L,fh}(2) = w
-    from grass.presets import mode_fh
-
-    space = ModeSpace(
+def _missing_image_space():
+    return ModeSpace(
         modes={"L": mode_L(), "fh": mode_fh(), "U": mode_U()},
         order_pairs=frozenset({("L", "fh"), ("fh", "U")}),
         morphisms={
@@ -108,11 +122,83 @@ def test_a_table_with_no_image_for_an_element_is_reported_not_applied():
             ("fh", "fh"): ModeMorphism("fh", "fh", table={1: 1}),
         },
     )
+
+
+def test_a_table_with_no_image_for_an_element_is_reported_not_applied():
+    # the identity- and composition-coherence loops would apply both tables to
+    # w: through phi_{fh,fh} at w, and through phi_{fh,U} at phi_{L,fh}(2) = w
+    space = _missing_image_space()
     assert [(v.law, v.witness, v.detail) for v in modespace_validate(space, budget=4).violations] == [
         ("morphism-fh->U-image-defined", ("w",), ""),
         ("morphism-fh->fh-image-defined", (0,), ""),
         ("morphism-fh->fh-image-defined", ("w",), ""),
     ]
+
+
+def _validate_checking_every_law(space, budget):
+    """modespace_validate over total tables, with the laws of the named identities
+    and the composites through them checked as well."""
+    found, ids, unmapped = [], list(space.modes), set()
+    for m, n in sorted(space.order_pairs):
+        if (m, n) not in space.morphisms:
+            found.append(Violation("missing-morphism", (m, n), f"no morphism for {m} <= {n}"))
+            continue
+        for v in mode_morphism_check(space.morphisms[(m, n)], space.mode(m), space.mode(n), budget).violations:
+            found.append(Violation(f"morphism-{m}->{n}-{v.law}", v.witness, v.detail))
+            if v.law in ("map-kind", "image-defined"):
+                unmapped.add((m, n))
+    for m in ids:
+        alg = space.mode(m).algebra
+        if (m, m) not in unmapped:
+            bad = [x for x in alg.elements(budget) if space.morphisms[(m, m)].apply(x, alg) != x]
+            found += [Violation("identity-coherence", (m, x), f"phi_({m},{m}) is not the identity")
+                      for x in bad[:1]]
+    for (m, n), l in itertools.product(sorted(space.order_pairs), ids):
+        keys = ((m, n), (n, l), (m, l))
+        if (n, l) not in space.order_pairs or any(k not in space.morphisms or k in unmapped for k in keys):
+            continue
+        via, direct = (space.morphisms[k] for k in ((n, l), (m, l)))
+        tgt_n, tgt_l = space.mode(n).algebra, space.mode(l).algebra
+        bad = [x for x in space.mode(m).algebra.elements(budget)
+               if via.apply(space.morphisms[(m, n)].apply(x, tgt_n), tgt_l) != direct.apply(x, tgt_l)]
+        found += [Violation("composition-coherence", (m, n, l, x)) for x in bad[:1]]
+    return Report(tuple(found))
+
+
+def _seeded_table_spaces(rng, count):
+    """A table morphism between two finite stock modes, now and then off the target
+    carrier or missing an image, beneath L with the stock maps; a table at (m, m)
+    when both are the same mode."""
+    below_l = {"A": "clamp-01", "fh": "clamp-01w", "U": "to-top"}
+    for _ in range(count):
+        src, tgt = (MODE_FACTORIES[rng.choice(list(below_l))]() for _ in range(2))
+        # off the carrier only between two modes: at (m, m) the composition-coherence
+        # loop would apply the table to its own image, which raises
+        values = tgt.algebra.carrier + (("t", 2) if rng.random() < 0.2 and src.id != tgt.id else ())
+        table = {x: rng.choice(values) for x in src.algebra.carrier if rng.random() < 0.9}
+        ids = dict.fromkeys(("L", src.id, tgt.id))
+        modes = {"L": mode_L(), src.id: src, tgt.id: tgt}
+        yield ModeSpace(modes=modes, order_pairs=frozenset(("L", m) for m in ids) | {(src.id, tgt.id)},
+                        morphisms={("L", m): ModeMorphism("L", m, named=below_l[m]) for m in ids if m != "L"}
+                        | {(src.id, tgt.id): ModeMorphism(src.id, tgt.id, table=table)})
+
+
+def test_the_laws_left_unchecked_hold_by_definition():
+    # the named identity at (m, m) and the composites through it cannot fail, so
+    # skipping them changes no report; a table at (m, m) is not the named identity
+    spaces = [system(name)[0] for name in ("L", "U", "R", "A", "fh", "LU", "LA", "LfhU", "all")]
+    spaces += [load_modes_file(str(SYSTEMS / f"{name}.modes"))[0] for name in ("allmodes", "filehandle", "lnl")]
+    spaces += list(_seeded_table_spaces(random.Random(23), 300))
+    spaces += [_rigged_identity_space(), _succ_identity_space(), _missing_image_space()]
+    laws = collections.Counter()
+    for space, budget in itertools.product(spaces, (2, 4)):
+        report = modespace_validate(space, budget)
+        assert report == _validate_checking_every_law(space, budget)
+        laws.update(v.law.split("-", 3)[3] if v.law.startswith("morphism-") else v.law
+                    for v in report.violations)
+    assert set(laws) == {"identity-coherence", "composition-coherence", "map-kind", "image-defined",
+                         "image-in-carrier", "preserves-zero", "preserves-one", "preserves-add",
+                         "preserves-mul", "monotone", "preserves-cont"}, laws
 
 
 # -- scalar multiplication ----------------------------------------------------
