@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 from .derivation import (
     Derivation,
@@ -76,13 +76,16 @@ class Gen:
 
     # -- object-size accounting (keeps the semantic suites small) ----------
 
+    @cached_property
+    def sizes(self) -> ObjectSizes:
+        """Object sizes at the default arities and `base_sizes` (2 elements
+        for a base type not listed), kept for the life of the generator."""
+        return ObjectSizes(partial(default_arity, self.space), lambda name: self.base_sizes.get(name, 2))
+
     def _fits(self, ty: Type) -> bool:
-        """Whether |[[ty]]| <= max_obj_size, at the default arities and
-        `base_sizes` (2 elements for a base type not listed)."""
-        sizes = ObjectSizes(partial(default_arity, self.space),
-                            lambda name: self.base_sizes.get(name, 2))
+        """Whether |[[ty]]| <= max_obj_size under `sizes`."""
         try:
-            return sizes.size(ty) <= self.max_obj_size
+            return self.sizes.size(ty) <= self.max_obj_size
         except SizeLimitError:
             return False
 

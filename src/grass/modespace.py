@@ -102,7 +102,9 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
     no check: `ModeSpace` closes it reflexively and transitively.  Neither do
     the laws of the named identity at (m, m), nor a composite through it: each
     holds by definition.  The morphisms from or to a mode over a partial table,
-    and those reported `map-kind` or `image-defined`, are checked no further."""
+    and those reported `map-kind` or `image-defined`, are checked no further;
+    one reported `image-in-carrier` is not composed with the next, which is
+    undefined off its carrier."""
     found: list[Violation] = []
     ids = list(space.modes)
 
@@ -116,6 +118,7 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
     partial = {m for m in ids if holes.get(space.mode(m).algebra.id)}
 
     unmapped = set()  # morphisms checked no further
+    off_carrier = set()  # morphisms with an image off their target's carrier
     named_ids = {(m, m) for m in ids if space.morphisms[(m, m)].named == "identity"}
     for m, n in sorted(space.order_pairs):
         if (m, n) not in space.morphisms:
@@ -131,6 +134,8 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
             found.append(Violation(f"morphism-{m}->{n}-{v.law}", v.witness, v.detail))
             if v.law in ("map-kind", "image-defined"):
                 unmapped.add((m, n))
+            elif v.law == "image-in-carrier":
+                off_carrier.add((m, n))
 
     # phi_{m,m} = id pointwise
     for m in ids:
@@ -144,8 +149,10 @@ def modespace_validate(space: ModeSpace, budget: int = DEFAULT_BUDGET) -> Report
 
     # phi_{n,l} . phi_{m,n} = phi_{m,l} pointwise
     for m, n in sorted(space.order_pairs):
+        if (m, n) in named_ids or (m, n) in off_carrier:
+            continue
         for l in ids:
-            if (n, l) not in space.order_pairs or (m, n) in named_ids or (n, l) in named_ids:
+            if (n, l) not in space.order_pairs or (n, l) in named_ids:
                 continue
             if any(key not in space.morphisms or key in unmapped for key in ((m, n), (n, l), (m, l))):
                 continue

@@ -256,9 +256,14 @@ def default_arity(space: ModeSpace, mode: str, value: GradeValue) -> int:
 @dataclass(frozen=True)
 class ModelBackend:
     """Arity tables and base-type carriers over a validated mode space; the
-    mappings passed in are copied and held read-only.  `positions_memo`
-    holds the structure maps' checked `Positions`, keyed by (family, *args);
-    a `positions` call that raises leaves nothing in it."""
+    mappings passed in are copied and held read-only.  What depends on them
+    alone is computed once for the life of the backend, keyed by values of
+    its domain, and never compared, hashed or shown: `positions_memo` holds
+    the structure maps' checked `Positions` by (family, *args); `sizes`, its
+    `ObjectSizes`; `table_memo`, the interpretation's index tables by
+    (Positions, carrier size); and `entry_memo`, each context entry's map of
+    a scaled node by (mode, value, g.value, n).  A read that raises keeps
+    nothing."""
 
     space: ModeSpace
     arities: Mapping[tuple[str, GradeValue], int] = field(default_factory=dict)
@@ -268,7 +273,9 @@ class ModelBackend:
     def __post_init__(self):
         object.__setattr__(self, "arities", MappingProxyType(dict(self.arities)))
         object.__setattr__(self, "base_carriers", MappingProxyType(dict(self.base_carriers)))
-        object.__setattr__(self, "positions_memo", {})
+        for memo in ("positions_memo", "table_memo", "entry_memo"):
+            object.__setattr__(self, memo, {})
+        object.__setattr__(self, "sizes", ObjectSizes(self.arity, lambda name: len(_carrier(self, name))))
 
     def arity(self, mode: str, value: GradeValue) -> int:
         key = (mode, value)
@@ -470,9 +477,14 @@ def _entry_positions(backend: ModelBackend, mode: str, value: GradeValue, g: Gra
     """One context entry of q . t, F delta followed by mu, from
     (phi(q).g) (.) A to q (.) (g (.) A), as positions over the coordinates
     of g (.) A.  By index delta is the identity, so the composite is mu;
-    delta is still read, which refuses arities that are not multiplicative."""
-    backend.positions("delta", n, backend.space.phi(mode, n, value), g.value)
-    return backend.positions("mu", mode, n, value)
+    delta is still read, which refuses arities that are not multiplicative.
+    Kept in `entry_memo` once both reads pass."""
+    key = (mode, value, g.value, n)
+    p = backend.entry_memo.get(key)
+    if p is None:
+        backend.positions("delta", n, backend.space.phi(mode, n, value), g.value)
+        p = backend.entry_memo[key] = backend.positions("mu", mode, n, value)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +620,7 @@ def _scale_rows(backend: ModelBackend, mode: str, value: GradeValue, rows: list,
     maps = [_entry_positions(backend, mode, value, g, n) for g, n in entries]
     a = backend.arity(mode, value)
     _guard(max(_count(rows), 1) ** a)
-    if a == 1 and all(p == spread(1, 1) for p in maps):
+    if a == 1 and all(p.is_identity for p in maps):
         return rows  # every entry's map is the identity, and so is tau at arity 1
     # entry i's table gives the index in (the context object)^a(q) of tau's
     # image: output coordinate i of tuple j has entry i's radix, and the
@@ -672,18 +684,14 @@ class ObjectSizes:
     size function name -> int, without enumerating any object.  A size is
     refused with SizeLimitError where `interp_type`/`interp_ctx` would
     refuse to build the object.  Type sizes and entry radices |g (.) A|,
-    by (type, mode, grade value), are cached for the life of the instance."""
+    by (type, mode, grade value), are cached for the life of the instance:
+    a backend's `sizes` are len(interp_type(backend, ty)) and
+    len(interp_ctx(backend, j)), and live as long as it does."""
 
     def __init__(self, arity: Callable[[str, GradeValue], int], base_size: Callable[[str], int]):
         self.arity = arity
         self.base_size = base_size
         self.cache: dict = {}
-
-    @classmethod
-    def of(cls, backend: ModelBackend) -> ObjectSizes:
-        """The sizes of `backend`'s objects: len(interp_type(backend, ty))
-        and len(interp_ctx(backend, j))."""
-        return cls(backend.arity, lambda name: len(_carrier(backend, name)))
 
     def size(self, ty: Type) -> int:
         """|[[ty]]|, the length of the object interp_type would build."""
@@ -732,13 +740,14 @@ class ObjectSizes:
 
 
 class _Interpretation:
-    """The state of one interpretation call: object sizes and denotations,
-    each computed once and shared by the derivations the call interprets
-    (both sides of a `semantic_eq`, or a bundle and its substitution), which
-    are checked on construction: each entry radix |g (.) A|, each node's
-    radices and context size (in `check`), and each structure map's table
-    per carrier size.  Nothing outlives the call but the backend's checked
-    Positions (`ModelBackend.positions`).
+    """The state of one interpretation call: each node's radices and context
+    size (in `check`) and its denotation, each computed once and shared by
+    the derivations the call interprets (both sides of a `semantic_eq`, or a
+    bundle and its substitution), which are checked on construction.  What
+    depends on the backend alone outlives the call, on the backend: type
+    sizes and entry radices (`sizes`), checked Positions, each structure
+    map's table per carrier size (`table`) and each context entry's map of
+    a scaled node (`_entry_positions`).  Every guard still runs per call.
 
     A node's denotation is its rows (see above); no object is enumerated,
     and only the denotations of nodes reached more than once are kept
@@ -753,14 +762,13 @@ class _Interpretation:
 
     def __init__(self, backend: ModelBackend, *derivations: Derivation):
         self.backend = backend
-        self.sizes = ObjectSizes.of(backend)
+        self.sizes = backend.sizes
         self.size = self.sizes.size
         self.rows = _Rows()
         self.seen: dict = {}  # id(node) -> node, for every checked node
         self.shared: set = set()  # ids of nodes reached more than once
         self.done: dict = {}  # id(shared node) -> rows
         self.contexts: dict = {}  # id(node) -> (radices, size) of its context
-        self.tables: dict = {}  # (Positions, carrier size) -> table
         for d in derivations:
             self.check(d)
 
@@ -798,14 +806,14 @@ class _Interpretation:
         return self.context(d)[0]
 
     def table(self, p: Positions, n: int):
-        """p by index at |X| = n into X^len(p.out), numbered in base n; range(k)
-        where it is the identity by index."""
-        t = self.tables.get((p, n))
+        """p by index at |X| = n into X^len(p.out), numbered in base n, as a
+        tuple, or range(k) where it is the identity by index; kept in the
+        backend's `table_memo`."""
+        t = self.backend.table_memo.get((p, n))
         if t is None:
             t = p.table(n, _weights(n, len(p.out)))
-            if t == list(range(len(t))):
-                t = range(len(t))
-            self.tables[p, n] = t
+            t = range(len(t)) if t == list(range(len(t))) else tuple(t)
+            self.backend.table_memo[p, n] = t
         return t
 
     def same_objects(self, j1: Judgment, j2: Judgment) -> bool:

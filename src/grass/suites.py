@@ -24,7 +24,6 @@ from .rewrite import (
 )
 from .semantics import (
     ModelBackend,
-    ObjectSizes,
     semantic_eq,
     subst_comp_check,
 )
@@ -179,7 +178,7 @@ def _fitting(backend: ModelBackend, seed: int, count: int, max_depth: int, res: 
     gen = Gen(space=backend.space, rng=random.Random(seed), max_depth=max_depth,
               max_obj_size=MAX_OBJ,
               base_sizes={b: len(c) for b, c in backend.base_carriers.items()})
-    sizes = ObjectSizes.of(backend)
+    sizes = backend.sizes
     skipped = 0
     for i in range(count):
         case = draw(gen, max_depth)

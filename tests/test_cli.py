@@ -221,6 +221,15 @@ def test_a_table_morphism_missing_an_image_is_reported(tmp_path, capsys):
     assert capsys.readouterr().out == "morphism-fh->U-image-defined witness=('w',)\n"
 
 
+def test_a_table_morphism_off_its_carrier_is_reported_not_composed(tmp_path, capsys):
+    # modes-validate used to end in "error: morphism fh->fh: no image for 2"
+    text = (ROOT / "systems" / "filehandle.modes").read_text()
+    modes = _write(tmp_path, "f.modes", text + "[morphism fh fh]\nmap = 0 -> 0, 1 -> 2, w -> w\n")
+    assert main(["modes-validate", modes]) == 1
+    assert capsys.readouterr() == ("morphism-fh->fh-image-in-carrier witness=(1, 2)\n"
+                                   "identity-coherence witness=('fh', 1) phi_(fh,fh) is not the identity\n", "")
+
+
 TWO = """
 [algebra two]
 carrier = 0 1

@@ -15,7 +15,7 @@ from grass.derivation import (
     mk_sub,
     mk_var,
 )
-from grass.errors import GrassError, ShapeError, SizeLimitError
+from grass.errors import ConfigError, GrassError, ShapeError, SizeLimitError
 from grass.gen import Gen
 from grass.grades import Grade
 from grass.oracles import coherence_by_elements
@@ -25,9 +25,10 @@ from grass.sexpr import derivation_from_sexpr, type_from_sexpr
 from grass.semantics import (
     FinSetObj,
     ModelBackend,
-    ObjectSizes,
     Rel,
     UNIT_OBJ,
+    _entry_positions,
+    _Interpretation,
     interp_ctx,
     interp_derivation,
     interp_type,
@@ -329,7 +330,7 @@ def test_eta_is_always_semantically_sound(lu):
     space, be = lu
     gen = Gen(space=space, rng=random.Random(77), max_obj_size=200,
               base_sizes={"P": 2, "Q": 2})
-    sizes = ObjectSizes.of(be)
+    sizes = be.sizes
     checked = 0
     for _ in range(120):
         d = gen.gen_derivation(4)
@@ -353,9 +354,9 @@ def test_gen_admits_types_by_their_interpretation_size():
     big = type_from_sexpr("(-o{2:L} (* P P) (* P P))", space)
     assert not Gen(space=space, rng=random.Random(0))._fits(big)
     with pytest.raises(SizeLimitError):
-        ObjectSizes.of(be).size(big)
+        be.sizes.size(big)
     for (_name, be), seed in zip(_semantic_backends(), (301, 302)):
-        sizes = ObjectSizes.of(be)
+        sizes = be.sizes
         gen = Gen(space=be.space, rng=random.Random(seed), max_obj_size=400,
                   base_sizes={b: len(c) for b, c in be.base_carriers.items()})
         for mode in be.space.modes:
@@ -483,9 +484,140 @@ def test_the_corpus_reads_each_structural_rule_as_identity_and_as_a_map(monkeypa
     assert taken["weak", "fh", True] and not taken["weak", "fh", False]
 
 
-def test_an_interpretation_call_leaves_only_checked_positions_on_the_backend():
-    # sizes, contexts and tables live on the call: the backend gains no attribute
-    # and keeps every value it had, but for the checked Positions it read
+# -- what a backend keeps -------------------------------------------------------
+
+
+MEMOS = ("positions_memo", "table_memo", "entry_memo")
+
+
+def _memos(be):
+    """A copy of everything the backend keeps: its memos and its sizes' cache."""
+    return {name: dict(getattr(be, name)) for name in MEMOS} | {"sizes": dict(be.sizes.cache)}
+
+
+def _interpreted(be, text):
+    """The denotation of a derivation text on be, or the refusal's class and text."""
+    try:
+        return interp_derivation(be, derivation_from_sexpr(text, be.space))
+    except GrassError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _corpus_lines():
+    return [line.split("\t") for line in CORPUS.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_the_backend_memos_never_change_a_denotation():
+    # the corpus on one backend per system, then in reverse order on new ones, then
+    # on a fresh backend per call: each order fills the memos differently
+    lines = _corpus_lines()
+    forward = dict(_semantic_backends())
+    want = [_interpreted(forward[name], text) for name, _digest, text in lines]
+    reverse = dict(_semantic_backends())
+    assert [_interpreted(reverse[name], text) for name, _digest, text in reversed(lines)][::-1] == want
+    assert [_interpreted(dict(_semantic_backends())[name], text) for name, _digest, text in lines] == want
+    assert sum(isinstance(out, str) for out in want) < len(want) / 2
+
+
+def test_a_second_pass_adds_no_memo_entry():
+    lines = _corpus_lines()
+    backends = dict(_semantic_backends())
+    for name, _digest, text in lines:
+        _interpreted(backends[name], text)
+    kept = {name: _memos(be) for name, be in backends.items()}
+    assert all(memos["table_memo"] and memos["entry_memo"] for memos in kept.values())
+    for name, _digest, text in lines:
+        _interpreted(backends[name], text)
+    assert {name: _memos(be) for name, be in backends.items()} == kept
+
+
+def test_backends_over_one_space_keep_their_own_sizes():
+    # used in turn, each backend sizes every object by its own carriers, and the
+    # one with the corpus's carriers still gives the pinned denotations
+    pinned = dict(_semantic_backends())["LU"]
+    small = ModelBackend(space=pinned.space, arities=pinned.arities,
+                         base_carriers={"P": ("a", "b"), "Q": ("c",)})
+    assert small.sizes is not pinned.sizes
+    for name, want, text in _corpus_lines():
+        if name != "LU":
+            continue
+        for be in (small, pinned):
+            d = derivation_from_sexpr(text, be.space)
+            for node in d.walk():
+                j = node.conclusion
+                assert be.sizes.size(j.ty) == len(interp_type(be, j.ty))
+                assert be.sizes.ctx_size(j) == len(interp_ctx(be, j))
+        rel = _interpreted(pinned, text)
+        assert hashlib.sha256(repr(sorted(map(repr, rel.pairs))).encode()).hexdigest() == want
+
+
+def test_a_read_that_raises_keeps_nothing():
+    space, be = system("LU")
+    # an oversized type: its size, and a derivation over it, are refused
+    big = type_from_sexpr("(-o{2:L} (* P P) (* P P))", space)
+    before = _memos(be)
+    for _ in range(2):
+        with pytest.raises(SizeLimitError):
+            be.sizes.size(big)
+        with pytest.raises(SizeLimitError):
+            interp_derivation(be, mk_arrowI(space, mk_var(space, "x", big)))
+    assert not any(big in (key if isinstance(key, tuple) else (key,)) for key in be.sizes.cache)
+    assert {name: _memos(be)[name] for name in MEMOS} == {name: before[name] for name in MEMOS}
+    # a mu read that raises: every scaled node of the corpus is refused, each time
+    refused = collections.Counter()
+    for name, _digest, text in _corpus_lines():
+        if name == "LU":
+            bad = corrupted(be, "mu-extra-output", positions=True)
+            first = _interpreted(bad, text)
+            assert _interpreted(bad, text) == first
+            refused[isinstance(first, str) and first.startswith("ShapeError")] += 1
+            assert not bad.entry_memo and not any(key[0] == "mu" for key in bad.positions_memo)
+    assert refused[True] > 20
+
+
+def test_each_entry_map_is_kept_by_its_grade():
+    # delta is read at each entry's own grade: arities multiplicative at (2, 1) but
+    # not at (2, 2) refuse an entry of grade 2 however often one of grade 1 was read
+    space, be = system("LU")
+    lawless = ModelBackend(space=space, arities={**be.arities, ("L", 4): 5},
+                           base_carriers=be.base_carriers)
+    x = interp_type(lawless, P)
+    for _ in range(2):
+        for g in (1, 2):
+            obj = lawless.act_obj("L", g, x)
+            t = Rel(FinSetObj(tuple((e,) for e in obj.elements)), obj,
+                    frozenset(((e,), e) for e in obj.elements))
+            entry = [(Grade("nat-discrete", g), "L", x)]
+            if g == 1:
+                assert len(scalar_act(lawless, "L", 2, t, entry).pairs) == len(obj) ** 2
+            else:
+                with pytest.raises(ConfigError):
+                    scalar_act(lawless, "L", 2, t, entry)
+    assert list(lawless.entry_memo) == [("L", 2, 1, "L")]
+
+
+def _hash(value):
+    """hash(value), or the error hashing it raises."""
+    try:
+        return hash(value)
+    except TypeError as e:
+        return str(e)
+
+
+def test_a_used_backend_equals_a_fresh_one():
+    # the memos are not fields: not compared, hashed or shown
+    used, fresh = (dict(_semantic_backends())["LU"] for _ in range(2))
+    for name, _digest, text in _corpus_lines():
+        if name == "LU":
+            _interpreted(used, text)
+    assert used.table_memo and used.entry_memo and used.sizes.cache
+    assert used == fresh and repr(used) == repr(fresh) and _hash(used) == _hash(fresh)
+    assert not {f.name for f in dataclasses.fields(used)} & {*MEMOS, "sizes"}
+
+
+def test_an_interpretation_call_leaves_only_backend_facts_on_the_backend():
+    # contexts and denotations live on the call: the backend gains no attribute and
+    # keeps every value it had, and each memo entry is what a fresh backend computes
     space, be = system("LU")
     before = dict(vars(be))
     gen = Gen(space=space, rng=random.Random(5), max_obj_size=400, base_sizes={"P": 2, "Q": 2})
@@ -502,3 +634,11 @@ def test_an_interpretation_call_leaves_only_checked_positions_on_the_backend():
     clean = system("LU")[1]
     assert be.positions_memo and all(clean.positions(*key) == p
                                      for key, p in be.positions_memo.items())
+    assert be.table_memo and all(_Interpretation(clean).table(*key) == t
+                                 for key, t in be.table_memo.items())
+    assert be.entry_memo and all(
+        _entry_positions(clean, mode, q, Grade(space.mode(n).algebra.id, g), n) == p
+        for (mode, q, g, n), p in be.entry_memo.items())
+    assert be.sizes.cache and all(
+        (clean.sizes.radix(*key) if isinstance(key, tuple) else clean.sizes.size(key)) == n
+        for key, n in be.sizes.cache.items())
