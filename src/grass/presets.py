@@ -83,8 +83,6 @@ _SYSTEMS = {
 _BASES = {"L": ("P", ("a", "b")), "U": ("Q", ("c", "d")), "R": ("S", ("s1", "s2")),
           "A": ("B", ("b1", "b2")), "fh": ("H", ("h1", "h2"))}
 
-_ARITIES = {("U", "t"): 1, ("R", "t"): 1, ("fh", "w"): 1}
-
 
 def system(name: str):
     """A stock mode system plus its relations backend, by short name."""
@@ -99,6 +97,5 @@ def system(name: str):
         bases[base] = m
         carriers[base] = carrier
     space = standard_space(mode_ids, tuple(order), bases)
-    arities = {k: v for k, v in _ARITIES.items() if k[0] in mode_ids}
-    backend = ModelBackend(space=space, arities=arities, base_carriers=carriers, nat_budget=4)
+    backend = ModelBackend(space=space, base_carriers=carriers, nat_budget=4)
     return space, backend

@@ -1058,7 +1058,8 @@ _SIZE_CAP = 4096
 
 class _Table:
     """A map between two shapes, as rows or a leaf map; equal only to itself.
-    `parts` holds the tables a composite is built of, None for a backend map."""
+    `parts` holds what it is built of: the tables of a composite, or the
+    objects a backend map is read at."""
 
     __slots__ = ("dom", "cod", "rows", "parts")
 
@@ -1066,11 +1067,11 @@ class _Table:
         self.dom, self.cod, self.rows, self.parts = dom, cod, rows, parts
 
     @property
-    def reach(self) -> int:
-        """The most leaves of an object of a backend map in this leaf map."""
-        if self.parts is None:
-            return max(self.rows[0], len(self.rows[1]))
-        return max((t.reach for t in self.parts), default=0)
+    def most(self) -> int:
+        """The most leaves of an object this table builds: its domain, its
+        codomain, and those of its parts, nested tables and objects alike."""
+        return max(leaves(self.dom), leaves(self.cod),
+                   *(t.most if t.__class__ is _Table else leaves(t) for t in self.parts))
 
 
 def _size(shape) -> int:
@@ -1086,6 +1087,12 @@ def _elements(shape) -> tuple:
     if shape.__class__ is int:  # the test object of that size
         return tuple(f"e{i}" for i in range(shape))
     return tuple(itertools.product(*map(_elements, shape)))
+
+
+def _related(t: _Table) -> set:
+    """The pairs of elements a table relates."""
+    dom, cod = _elements(t.dom), _elements(t.cod)
+    return {(dom[c], cod[y]) for c, row in enumerate(t.rows) for y in _each(row)}
 
 
 def _at(shape, x: int):
@@ -1105,12 +1112,12 @@ def _once(method):
 
 class _Coherence:
     """One validator call, with one evaluation: without a `source`, each
-    structure map is the leaf map of its checked Positions, `square` (pass 1)
-    proves each instance it can for every size, and `decide` (pass 2) writes
-    the rest by index at each size; with one, each is read by `source` as rows
-    by element position, once per (family, mode, grades, object sizes), and
-    pass 2 builds every instance at every size.  Nothing outlives the call
-    but the backend's checked Positions."""
+    structure map is the leaf map of its checked Positions; with one, it is
+    read by `source` as rows by element position, once per (family, mode,
+    grades, object sizes).  `square` (pass 1) builds each instance at size 0
+    and proves it for every size where the leaf maps can; `decide` (pass 2)
+    takes the rest to each size where their objects fit the cap.  Nothing
+    outlives the call but the backend's checked Positions."""
 
     def __init__(self, backend: ModelBackend, source=None):
         self.backend, self.source = backend, source
@@ -1131,19 +1138,16 @@ class _Coherence:
     # -- the backend's maps, read once --------------------------------------
 
     def _map(self, family: str, args: tuple, objs: tuple, dom, cod) -> _Table:
-        """backend.family(*args, *objs), between dom and cod; read by a source,
-        refused with SizeLimitError where either is over the element limit."""
+        """backend.family(*args, *objs), between dom and cod: a leaf map, or read by a source."""
         if self.source is None:
             p = (self.backend.positions("tau", *args, len(objs)) if family == "tau_pair"
                  else self.backend.positions(family, *args))
-            return _Table(dom, cod, expand(objs, p), None)
-        _guard(max(_size(dom), _size(cod)))
+            return _Table(dom, cod, expand(objs, p), objs)
         sizes = tuple(map(_size, objs))
         key = (family, *args, *sizes)
-        rows = self.read.get(key)
-        if rows is None:
+        if (rows := self.read.get(key)) is None:
             rows = self.read[key] = self.source(self.backend, family, args, sizes, self.rows)
-        return _Table(dom, cod, rows)
+        return _Table(dom, cod, rows, objs)
 
     @_once
     def eps(self, m: str, x) -> _Table:
@@ -1218,46 +1222,36 @@ class _Coherence:
 
     # -- the two passes -----------------------------------------------------
 
-    def square(self, name: str, key: tuple, exponents, paths) -> None:
-        """Pass 1 on square `name` at key, with sides paths(self, *key, x) and objects of
-        up to x**e elements, e in exponents(*key), at object size x: without a source, proven on
-        its sides' leaf maps at size 0, which stand for every size, if it can be; else open.
-        Only pass 2 reads exponents and reach, so neither is built for a proven square."""
+    def square(self, name: str, key: tuple, paths) -> None:
+        """Pass 1 on square `name` at key, with sides paths(self, *key, x) at object size x:
+        both sides are built at size 0; without a source, the square is proven on their leaf
+        maps, which stand for every size, if it can be.  An open square keeps for pass 2 the
+        most leaves of any object its sides build; a proven one is not counted."""
+        lhs, rhs = map(self.compose, paths(self, *key, 0))
         if self.source is None:
-            lhs, rhs = map(self.compose, paths(self, *key, 0))
             if (lhs.dom, lhs.cod) == (rhs.dom, rhs.cod) and equal(lhs.rows, rhs.rows):
                 return
             paths = lhs, rhs
-        self.open.append((name, key, exponents, paths))
+        self.open.append((name, key, max(lhs.most, rhs.most), paths))
 
     def decide(self, sizes: range) -> None:
-        """Pass 2: at each size x, unless an object is over the cap or a map read over the
-        element limit, note a violation at (*key, x) of each open square whose sides, pass
-        1's leaf maps written by index or the source's rows composed, differ."""
-        opened = [(name, key, exponents(*key), paths) for name, key, exponents, paths in self.open]
-        for x, (name, key, exponents, paths) in itertools.product(sizes, opened):
-            if not _fits_size(x, *exponents):
+        """Pass 2: at each size x, note a violation at (*key, x) of each open square whose
+        sides, pass 1's leaf maps written by index or the source's rows composed, differ,
+        with its witness decoded from the shapes' elements; skipped where an object of k
+        leaves, the most the square builds, has x**k elements over the cap."""
+        for x, (name, key, most, paths) in itertools.product(sizes, self.open):
+            if max(x, 1) ** most > _SIZE_CAP:
                 continue
-            try:
-                if self.source is None:
-                    _guard(x ** max(t.reach for t in paths))
-                    lhs, rhs = (_Table(_at(t.dom, x), _at(t.cod, x), table(t.rows, x)) for t in paths)
-                else:
-                    lhs, rhs = map(self.compose, paths(self, *key, x))
-            except SizeLimitError:
-                continue
+            if self.source is None:
+                lhs, rhs = (_Table(_at(t.dom, x), _at(t.cod, x), table(t.rows, x)) for t in paths)
+            else:
+                lhs, rhs = map(self.compose, paths(self, *key, x))
             if not (_same(lhs.dom, rhs.dom) and _same(lhs.cod, rhs.cod)):
                 self.found.append(Violation(name, (*key, x), "signature mismatch"))
             elif lhs.rows != rhs.rows:
-                lp, rp = (_decode(t.rows, FinSetObj(_elements(t.dom)), FinSetObj(_elements(t.cod))).pairs
-                          for t in (lhs, rhs))
-                diff = min(map(repr, lp ^ rp), default="?")
+                diff = min(map(repr, _related(lhs) ^ _related(rhs)), default="?")
                 self.found.append(Violation(name, (*key, x), f"differs at {diff}"))
         self.open.clear()
-
-
-def _fits_size(base: int, *exponents: int) -> bool:
-    return all(max(base, 1) ** e <= _SIZE_CAP for e in exponents)
 
 
 def model_coherence_validate(backend: ModelBackend, modes: list[str] | None = None,
@@ -1267,9 +1261,9 @@ def model_coherence_validate(backend: ModelBackend, modes: list[str] | None = No
     with a declared arity) and objects up to the size bound, with each
     structure map read off the backend's Positions.  Each square is proven
     once on leaf maps, with no object size; only those left open are written
-    by index, at each size, and skipped where their intermediate objects blow
-    past an element cap or they read a map over the element limit; the cap
-    only bites on large naturals grades.
+    by index, at each size, and skipped there where an object they build, the
+    intermediate ones and those a map is read at included, is over an element
+    cap.  The cap only bites on large arities.
     """
     return coherence_report(backend, None, modes, max_size, budget)
 
@@ -1277,8 +1271,10 @@ def model_coherence_validate(backend: ModelBackend, modes: list[str] | None = No
 def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budget=None) -> Report:
     """`model_coherence_validate` with no source, else with each structure map read by
     source(backend, family, args, sizes, rows), family naming its element-level method.
-    Each mode's (each order pair's, for mu) squares are listed once; pass 1 proves them
-    on leaf maps, and pass 2 runs the sizes over those left open, with a source all.
+    Each mode's (each order pair's, for mu) squares are listed once, by name, key and
+    sides; pass 1 builds the sides at size 0 and proves what it can on leaf maps, and
+    pass 2 runs the sizes over those left open, with a source all, each sized by the
+    objects pass 1 built.
     A mode whose arities break a law has no square read, so over the naturals a lawless
     arity table is reported, never raised out of a structure map.  A lawful one restates
     a(q) = q: at the largest q >= 2 with a(q) != q, a(q*q) is the default q*q, not
@@ -1323,20 +1319,20 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
 
         for q in grades:
             # counit laws for delta/epsilon
-            square("delta then eps is the identity", (m, q), lambda m, q: [a(q)], lambda c, m, q, x: (
+            square("delta then eps is the identity", (m, q), lambda c, m, q, x: (
                 [c.delta(m, alg.one, q, x), c.eps(m, act(q, x))], [c.iso(act(q, x))]))
-            square("delta then q (.) eps is the identity", (m, q), lambda m, q: [a(q)], lambda c, m, q, x: (
+            square("delta then q (.) eps is the identity", (m, q), lambda c, m, q, x: (
                 [c.delta(m, q, alg.one, x), c.power(c.eps(m, x), a(q))], [c.iso(act(q, x))]))
             # tau unit law: (iota (x) id) then tau then q (.) unitor == unitor
-            square("tau unit law", (m, q), lambda m, q: [a(q)], lambda c, m, q, x: (
+            square("tau unit law", (m, q), lambda c, m, q, x: (
                 [c.tensor(c.iota(m, q), c.iso(act(q, x))), c.tau(m, q, (), x),
                  c.power(c.iso(((), x), x), a(q))], [c.iso(((), act(q, x)), act(q, x))]))
             # tau symmetry: tau then q (.) swap == swap then tau
-            square("tau symmetry", (m, q), lambda m, q: [a(q)], lambda c, m, q, x: (
+            square("tau symmetry", (m, q), lambda c, m, q, x: (
                 [c.tau(m, q, x, x), c.power(c.swap(x, x), a(q))],
                 [c.swap(act(q, x), act(q, x)), c.tau(m, q, x, x)]))
             # tau associativity
-            square("tau associativity", (m, q), lambda m, q: [3 * a(q)], lambda c, m, q, x: (
+            square("tau associativity", (m, q), lambda c, m, q, x: (
                 [c.tensor(c.tau(m, q, x, x), c.iso(act(q, x))), c.tau(m, q, (x, x), x),
                  c.power(c.iso(((x, x), x), (x, (x, x))), a(q))],
                 [c.iso(((act(q, x), act(q, x)), act(q, x)), (act(q, x), (act(q, x), act(q, x)))),
@@ -1344,50 +1340,44 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
 
         # delta coassociativity
         for q, r, s in itertools.product(grades, repeat=3):
-            square("delta coassociativity", (m, q, r, s),
-                   lambda m, q, r, s: [a(q) * a(r) * a(s), a(q) * a(r), a(r) * a(s)], lambda c, m, q, r, s, x: (
-                       [c.delta(m, alg.mul(q, r), s, x), c.power(c.iso(act(s, x)), a(alg.mul(q, r))),
-                        c.delta(m, q, r, act(s, x))],
-                       [c.delta(m, q, alg.mul(r, s), x), c.power(c.delta(m, r, s, x), a(q))]))
+            square("delta coassociativity", (m, q, r, s), lambda c, m, q, r, s, x: (
+                [c.delta(m, alg.mul(q, r), s, x), c.power(c.iso(act(s, x)), a(alg.mul(q, r))),
+                 c.delta(m, q, r, act(s, x))],
+                [c.delta(m, q, alg.mul(r, s), x), c.power(c.delta(m, r, s, x), a(q))]))
 
         # graded-comonad coherence: c against delta/tau (both squares)
-        exponents = lambda m, q, r1, r2: [a(q) * (a(r1) + a(r2)), a(r1) + a(r2), a(q) * a(r1), a(q) * a(r2)]
         for q in grades:
             for r1, r2 in itertools.product(conts, repeat=2):
-                square("c then delta tensor delta then tau", (m, q, r1, r2), exponents,
-                       lambda c, m, q, r1, r2, x: (
-                           [c.c(m, alg.mul(q, r1), alg.mul(q, r2), x),
-                            c.tensor(c.delta(m, q, r1, x), c.delta(m, q, r2, x)),
-                            c.tau(m, q, act(r1, x), act(r2, x))],
-                           [c.delta(m, q, alg.add(r1, r2), x), c.power(c.c(m, r1, r2, x), a(q))]))
-                square("c against delta on the right factor", (m, q, r1, r2), exponents,
-                       lambda c, m, q, r1, r2, x: (
-                           [c.c(m, alg.mul(r1, q), alg.mul(r2, q), x),
-                            c.tensor(c.delta(m, r1, q, x), c.delta(m, r2, q, x))],
-                           [c.delta(m, alg.add(r1, r2), q, x), c.c(m, r1, r2, act(q, x))]))
+                square("c then delta tensor delta then tau", (m, q, r1, r2), lambda c, m, q, r1, r2, x: (
+                    [c.c(m, alg.mul(q, r1), alg.mul(q, r2), x),
+                     c.tensor(c.delta(m, q, r1, x), c.delta(m, q, r2, x)),
+                     c.tau(m, q, act(r1, x), act(r2, x))],
+                    [c.delta(m, q, alg.add(r1, r2), x), c.power(c.c(m, r1, r2, x), a(q))]))
+                square("c against delta on the right factor", (m, q, r1, r2), lambda c, m, q, r1, r2, x: (
+                    [c.c(m, alg.mul(r1, q), alg.mul(r2, q), x),
+                     c.tensor(c.delta(m, r1, q, x), c.delta(m, r2, q, x))],
+                    [c.delta(m, alg.add(r1, r2), q, x), c.c(m, r1, r2, act(q, x))]))
 
         # c coassociativity
         for r1, r2, r3 in itertools.product(conts, repeat=3):
-            square("c coassociativity", (m, r1, r2, r3), lambda m, r1, r2, r3: [a(r1) + a(r2) + a(r3)],
-                   lambda c, m, r1, r2, r3, x: (
-                       [c.c(m, alg.add(r1, r2), r3, x), c.tensor(c.c(m, r1, r2, x), c.iso(act(r3, x))),
-                        c.iso(((act(r1, x), act(r2, x)), act(r3, x)),
-                              (act(r1, x), (act(r2, x), act(r3, x))))],
-                       [c.c(m, r1, alg.add(r2, r3), x), c.tensor(c.iso(act(r1, x)), c.c(m, r2, r3, x))]))
+            square("c coassociativity", (m, r1, r2, r3), lambda c, m, r1, r2, r3, x: (
+                [c.c(m, alg.add(r1, r2), r3, x), c.tensor(c.c(m, r1, r2, x), c.iso(act(r3, x))),
+                 c.iso(((act(r1, x), act(r2, x)), act(r3, x)), (act(r1, x), (act(r2, x), act(r3, x))))],
+                [c.c(m, r1, alg.add(r2, r3), x), c.tensor(c.iso(act(r1, x)), c.c(m, r2, r3, x))]))
 
         if mode.weak:
-            zero, exponents = alg.zero, lambda m, r: [max(a(r), 1)]
+            zero = alg.zero
             for r in grades:
-                square("w after delta at zero times r", (m, r), exponents, lambda c, m, r, x: (
+                square("w after delta at zero times r", (m, r), lambda c, m, r, x: (
                     [c.delta(m, zero, r, x), c.w(m, act(r, x))], [c.w(m, x)]))
-                square("w then iota against delta at r times zero", (m, r), exponents, lambda c, m, r, x: (
+                square("w then iota against delta at r times zero", (m, r), lambda c, m, r, x: (
                     [c.delta(m, r, zero, x), c.power(c.w(m, x), a(r))], [c.w(m, x), c.iota(m, r)]))
                 # counit laws of (c, w)
                 if r in conts:
-                    square("w counit on the left of c", (m, r), exponents, lambda c, m, r, x: (
+                    square("w counit on the left of c", (m, r), lambda c, m, r, x: (
                         [c.c(m, zero, r, x), c.tensor(c.w(m, x), c.iso(act(r, x))),
                          c.iso(((), act(r, x)), act(r, x))], [c.iso(act(r, x))]))
-                    square("w counit on the right of c", (m, r), exponents, lambda c, m, r, x: (
+                    square("w counit on the right of c", (m, r), lambda c, m, r, x: (
                         [c.c(m, r, zero, x), c.tensor(c.iso(act(r, x)), c.w(m, x)),
                          c.iso((act(r, x), ()), act(r, x))], [c.iso(act(r, x))]))
         co.decide(sizes)
@@ -1400,25 +1390,21 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
         alg_lo = mode_lo.algebra
         grades_lo = list(alg_lo.elements(budget))
         phi = partial(space.phi, mlo, mhi)
-        at_grade = lambda lo, hi, r: [max(co.arity(lo, r), co.arity(hi, phi(r)))]
         for r in grades_lo:
             if r == alg_lo.one:
-                square("mu unit square", (mlo, mhi), lambda lo, hi: at_grade(lo, hi, alg_lo.one),
-                       lambda c, lo, hi, x: ([c.mu(lo, hi, alg_lo.one, x), c.eps(lo, x)], [c.eps(hi, x)]))
+                square("mu unit square", (mlo, mhi), lambda c, lo, hi, x: (
+                    [c.mu(lo, hi, alg_lo.one, x), c.eps(lo, x)], [c.eps(hi, x)]))
             if mode_lo.weak and r == alg_lo.zero:
-                square("mu zero square", (mlo, mhi), lambda lo, hi: at_grade(lo, hi, alg_lo.zero),
-                       lambda c, lo, hi, x: ([c.mu(lo, hi, alg_lo.zero, x), c.w(lo, x)], [c.w(hi, x)]))
+                square("mu zero square", (mlo, mhi), lambda c, lo, hi, x: (
+                    [c.mu(lo, hi, alg_lo.zero, x), c.w(lo, x)], [c.w(hi, x)]))
 
-        def exponents(lo, hi, q, r):
-            aq, ar, aphi_q, aphi_r = co.arity(lo, q), co.arity(lo, r), co.arity(hi, phi(q)), co.arity(hi, phi(r))
-            return [aq * ar, aphi_q * aphi_r, ar * aphi_q, ar * aq, aphi_q * max(aphi_r, ar)]
         for q, r in itertools.product(grades_lo, repeat=2):
-            square("mu multiplication square", (mlo, mhi, q, r), exponents, lambda c, lo, hi, q, r, x: (
+            square("mu multiplication square", (mlo, mhi, q, r), lambda c, lo, hi, q, r, x: (
                 [c.mu(lo, hi, alg_lo.mul(q, r), x), c.delta(lo, q, r, x)],
                 [c.delta(hi, phi(q), phi(r), x), c.power(c.mu(lo, hi, r, x), c.arity(hi, phi(q))),
                  c.mu(lo, hi, q, c.act(lo, r, x))]))
             if mode_lo.cont.contains(q) and mode_lo.cont.contains(r):
-                square("mu addition square", (mlo, mhi, q, r), exponents, lambda c, lo, hi, q, r, x: (
+                square("mu addition square", (mlo, mhi, q, r), lambda c, lo, hi, q, r, x: (
                     [c.mu(lo, hi, alg_lo.add(q, r), x), c.c(lo, q, r, x)],
                     [c.c(hi, phi(q), phi(r), x),
                      c.tensor(c.mu(lo, hi, q, x), c.mu(lo, hi, r, x))]))

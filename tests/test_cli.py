@@ -230,6 +230,18 @@ def test_a_table_morphism_off_its_carrier_is_reported_not_composed(tmp_path, cap
                                    "identity-coherence witness=('fh', 1) phi_(fh,fh) is not the identity\n", "")
 
 
+
+def test_no_validate_skips_the_mode_system_check(tmp_path, capsys):
+    # U's identity sent elsewhere fails validation, which --no-validate skips
+    text = (ROOT / "systems" / "lnl.modes").read_text()
+    modes = _write(tmp_path, "u.modes", text + "\n[morphism U U]\nmap = t -> 0\n")
+    prog = str(ROOT / "systems" / "demo.prog")
+    assert main(["check", modes, prog]) == 1
+    assert capsys.readouterr().err.startswith("error: mode system failed validation:\n")
+    assert main(["check", modes, prog, "--no-validate"]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == ["idP", "boxedId"]
+
+
 TWO = """
 [algebra two]
 carrier = 0 1

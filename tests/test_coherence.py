@@ -18,14 +18,13 @@ from grass._leafmaps import (_key, block_swap, equal, expand, identity, juxtapos
                              substitute, table)
 from grass.cli import load_modes_file
 from grass.derivation import mk_dropI, mk_pairI, mk_var, mk_weak
-from grass.errors import InputError, ShapeError, SizeLimitError
+from grass.errors import InputError, ShapeError
 from grass.grades import NAT_IDEALS, Ideal, Mode, ModeMorphism, builtin_algebra
 from grass.modespace import ModeSpace
 from grass.oracles import coherence_by_elements, read_elements
 from grass.presets import MODE_FACTORIES, system
 from grass.rewrite import SubstitutionBundle
 from grass.semantics import (
-    ELEMENT_LIMIT,
     UNIT_OBJ,
     FinSetObj,
     ModelBackend,
@@ -97,6 +96,17 @@ def test_position_mutants_are_reported_as_the_oracle_reports_them(which):
         assert report == coherence_by_elements(bad, max_size=size, budget=budget).render()
         caught.append(report != model_coherence_validate(be, max_size=size, budget=budget).render())
     assert caught == [which != "c", True]
+
+
+def test_the_cap_counts_both_factors_of_tau_symmetry():
+    # tau symmetry at grade 4 of L builds X^4 (x) X^4, 8 leaves: 3^8 = 6561
+    # elements at size 3, over the cap, and 2^8 = 256 at size 2
+    bad = corrupted(system("L")[1], "tau", positions=True)
+    for validate in (model_coherence_validate, coherence_by_elements):
+        report = validate(bad, max_size=3, budget=4).render()
+        witnesses = [line.split(" differs")[0] for line in report.splitlines()]
+        assert "tau symmetry witness=('L', 4, 2)" in witnesses
+        assert "tau symmetry witness=('L', 4, 3)" not in witnesses
 
 
 # -- index tables against relations ------------------------------------------------
@@ -327,7 +337,7 @@ def test_both_validators_report_alike():
     cases += [(be, 2, 2) for be in _arity_changes()]
     cases += [(be, 2, 2) for be in _non_homomorphic()]
     # its failing mu squares have objects of 13 leaves or more: at sizes 2 and 3 the
-    # element cap (`_fits_size`) skips them, before the element limit is asked
+    # cap on the objects a square builds skips them, before any map is read
     cases += [(be, 3, 2) for be in _non_homomorphic(({0: 0, 1: 13},))]
     seen = collections.Counter()
     for be, s, b in cases:
@@ -347,17 +357,32 @@ def test_both_validators_report_alike():
 
 def test_an_open_square_is_skipped_where_a_map_it_reads_is_over_the_element_limit(monkeypatch):
     # A below L through 0 -> 12 (or 18), 1 -> 0: mu at grade 0 has 12 (18) leaves,
-    # over the element limit at size 3 (and 2), though the square's objects fit
-    refused = []
+    # over the element limit at size 3 (and 2).  The cap on the objects a square
+    # builds skips it there before any map is read: the leaf maps ask no element
+    # limit at all, and the element-level relations ask it nothing over the cap
+    guarded, skipped = [], set()
 
     def guard(n, _original=semantics._guard):
-        refused.append(n > semantics.ELEMENT_LIMIT)
+        guarded.append(n)
         _original(n)
+
+    def decide(self, sizes, _original=_Coherence.decide):
+        skipped.update((name, (*key, x)) for name, key, most, _paths in self.open
+                       for x in sizes if max(x, 1) ** most > semantics._SIZE_CAP)
+        _original(self, sizes)
     monkeypatch.setattr(semantics, "_guard", guard)
+    monkeypatch.setattr(_Coherence, "decide", decide)
     for be in _non_homomorphic(({0: 12, 1: 0}, {0: 18, 1: 0})):
-        refused.clear()
-        report = model_coherence_validate(be, max_size=3, budget=2).render()
-        assert any(refused) and report == coherence_by_elements(be, max_size=3, budget=2).render() != ""
+        guarded.clear()
+        skipped.clear()
+        report = model_coherence_validate(be, max_size=3, budget=2)
+        assert guarded == []
+        assert {("mu zero square", ("A", "L", 3)),
+                ("mu multiplication square", ("A", "L", 1, 0, 3))} <= skipped
+        assert not skipped & {(v.law, v.witness) for v in report.violations}
+        elements = coherence_by_elements(be, max_size=3, budget=2)
+        assert 0 < max(guarded) <= semantics._SIZE_CAP
+        assert report.render() == elements.render() != ""
 
 
 # -- squares proven on leaf maps ----------------------------------------------------
@@ -468,13 +493,29 @@ def test_positions_that_are_no_map_between_their_objects_are_refused(which):
     assert all(clean.positions(*key) == p for key, p in bad.positions_memo.items())
 
 
-def test_a_map_over_the_element_limit_is_refused_before_it_is_read():
-    read = []
-    co = _Coherence(system("all")[1], lambda *args: read.append(args))
-    n = math.isqrt(ELEMENT_LIMIT) + 1
-    with pytest.raises(SizeLimitError):
-        co.delta("L", 2, 1, n)
-    assert read == []
+def test_no_map_over_the_cap_is_read_or_written_by_index(monkeypatch):
+    # on mode maps whose mu has 12, 13 or 18 leaves, at sizes up to 3: each object
+    # a source reads a map at, that map's domain and codomain, and both objects of
+    # a leaf map written by index have at most _SIZE_CAP elements, the cap itself
+    # reached by the 12 leaves at size 2
+    sizes = []
+
+    def tabled(f, n, _original=semantics.table):
+        sizes.extend((n ** f[0], n ** len(f[1])))
+        return _original(f, n)
+
+    def read(backend, family, args, objs, rows):
+        rel = getattr(backend, family)(*args, *(FinSetObj(_elements(n)) for n in objs))
+        sizes.extend((*objs, len(rel.dom), len(rel.cod)))
+        return read_elements(backend, family, args, objs, rows)
+    monkeypatch.setattr(semantics, "table", tabled)
+    for be in _non_homomorphic(({0: 12, 1: 0}, {0: 0, 1: 13}, {0: 18, 1: 0})):
+        for source in (None, read):
+            sizes.clear()
+            semantics.coherence_report(be, source, max_size=3, budget=2)
+            assert max(sizes) <= semantics._SIZE_CAP, (be.space.morphisms, source)
+            if be.space.phi("A", "L", 0) == 12:
+                assert max(sizes) == semantics._SIZE_CAP
 
 
 class _PositionsGiven:
@@ -512,12 +553,24 @@ def _build(c: _Coherence, recipe, n: int) -> _Table:
     return c.power(_build(c, parts[0], n), parts[1])
 
 
-def _reach(recipe) -> int:
-    """The most leaves of an object of a position map in a recipe."""
+def _counts(recipe) -> tuple[int, int, int]:
+    """The leaves of a recipe's domain and codomain, and the most leaves of any
+    object it builds: each map's domain, codomain and test object, and each
+    composite's own."""
     kind, *parts = recipe
     if kind == "map":
-        return max(parts[0].src, len(parts[0].out)) * leaves(_OBJECTS[parts[1]](1))
-    return max((_reach(r) for r in parts if isinstance(r, tuple)), default=0)
+        n = leaves(_OBJECTS[parts[1]](1))
+        dom, cod = parts[0].src * n, len(parts[0].out) * n
+        return dom, cod, max(dom, cod, n)
+    if kind in ("iso", "swap"):
+        n = sum(leaves(_OBJECTS[i](1)) for i in parts)
+        return n, n, n
+    inner = [_counts(r) for r in parts if isinstance(r, tuple)]
+    if kind == "compose":
+        return inner[0][0], inner[-1][1], max(most for *_, most in inner)
+    k = parts[1] if kind == "power" else 1
+    dom, cod = (k * sum(counts[i] for counts in inner) for i in (0, 1))
+    return dom, cod, max(dom, cod, *(most for *_, most in inner))
 
 
 def _pairs(t: _Table) -> set:
@@ -566,8 +619,8 @@ def test_equal_leaf_maps_give_equal_tables_at_every_size():
     groups = collections.defaultdict(list)
     for recipe, (t, dl, cl) in made.items():
         # a leaf map written by index is the table of the relation it denotes,
-        # and it knows the largest object of a map it reads
-        assert t.reach == _reach(recipe), recipe
+        # and it knows the largest object it builds
+        assert (leaves(t.dom), leaves(t.cod), t.most) == _counts(recipe), recipe
         for n in range(4):
             assert table(t.rows, n) == _build(tables, recipe, n).rows, (recipe, n)
         if max(dl, cl) <= 4:

@@ -35,7 +35,7 @@ from grass.presets import system
 from grass.modespace import independence_check
 from grass.rewrite import all_single_steps, beta_step, normalize
 from grass.semantics import interp_derivation, semantic_eq
-from grass.sexpr import derivation_to_sexpr
+from grass.sexpr import derivation_to_sexpr, term_from_sexpr
 from grass.syntax import (
     Judgment,
     Lam,
@@ -469,6 +469,28 @@ def test_elaborate_soundness_on_generated_judgments(lu):
         assert e.conclusion.shape() == j.shape()
         assert alpha_eq(e.conclusion.term, j.term)
     assert succeeded >= 30
+
+
+def _case_judgment(name: str, base: str, alg: str, grade):
+    """s : B + B at grade 1, y and z : B at `grade`, each used by one branch of a case."""
+    x = TBase(base, name)
+    return Judgment((Grade(alg, 1), Grade(alg, grade), Grade(alg, grade)), (name,) * 3,
+                    (("s", TSum(x, x)), ("y", x), ("z", x)), name,
+                    term_from_sexpr("(case@1 s (x1 (pair x1 y)) (x2 (pair x2 z)))"), TTensor(x, x))
+
+
+def test_elaborate_case_branches_share_a_context_at_joined_grades():
+    # each branch weakens in the variable only the other uses, at grade 0, and
+    # both are raised to the join of their grades, 0 <= 1 in the booleans
+    space = system("A")[0]
+    j = _case_judgment("A", "B", "bool", 1)
+    d = elaborate(j, space)
+    assert d.conclusion == j
+    check_derivation(copy.deepcopy(d), space)
+    # in fh's none-one-tons, 0 and 1 have no order, so a variable used at 1 in
+    # one branch and weakened in at 0 in the other has no common grade
+    with pytest.raises(ElaborationError, match="case branches use a variable at incomparable grades 1, 0"):
+        elaborate(_case_judgment("fh", "H", "none-one-tons", 1), system("fh")[0])
 
 
 def test_elaborate_open_judgment_with_requested_grades(lu):

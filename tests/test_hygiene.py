@@ -108,6 +108,21 @@ def test_positions_are_read_only_through_the_checked_accessor():
     assert accessors == 1 and not calls, calls
 
 
+def test_the_coherence_validator_builds_no_element_level_value_and_asks_no_element_limit():
+    # the validator's one size rule is the cap on the leaves of the objects a
+    # square builds, and its witnesses are decoded from the shapes' elements
+    banned = {"Rel", "FinSetObj", "_decode", "_guard", "ELEMENT_LIMIT", "SizeLimitError"}
+    validator = {"_Coherence", "coherence_report"}
+    tree = ast.parse((ROOT / "src" / "grass" / "semantics.py").read_text())
+    scanned, used = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in validator:
+            scanned.add(node.name)
+            used += [f"{node.name}:{n.lineno} {n.id}" for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and n.id in banned]
+    assert scanned == validator and not used, used
+
+
 def test_leaf_maps_keep_no_module_level_cache_or_container():
     # an identity is a fresh range, so repeated validator calls share nothing
     # through grass._leafmaps: no memo, interning table or mutable default
