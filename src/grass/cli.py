@@ -66,6 +66,10 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+# section kind -> number of words of its header
+_SECTION_WORDS = {"algebra": 2, "mode": 2, "order": 1, "morphism": 3, "backend": 1, "base": 3}
+
+
 def parse_modes_text(text: str):
     """Parse a declaration file into (ModeSpace, ModelBackend | None)."""
     algebras: dict[str, GradeAlgebra] = {}
@@ -78,34 +82,33 @@ def parse_modes_text(text: str):
     base_carriers: dict[str, tuple] = {}
 
     section: tuple | None = None
+    declared: set[tuple] = set()  # the section headers seen, a base's by its name
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            words = line[1:-1].split()
-            if not words:
+            section = tuple(line[1:-1].split())
+            if not section:
                 raise ParseError("empty section header", lineno)
-            kind = words[0]
-            if kind == "algebra" and len(words) == 2:
-                section = ("algebra", words[1])
-                raw_algebras[words[1]] = {"add": {}, "mul": {}, "order": set()}
-            elif kind == "mode" and len(words) == 2:
-                section = ("mode", words[1])
-                modes[words[1]] = {}
-            elif kind == "order" and len(words) == 1:
-                section = ("order",)
-            elif kind == "morphism" and len(words) == 3:
-                section = ("morphism", words[1], words[2])
-                morphisms[(words[1], words[2])] = None
-            elif kind == "backend" and len(words) == 1:
-                section = ("backend",)
-                backend_decl = {"arities": {}, "budget": 4}
-            elif kind == "base" and len(words) == 3:
-                section = ("base", words[1], words[2])
-                bases[words[1]] = words[2]
-            else:
+            kind, *names = section
+            if _SECTION_WORDS.get(kind) != len(section):
                 raise ParseError(f"bad section header {line!r}", lineno)
+            if kind != "order":  # a repeat would drop the section before it; [order] only adds pairs
+                named = section[:2] if kind == "base" else section
+                if named in declared:
+                    raise ParseError(f"repeated section header {line!r}", lineno)
+                declared.add(named)
+            if kind == "algebra":
+                raw_algebras[names[0]] = {"add": {}, "mul": {}, "order": set()}
+            elif kind == "mode":
+                modes[names[0]] = {}
+            elif kind == "morphism":
+                morphisms[tuple(names)] = None
+            elif kind == "backend":
+                backend_decl = {"arities": {}, "budget": 4}
+            elif kind == "base":
+                bases[names[0]] = names[1]
             continue
         if section is None:
             raise ParseError(f"declaration outside any section: {line!r}", lineno)
@@ -160,14 +163,14 @@ def parse_modes_text(text: str):
 def _parse_decl_line(section, line, raw_algebras, modes, order, morphisms,
                      backend_decl, base_carriers):
     kind = section[0]
+    key, _, value = line.partition("=")
+    key, value = key.strip(), value.strip()
+    key_parts = key.split()
     if kind == "algebra":
         decl = raw_algebras[section[1]]
         if "=" not in line:
             raise ValueError(f"expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key_parts = key.split()
-        value = value.strip()
-        if key_parts[0] in ("add", "mul") and len(key_parts) == 3:
+        if len(key_parts) == 3 and key_parts[0] in ("add", "mul"):
             table = decl[key_parts[0]]
             table[(grade_value(key_parts[1]), grade_value(key_parts[2]))] = grade_value(value)
         elif key_parts == ["builtin"]:
@@ -186,12 +189,9 @@ def _parse_decl_line(section, line, raw_algebras, modes, order, morphisms,
                     lo, _, hi = pair.partition("<=")
                     decl["order"].add((grade_value(lo), grade_value(hi)))
         else:
-            raise ValueError(f"unknown algebra declaration {key.strip()!r}")
-        return
-    if kind == "mode":
+            raise ValueError(f"unknown algebra declaration {key!r}")
+    elif kind == "mode":
         decl = modes[section[1]]
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
         if key == "algebra":
             decl["algebra"] = value
         elif key == "cont":
@@ -203,20 +203,18 @@ def _parse_decl_line(section, line, raw_algebras, modes, order, morphisms,
             else:
                 decl["cont"] = [grade_value(v) for v in value.split()]
         elif key == "weak":
+            if value.lower() not in ("true", "yes", "1", "false", "no", "0"):
+                raise ValueError(f"weak is true, yes, 1, false, no or 0, got {value!r}")
             decl["weak"] = value.lower() in ("true", "yes", "1")
         else:
             raise ValueError(f"unknown mode declaration {key!r}")
-        return
-    if kind == "order":
+    elif kind == "order":
         lo, sep, hi = line.partition("<=")
         if not sep:
             raise ValueError(f"order lines look like `m <= n`, got {line!r}")
         order.add((lo.strip(), hi.strip()))
-        return
-    if kind == "morphism":
+    elif kind == "morphism":
         src, dst = section[1], section[2]
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
         if key != "map":
             raise ValueError(f"unknown morphism declaration {key!r}")
         if "->" in value:
@@ -227,26 +225,18 @@ def _parse_decl_line(section, line, raw_algebras, modes, order, morphisms,
             morphisms[(src, dst)] = ModeMorphism(src, dst, table=table)
         else:
             morphisms[(src, dst)] = ModeMorphism(src, dst, named=value)
-        return
-    if kind == "backend":
-        key, _, value = line.partition("=")
-        key_parts = key.split()
-        value = value.strip()
-        if key_parts[0] == "arity" and len(key_parts) == 3:
+    elif kind == "backend":
+        if len(key_parts) == 3 and key_parts[0] == "arity":
             mode, grade = key_parts[1], grade_value(key_parts[2])
             backend_decl["arities"][mode, grade] = natural(value, "an arity")
         elif key_parts == ["budget"]:
             backend_decl["budget"] = natural(value, "a budget")
         else:
-            raise ValueError(f"unknown backend declaration {key.strip()!r}")
-        return
-    if kind == "base":
-        key, _, value = line.partition("=")
-        if key.strip() != "carrier":
-            raise ValueError(f"unknown base declaration {key.strip()!r}")
+            raise ValueError(f"unknown backend declaration {key!r}")
+    elif kind == "base" and key == "carrier":
         base_carriers[section[1]] = tuple(value.split())
-        return
-    raise ValueError(f"unhandled section {kind!r}")
+    else:
+        raise ValueError(f"unknown base declaration {key!r}")
 
 
 def _build_algebra(name: str, decl: dict) -> GradeAlgebra:

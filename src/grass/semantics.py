@@ -7,13 +7,13 @@ the element order of q (.) A (`fun_obj`); abstraction keeps every total
 function a relation contains, application evaluates.  Each mode acts
 by tupling: q (.) X = X^a(q) for a declared arity a(q); the functors
 connecting modes are identities.  So every structure map only copies,
-permutes, forgets or repeats tuple positions, and each has one definition,
-a `Positions` map built from the arities alone: delta and tau regroup,
-contraction splits where arities add up and spreads otherwise, weakening
-forgets, and the comparison maps are spreads.  Every view of a map reads
-them through `ModelBackend.positions`, which checks them; they then fix the
-map at every carrier (parametricity: Wadler, "Theorems for free!", 1989),
-so no view samples object sizes.
+permutes, forgets or repeats tuple positions, and each has one definition
+from the arities alone: `ModelBackend.objects` states its objects, and
+every map but tau is the spread between its objects, tau the transpose
+(`ModelBackend._positions`).  Every view of a map reads its `Positions`
+through `ModelBackend.positions`, which checks them against `objects`; they
+then fix the map at every carrier (parametricity: Wadler, "Theorems for
+free!", 1989), so no view samples object sizes.
 
 Context objects are flat k-tuples, one component per entry, which makes
 the tensor of contexts strictly associative.
@@ -258,12 +258,14 @@ class ModelBackend:
     """Arity tables and base-type carriers over a validated mode space; the
     mappings passed in are copied and held read-only.  What depends on them
     alone is computed once for the life of the backend, keyed by values of
-    its domain, and never compared, hashed or shown: `positions_memo` holds
-    the structure maps' checked `Positions` by (family, *args); `sizes`, its
+    its domain, and never compared, hashed or shown: `arity_memo` holds the
+    arities, declared or default, by (mode, value); `positions_memo`, the
+    structure maps' checked `Positions` by (family, *args); `sizes`, its
     `ObjectSizes`; `table_memo`, the interpretation's index tables by
     (Positions, carrier size); and `entry_memo`, each context entry's map of
     a scaled node by (mode, value, g.value, n).  A read that raises keeps
-    nothing."""
+    nothing.  Each structure map is stated once, by `objects`; `_positions`
+    reads its Positions off them, and `positions` checks and keeps those."""
 
     space: ModeSpace
     arities: Mapping[tuple[str, GradeValue], int] = field(default_factory=dict)
@@ -275,107 +277,87 @@ class ModelBackend:
         object.__setattr__(self, "base_carriers", MappingProxyType(dict(self.base_carriers)))
         for memo in ("positions_memo", "table_memo", "entry_memo"):
             object.__setattr__(self, memo, {})
+        object.__setattr__(self, "arity_memo", dict(self.arities))
         object.__setattr__(self, "sizes", ObjectSizes(self.arity, lambda name: len(_carrier(self, name))))
 
     def arity(self, mode: str, value: GradeValue) -> int:
-        key = (mode, value)
-        if key in self.arities:
-            return self.arities[key]
-        return default_arity(self.space, mode, value)
+        """The declared arity, else `default_arity`."""
+        if (a := self.arity_memo.get((mode, value))) is None:
+            a = self.arity_memo[mode, value] = default_arity(self.space, mode, value)
+        return a
 
     def act_obj(self, mode: str, value: GradeValue, x_obj: FinSetObj) -> FinSetObj:
         return power_obj(x_obj, self.arity(mode, value))
 
-    def coordinates(self, family: str, *args) -> tuple[int, int]:
-        """(s, t) for the map of `family` at args, which goes X^s -> X^t:
-        its objects, from the arities alone (tau's flat over its k factors)."""
-        a, space = self.arity, self.space
-        match family, args:
-            case "eps", (m,):
-                return a(m, space.mode(m).algebra.one), 1
-            case "delta", (m, r, q):
-                return a(m, space.mode(m).algebra.mul(r, q)), a(m, r) * a(m, q)
-            case "tau", (m, q, k):
-                return k * a(m, q), k * a(m, q)
-            case "iota", (m, q):
-                return 0, a(m, q)
-            case "c_map", (m, r, q):
-                return a(m, space.mode(m).algebra.add(r, q)), a(m, r) + a(m, q)
-            case "w_map", (m,):
-                return a(m, space.mode(m).algebra.zero), 0
-            case "preorder_map", (m, low, high):
-                return a(m, high), a(m, low)
-            case "mu", (low, high, q):
-                return a(high, space.phi(low, high, q)), a(low, q)
+    def objects(self, family: str, args: tuple, objs: tuple) -> tuple:
+        """(dom, cod) of the map of `family` at args on the objects objs, from
+        the arities alone, as shapes: an object, (A, B) for A (x) B, (A,) * k
+        for A^k and () for the unit.  tau takes its factors as objs; iota
+        takes none, for its object is the unit, or one that stands for it.
+        Refused unless a(1) = 1 for the counit, the arities are
+        multiplicative for delta, and low <= high for the preorder map."""
+        a, x = self.arity, objs[0] if objs else ()
+        if family == "delta":
+            m, r, q = args
+            arq, ar, aq = a(m, self.space.mode(m).algebra.mul(r, q)), a(m, r), a(m, q)
+            if arq != ar * aq:
+                raise ConfigError(
+                    f"mode {m}: arity is not multiplicative at ({r!r}, {q!r}): {arq} != {ar}*{aq}")
+            return (x,) * arq, ((x,) * aq,) * ar
+        if family == "tau":  # the factors' a(q)-tuples, to a(q) tuples over the factors
+            n = a(*args)
+            return tuple([(o,) * n for o in objs]), (objs,) * n
+        if family == "mu":
+            low, high, q = args
+            return (x,) * a(high, self.space.phi(low, high, q)), (x,) * a(low, q)
+        if family == "iota":
+            return (), (x,) * a(*args)
+        m, *grades = args
+        alg = self.space.mode(m).algebra
+        if family == "c_map":
+            r, q = grades
+            return (x,) * a(m, alg.add(r, q)), ((x,) * a(m, r), (x,) * a(m, q))
+        if family == "eps":
+            if (a1 := a(m, alg.one)) != 1:
+                raise ConfigError(f"mode {m}: arity of 1 must be 1 for the counit, got {a1}")
+            return (x,), x
+        if family == "w_map":
+            return (x,) * a(m, alg.zero), ()
+        if family == "preorder_map":
+            low, high = grades
+            ah, al = a(m, high), a(m, low)
+            if not alg.leq(low, high):
+                raise InputError(f"preorder map needs {low!r} <= {high!r} in {m}")
+            return (x,) * ah, (x,) * al
         raise InputError(f"no structure map {family!r} at {args!r}")
 
     def positions(self, family: str, *args) -> Positions:
-        """The one reader of the `*_positions` methods (c_map: c_positions; tau
-        takes its number of factors last), refused with ShapeError unless they
-        go between the map's objects (`coordinates`), each output copies a
-        source coordinate or the fresh one, and for tau one of the factor whose
-        slot it fills."""
+        """The one reader of `_positions` (tau takes its number of factors
+        last), at `objects` whose every object, iota's unit too, is a one-leaf
+        placeholder; refused with ShapeError unless they go between those
+        objects' leaves, each output copies a source coordinate or the fresh
+        one, and for tau one of the factor whose slot it fills."""
         key = (family, *args)
         if (p := self.positions_memo.get(key)) is not None:
             return p
-        coords = self.coordinates(family, *args)
-        p = getattr(self, family.split("_")[0] + "_positions")(*args)
-        ok = (p.src, len(p.out)) == coords and all(0 <= i <= p.src for i in p.out)
-        if ok and family == "tau":  # slot j of each tuple holds factor j % k
-            a, k = self.arity(*args[:2]), args[2]
+        dom, cod = (self.objects(family, args[:-1], (0,) * args[-1]) if family == "tau"
+                    else self.objects(family, args, (0,)))
+        p = self._positions(family, dom, cod)
+        ok = (p.src, len(p.out)) == (leaves(dom), leaves(cod)) and all(0 <= i <= p.src for i in p.out)
+        if ok and family == "tau":  # slot j of each of the a tuples holds factor j % k
+            a, k = len(cod), len(dom)
             ok = all(i // a == j % k for j, i in enumerate(p.out))
         if not ok:
             raise ShapeError(f"{family} positions at {args!r} are not a map between its objects: {p!r}")
         self.positions_memo[key] = p
         return p
 
-    # -- structure maps as positions ----------------------------------------
-
-    def eps_positions(self, mode: str) -> Positions:
-        """The counit 1 (.) X -> X, the identity."""
-        a1 = self.arity(mode, self.space.mode(mode).algebra.one)
-        if a1 != 1:
-            raise ConfigError(f"mode {mode}: arity of 1 must be 1 for the counit, got {a1}")
-        return spread(1, 1)
-
-    def delta_positions(self, mode: str, r: GradeValue, q: GradeValue) -> Positions:
-        """(r.q) (.) X -> r (.) (q (.) X), the identity; the codomain
-        groups the coordinates into a(r) chunks of a(q)."""
-        alg = self.space.mode(mode).algebra
-        ar, aq, arq = self.arity(mode, r), self.arity(mode, q), self.arity(mode, alg.mul(r, q))
-        if arq != ar * aq:
-            raise ConfigError(
-                f"mode {mode}: arity is not multiplicative at ({r!r}, {q!r}): {arq} != {ar}*{aq}")
-        return spread(arq, arq)
-
-    def tau_positions(self, mode: str, value: GradeValue, k: int) -> Positions:
-        """(x)_{i<k} (q (.) X_i) -> q (.) ((x)_i X_i), the transpose."""
-        return _transpose(self.arity(mode, value), k)
-
-    def iota_positions(self, mode: str, value: GradeValue) -> Positions:
-        """I -> q (.) I, out of the empty power of I."""
-        return spread(0, self.arity(mode, value))
-
-    def c_positions(self, mode: str, r: GradeValue, q: GradeValue) -> Positions:
-        """(r+q) (.) X -> (r (.) X) (x) (q (.) X): a split where arities add
-        up (the spread is then the identity), a spread otherwise."""
-        alg = self.space.mode(mode).algebra
-        return spread(self.arity(mode, alg.add(r, q)), self.arity(mode, r) + self.arity(mode, q))
-
-    def w_positions(self, mode: str) -> Positions:
-        """0 (.) X -> I: forget every coordinate."""
-        return spread(self.arity(mode, self.space.mode(mode).algebra.zero), 0)
-
-    def preorder_positions(self, mode: str, low: GradeValue, high: GradeValue) -> Positions:
-        """The functorial action on low <= high: high (.) X -> low (.) X."""
-        if not self.space.mode(mode).algebra.leq(low, high):
-            raise InputError(f"preorder map needs {low!r} <= {high!r} in {mode}")
-        return spread(self.arity(mode, high), self.arity(mode, low))
-
-    def mu_positions(self, low_mode: str, high_mode: str, value: GradeValue) -> Positions:
-        """F(phi(q) (.) X) -> q (.) F(X) across low <= high; F is the identity."""
-        phi_q = self.space.phi(low_mode, high_mode, value)
-        return spread(self.arity(high_mode, phi_q), self.arity(low_mode, value))
+    @staticmethod
+    def _positions(family: str, dom, cod) -> Positions:
+        """Unchecked, between the objects `positions` reads: tau transposes
+        dom's k factors into cod's a(q) tuples, and every other map is the
+        spread between their leaves."""
+        return _transpose(len(cod), len(dom)) if family == "tau" else spread(leaves(dom), leaves(cod))
 
     # -- structure maps as relations, read off the positions ----------------
 
@@ -1117,72 +1099,63 @@ class _Coherence:
     grades, object sizes).  `square` (pass 1) builds each instance at size 0
     and proves it for every size where the leaf maps can; `decide` (pass 2)
     takes the rest to each size where their objects fit the cap.  Nothing
-    outlives the call but the backend's checked Positions."""
+    outlives the call but what the backend keeps: arities and checked Positions."""
 
     def __init__(self, backend: ModelBackend, source=None):
         self.backend, self.source = backend, source
         self.rows = _Rows()
-        self.read, self.memo, self.arities = {}, {}, {}  # rows by map and sizes; tables; arities
+        self.read, self.memo = {}, {}  # rows by map and sizes; tables
         self.open: list = []  # the instances pass 1 left open, until `decide` reads them
         self.found: list[Violation] = []
 
-    def arity(self, mode: str, value: GradeValue) -> int:
-        if (a := self.arities.get((mode, value))) is None:
-            a = self.arities[mode, value] = self.backend.arity(mode, value)
-        return a
-
     def act(self, mode: str, value: GradeValue, x) -> tuple:
         """The shape of value (.) x: a(value) copies of x."""
-        return (x,) * self.arity(mode, value)
+        return (x,) * self.backend.arity(mode, value)
 
     # -- the backend's maps, read once --------------------------------------
 
-    def _map(self, family: str, args: tuple, objs: tuple, dom, cod) -> _Table:
-        """backend.family(*args, *objs), between dom and cod: a leaf map, or read by a source."""
+    def _map(self, family: str, args: tuple, objs: tuple) -> _Table:
+        """backend.family(*args, *objs) between its objects (`ModelBackend.objects`): a
+        leaf map, or read by a source, to which tau is `tau_pair`."""
+        be = self.backend
+        dom, cod = be.objects(family, args, objs)
         if self.source is None:
-            p = (self.backend.positions("tau", *args, len(objs)) if family == "tau_pair"
-                 else self.backend.positions(family, *args))
+            p = be.positions(family, *args, len(objs)) if family == "tau" else be.positions(family, *args)
             return _Table(dom, cod, expand(objs, p), objs)
         sizes = tuple(map(_size, objs))
         key = (family, *args, *sizes)
         if (rows := self.read.get(key)) is None:
-            rows = self.read[key] = self.source(self.backend, family, args, sizes, self.rows)
+            rows = self.read[key] = self.source(be, "tau_pair" if family == "tau" else family, args,
+                                                sizes, self.rows)
         return _Table(dom, cod, rows, objs)
 
     @_once
     def eps(self, m: str, x) -> _Table:
-        return self._map("eps", (m,), (x,), (x,), x)
+        return self._map("eps", (m,), (x,))
 
     @_once
     def delta(self, m: str, r: GradeValue, q: GradeValue, x) -> _Table:
-        a, alg = self.arity, self.backend.space.mode(m).algebra
-        return self._map("delta", (m, r, q), (x,), (x,) * a(m, alg.mul(r, q)), ((x,) * a(m, q),) * a(m, r))
+        return self._map("delta", (m, r, q), (x,))
 
     @_once
     def tau(self, m: str, q: GradeValue, x, y) -> _Table:
-        a = self.arity(m, q)
-        return self._map("tau_pair", (m, q), (x, y), ((x,) * a, (y,) * a), ((x, y),) * a)
+        return self._map("tau", (m, q), (x, y))
 
     @_once
     def iota(self, m: str, q: GradeValue) -> _Table:
-        return self._map("iota", (m, q), (), (), ((),) * self.arity(m, q))
+        return self._map("iota", (m, q), ())
 
     @_once
     def c(self, m: str, r: GradeValue, q: GradeValue, x) -> _Table:
-        a, alg = self.arity, self.backend.space.mode(m).algebra
-        return self._map("c_map", (m, r, q), (x,), (x,) * a(m, alg.add(r, q)),
-                         ((x,) * a(m, r), (x,) * a(m, q)))
+        return self._map("c_map", (m, r, q), (x,))
 
     @_once
     def w(self, m: str, x) -> _Table:
-        zero = self.backend.space.mode(m).algebra.zero
-        return self._map("w_map", (m,), (x,), (x,) * self.arity(m, zero), ())
+        return self._map("w_map", (m,), (x,))
 
     @_once
     def mu(self, low: str, high: str, q: GradeValue, x) -> _Table:
-        phi_q = self.backend.space.phi(low, high, q)
-        return self._map("mu", (low, high, q), (x,), (x,) * self.arity(high, phi_q),
-                         (x,) * self.arity(low, q))
+        return self._map("mu", (low, high, q), (x,))
 
     # -- composites by index ------------------------------------------------
 
@@ -1294,7 +1267,7 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
         alg = mode.algebra
         grades = list(alg.elements(budget))
         conts = [g for g in grades if mode.cont.contains(g)]
-        a, act = partial(co.arity, m), partial(co.act, m)
+        a, act = partial(backend.arity, m), partial(co.act, m)
         # the laws also cover each grade an arity is declared at, above the budget too
         law_grades = grades + [q for n, q in backend.arities
                                if n == m and alg.contains(q) and q not in grades]
@@ -1312,7 +1285,7 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
             lawless.add(m)
             continue
         # iota is an isomorphism onto a singleton power
-        if source is not None:  # the one iota _positions accepts, spread(0, a(q)), has one pair
+        if source is not None:  # the one iota `positions` accepts, spread(0, a(q)), has one pair
             for q in grades:
                 if (n := _count(co.iota(m, q).rows)) != 1:
                     found.append(Violation("iota-iso", (m, q), f"{n} pairs"))
@@ -1401,7 +1374,7 @@ def coherence_report(backend: ModelBackend, source, modes=None, max_size=3, budg
         for q, r in itertools.product(grades_lo, repeat=2):
             square("mu multiplication square", (mlo, mhi, q, r), lambda c, lo, hi, q, r, x: (
                 [c.mu(lo, hi, alg_lo.mul(q, r), x), c.delta(lo, q, r, x)],
-                [c.delta(hi, phi(q), phi(r), x), c.power(c.mu(lo, hi, r, x), c.arity(hi, phi(q))),
+                [c.delta(hi, phi(q), phi(r), x), c.power(c.mu(lo, hi, r, x), backend.arity(hi, phi(q))),
                  c.mu(lo, hi, q, c.act(lo, r, x))]))
             if mode_lo.cont.contains(q) and mode_lo.cont.contains(r):
                 square("mu addition square", (mlo, mhi, q, r), lambda c, lo, hi, q, r, x: (

@@ -75,52 +75,37 @@ class PositionCorruptedBackend(ModelBackend):
 
     corrupt: str = "delta"
 
-    def delta_positions(self, mode, r, q):
-        p = super().delta_positions(mode, r, q)
-        if self.corrupt == "delta-overrun" and p.out:  # the last output copies no coordinate
-            return Positions(p.src, p.out[:-1] + (p.src + 1,))
-        if self.corrupt != "delta":
-            return p
-        ar, aq = self.arity(mode, r), self.arity(mode, q)
-        # the a(r) chunks of a(q) coordinates in reverse order
-        return Positions(p.src, tuple(p.out[c * aq + j] for c in reversed(range(ar))
-                                      for j in range(aq)))
-
-    def c_positions(self, mode, r, q):
-        p = super().c_positions(mode, r, q)
-        ar = self.arity(mode, r)
-        if self.corrupt == "c":  # the split's halves swapped: the source's last coordinates go left
-            return Positions(p.src, p.out[ar:] + p.out[:ar])
-        if self.corrupt == "c-fresh":  # the right half fresh, not copied
-            return Positions(p.src, p.out[:ar] + (p.src,) * (len(p.out) - ar))
+    def _positions(self, family, dom, cod):
+        p = super()._positions(family, dom, cod)
+        src, out = p.src, p.out
+        match family, self.corrupt:
+            case "delta", "delta-overrun" if out:  # the last output copies no coordinate
+                return Positions(src, out[:-1] + (src + 1,))
+            case "delta", "delta":  # the a(r) chunks of a(q) coordinates in reverse order
+                aq = len(cod[0]) if cod else 0
+                return Positions(src, tuple(out[c * aq + j] for c in reversed(range(len(cod)))
+                                            for j in range(aq)))
+            case "c_map", "c":  # the split's halves swapped: the source's last coordinates go left
+                return Positions(src, out[len(cod[0]):] + out[:len(cod[0])])
+            case "c_map", "c-fresh":  # the right half fresh, not copied
+                return Positions(src, out[:len(cod[0])] + (src,) * len(cod[1]))
+            case "mu", "mu-extra-output":  # one output too many, a copy of the fresh coordinate
+                return Positions(src, out + (src,))
+            case "w_map", "w-extra-source":  # one source coordinate too many, forgotten like the rest
+                return Positions(src + 1, out)
+            case "tau", "tau-zero-output" if not cod:  # a(q) = 0: one output, fresh
+                return Positions(0, (0,))
+            case "tau", "tau-untransposed":  # the identity: past a(q) = 1, slots of the wrong factor
+                return Positions(src, tuple(range(src)))
+            case "tau", "tau":
+                # tuple j pairs coordinate j of every factor but the last with
+                # the last factor's coordinate a-1-j: the last factor is not
+                # transposed in place.  (Leaving every factor untransposed mixes
+                # the factors' coordinates, which no carriers of different sizes admit.)
+                a, k = len(cod), len(dom)
+                return Positions(src, tuple(i * a + (a - 1 - j if i == k - 1 else j)
+                                            for j in range(a) for i in range(k)))
         return p
-
-    def mu_positions(self, low_mode, high_mode, value):
-        p = super().mu_positions(low_mode, high_mode, value)
-        if self.corrupt == "mu-extra-output":  # one output too many, a copy of the fresh coordinate
-            return Positions(p.src, p.out + (p.src,))
-        return p
-
-    def w_positions(self, mode):
-        p = super().w_positions(mode)
-        if self.corrupt == "w-extra-source":  # one source coordinate too many, forgotten like the rest
-            return Positions(p.src + 1, p.out)
-        return p
-
-    def tau_positions(self, mode, value, k):
-        if self.corrupt == "tau-zero-output" and self.arity(mode, value) == 0:  # one output, fresh
-            return Positions(0, (0,))
-        if self.corrupt == "tau-untransposed":  # the identity: past a(q) = 1, slots of the wrong factor
-            return Positions(k * self.arity(mode, value), tuple(range(k * self.arity(mode, value))))
-        if self.corrupt != "tau":
-            return super().tau_positions(mode, value, k)
-        # tuple j pairs coordinate j of every factor but the last with the
-        # last factor's coordinate a-1-j: the last factor is not transposed
-        # in place.  (Leaving every factor untransposed mixes the factors'
-        # coordinates, which no carriers of different sizes admit.)
-        a = self.arity(mode, value)
-        return Positions(k * a, tuple(i * a + (a - 1 - j if i == k - 1 else j)
-                                      for j in range(a) for i in range(k)))
 
 
 def corrupted(backend: ModelBackend, which: str, positions: bool = False) -> ModelBackend:

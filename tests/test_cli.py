@@ -448,6 +448,40 @@ def test_backend_numbers_are_unsigned_decimals(tmp_path, capsys, old, new, messa
     assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # a repeated header would drop the section before it, whatever kind it is
+    ("builtin = top", "builtin = top\n[algebra top]", "line 6: repeated section header '[algebra top]'"),
+    ("carrier = a b", "carrier = a b\n[algebra natd]\nbuiltin = nat-discrete",
+     "line 23: repeated section header '[algebra natd]'"),
+    ("carrier = a b", "carrier = a b\n[mode L]", "line 23: repeated section header '[mode L]'"),
+    ("carrier = a b", "carrier = a b\n[morphism L U]", "line 23: repeated section header '[morphism L U]'"),
+    ("carrier = a b", "carrier = a b\n[backend]", "line 23: repeated section header '[backend]'"),
+    ("carrier = a b", "carrier = a b\n[base P L]", "line 23: repeated section header '[base P L]'"),
+    ("carrier = a b", "carrier = a b\n[base P U]", "line 23: repeated section header '[base P U]'"),
+    # a weak flag spelled otherwise than true/yes/1 or false/no/0
+    ("weak = false", "weak = flase", "line 9: weak is true, yes, 1, false, no or 0, got 'flase'"),
+    ("weak = false", "weak =", "line 9: weak is true, yes, 1, false, no or 0, got ''"),
+    # an empty key is a declaration like any other unknown one
+    ("builtin = top", "builtin = top\n= 1", "line 6: unknown algebra declaration ''"),
+    ("budget = 4", "budget = 4\n= 1", "line 20: unknown backend declaration ''"),
+])
+def test_a_mode_file_line_that_would_be_misread_is_a_parse_error(tmp_path, capsys, old, new, message):
+    modes = _write(tmp_path, "m.modes", LNL.replace(old, new))
+    assert main(["modes-validate", modes]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_weak_flags_and_order_sections_that_parse():
+    for spelled, weak in (("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("no", False),
+                          ("0", False)):
+        space, _backend = parse_modes_text(LNL.replace("weak = false", f"weak = {spelled}"))
+        assert space.mode("L").weak is weak, spelled
+    # [order] may repeat: its lines only add pairs
+    once = parse_modes_text(LNL)[0]
+    twice = parse_modes_text(LNL.replace("L <= U", "") + "[order]\nL <= U\n[order]\n")[0]
+    assert twice.order_pairs == once.order_pairs and ("L", "U") in once.order_pairs
+
+
 def test_non_multiplicative_arity_is_reported(tmp_path, capsys):
     modes = _write(tmp_path, "m.modes", LNL.replace("arity U t = 1", "arity U t = 1\narity L 2 = 3"))
     assert main(["modes-validate", modes]) == 1

@@ -170,16 +170,21 @@ def _small_shape(rng: random.Random):
 
 
 class _Given:
-    """A backend whose one map is the relation it is given."""
+    """A backend whose one map is the relation it is given, between the
+    shapes it is given."""
 
     @staticmethod
-    def given(rel: Rel) -> Rel:
+    def objects(_family: str, args: tuple, _objs: tuple) -> tuple:
+        return args[1:]
+
+    @staticmethod
+    def given(rel: Rel, _dom, _cod) -> Rel:
         return rel
 
 
 def _read(co: _Coherence, rel: Rel, dom, cod) -> _Table:
     """rel read by index as the validator reads a backend map."""
-    return co._map("given", (rel,), (), dom, cod)
+    return co._map("given", (rel, dom, cod), ())
 
 
 def _spreads(co: _Coherence) -> list[_Table]:
@@ -523,6 +528,11 @@ class _PositionsGiven:
     relation those positions denote element by element."""
 
     @staticmethod
+    def objects(_family: str, args: tuple, objs: tuple) -> tuple:
+        (p,), (x,) = args, objs
+        return (x,) * p.src, (x,) * len(p.out)
+
+    @staticmethod
     def positions(_family: str, p: Positions) -> Positions:
         return p
 
@@ -541,7 +551,7 @@ def _build(c: _Coherence, recipe, n: int) -> _Table:
     kind, *parts = recipe
     if kind == "map":
         p, x = parts[0], _OBJECTS[parts[1]](n)
-        return c._map("given", (p,), (x,), (x,) * p.src, (x,) * len(p.out))
+        return c._map("given", (p,), (x,))
     if kind == "iso":
         return c.iso(_OBJECTS[parts[0]](n))
     if kind == "swap":

@@ -1,22 +1,26 @@
 """The interpretation's index tables against the backend's relations.
 
-Every structure map has one definition, its positions.  The backend
-reads element-level relations off them and the interpretation reads index
-tables off them; here each table the interpretation uses is decoded and
-compared with the backend method's relation, at every grade within the
-budget and every object size from 0 to 4.
+Every structure map has one definition, its objects, and its positions are
+read off them: pinned here against the arities they must come to.  The
+backend reads element-level relations off the positions and the
+interpretation reads index tables off them; here each table the
+interpretation uses is decoded and compared with the backend method's
+relation, at every grade within the budget and every object size from 0 to 4.
 """
 
 import itertools
+from pathlib import Path
 
 import pytest
 
-from grass.errors import SizeLimitError
+from grass.cli import load_modes_file
+from grass.errors import ConfigError, InputError, ShapeError, SizeLimitError
 from grass.grades import Grade
 from grass.presets import standard_space, system
 from grass.semantics import (
     FinSetObj,
     ModelBackend,
+    Positions,
     Rel,
     _entry_positions,
     _strides,
@@ -26,6 +30,8 @@ from grass.semantics import (
     spread,
     spread_rel,
 )
+
+from corrupted_backend import corrupted
 
 SIZES = range(5)
 CAP = 4096  # skip instances whose objects have more elements
@@ -71,6 +77,65 @@ def _x(n):
     return FinSetObj(tuple(f"e{i}" for i in range(n)))
 
 
+STOCK = ("L", "U", "R", "A", "fh", "LU", "LA", "LfhU", "all")
+SHIPPED = Path(__file__).parent.parent / "systems"
+
+
+def test_each_map_is_the_spread_between_its_arities_and_tau_the_transpose():
+    # each family's Positions, from the counts of coordinates of its objects
+    # written out: eps a(1) -> 1, delta a(r.q) -> a(r).a(q), iota 0 -> a(q),
+    # c a(r+q) -> a(r)+a(q), w a(0) -> 0, the preorder map a(high) -> a(low), mu
+    # a(phi(q)) at the higher mode -> a(q) at the lower; tau takes coordinate j
+    # of factor i to coordinate i of tuple j
+    backends = [system(n)[1] for n in STOCK] + [load_modes_file(str(SHIPPED / f"{name}.modes"))[1]
+                                                for name in ("allmodes", "filehandle", "lnl")]
+    checked = 0
+    for be in backends:
+        space, a = be.space, be.arity
+        for m in space.modes:
+            alg = space.mode(m).algebra
+            grades = _grades(be, m)
+            assert be.positions("eps", m) == spread(a(m, alg.one), 1)
+            assert be.positions("w_map", m) == spread(a(m, alg.zero), 0)
+            for q in grades:
+                n = a(m, q)
+                assert be.positions("iota", m, q) == spread(0, n)
+                for k in range(4):
+                    assert be.positions("tau", m, q, k) == Positions(
+                        k * n, tuple(i * n + j for j in range(n) for i in range(k))), (m, q, k)
+            for r, q in itertools.product(grades, repeat=2):
+                assert be.positions("delta", m, r, q) == spread(a(m, alg.mul(r, q)), a(m, r) * a(m, q))
+                assert be.positions("c_map", m, r, q) == spread(a(m, alg.add(r, q)), a(m, r) + a(m, q))
+                if alg.leq(r, q):
+                    assert be.positions("preorder_map", m, r, q) == spread(a(m, q), a(m, r))
+                checked += 1
+        for low, high in sorted(space.order_pairs | {(m, m) for m in space.modes}):
+            for q in _grades(be, low):
+                assert be.positions("mu", low, high, q) == spread(a(high, space.phi(low, high, q)),
+                                                                  a(low, q)), (low, high, q)
+    assert checked > 200
+
+
+def test_the_counit_delta_and_the_preorder_map_refuse_as_they_did():
+    # each refusal comes before the Positions are read, so a mutant whose
+    # Positions are no map between its objects is refused the same way
+    space, be = system("L")
+    for arities, read, error, message in (
+            ({("L", 1): 2}, ("eps", "L"), ConfigError, "mode L: arity of 1 must be 1 for the counit, got 2"),
+            ({("L", 2): 3}, ("delta", "L", 2, 2), ConfigError,
+             "mode L: arity is not multiplicative at (2, 2): 4 != 3*3"),
+            ({}, ("preorder_map", "L", 2, 1), InputError, "preorder map needs 2 <= 1 in L")):
+        lawless = ModelBackend(space=space, arities=arities, base_carriers=be.base_carriers)
+        for backend in (lawless, corrupted(lawless, "delta-overrun", positions=True)):
+            for _ in range(2):
+                with pytest.raises(error) as refused:
+                    backend.positions(*read)
+                assert str(refused.value) == message
+            assert not backend.positions_memo
+    with pytest.raises(ShapeError):
+        corrupted(be, "delta-overrun", positions=True).positions("delta", "L", 2, 2)
+
+
 def test_spread_tables():
     # every spread, including the diagonal out of the empty power into
     # powers that no stock backend reaches
@@ -83,13 +148,13 @@ def test_eps_w_iota_tables(name):
     be = BACKENDS[name]
     for m, n in itertools.product(be.space.modes, SIZES):
         x = _x(n)
-        assert _same(be.eps_positions(m).table(n, [1]), be.eps(m, x)), (m, n)
-        w = be.w_positions(m)
+        assert _same(be.positions("eps", m).table(n, [1]), be.eps(m, x)), (m, n)
+        w = be.positions("w_map", m)
         if _power_len(n, w.src) <= CAP:
             assert _same(w.table(n, ()), be.w_map(m, x)), (m, n)
     for m in be.space.modes:
         for q in _grades(be, m):
-            p = be.iota_positions(m, q)
+            p = be.positions("iota", m, q)
             assert _same(p.table(1, _weights(1, len(p.out))), be.iota(m, q)), (m, q)
 
 
@@ -103,12 +168,12 @@ def test_preorder_and_c_tables(name):
         for low, high in itertools.product(grades, repeat=2):
             if not alg.leq(low, high) or _power_len(n, be.arity(m, high)) > CAP:
                 continue
-            p = be.preorder_positions(m, low, high)
+            p = be.positions("preorder_map", m, low, high)
             assert _same(p.table(n, _weights(n, len(p.out))),
                          be.preorder_map(m, low, high, _x(n))), (m, low, high, n)
             checked += 1
         for r1, r2 in itertools.product(grades, repeat=2):
-            p = be.c_positions(m, r1, r2)
+            p = be.positions("c_map", m, r1, r2)
             if _power_len(n, max(p.src, len(p.out))) > CAP:
                 continue
             assert _same(p.table(n, _weights(n, len(p.out))),
@@ -146,7 +211,7 @@ def _tau_table(be, m, q, radices):
     """tau by index, the way the interpretation reads it: each source
     coordinate's digit at the place value tau's positions give it."""
     a, k = be.arity(m, q), len(radices)
-    place = be.tau_positions(m, q, k).place_values(
+    place = be.positions("tau", m, q, k).place_values(
         _strides([r for _j in range(a) for r in radices]))
     src_radices = [r for r in radices for _j in range(a)]
     return [sum(d * w for d, w in zip(ds, place))
