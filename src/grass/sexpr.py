@@ -5,17 +5,28 @@ conclusions recomputed on parse, so a parsed tree is valid by
 construction.  Annotated heads follow the surface spellings
 ``I@m``, ``-o{q:m}``, ``down{q,n<=m}``, ``up{m<=n}``, ``let*@q`` and so on.
 
-Input nested more than MAX_DEPTH parentheses deep, or too deep for the
-recursive type and term readers, raises NestingError (a ParseError) with
-the message "input nested too deeply", never RecursionError.
+Each reader is one pass over the tokens on explicit stacks, so none
+recurses on the input's depth: a form is reduced at its ``)``, a type or
+term through its former and a rule through `rebuild`, with its premises
+from the stack.  Input nested more than MAX_DEPTH parentheses deep, a type
+or term nested more than MAX_FORM_DEPTH forms deep, or a RecursionError in
+`rebuild` raises NestingError (a ParseError) "input nested too deeply".
+
+A faulty text is read twice: `read_sexpr` reports a nesting fault, and
+the second pass checks each form's item count at its ``(``.  So the fault
+reported is the first of a depth-first walk: a form's head and item count
+on the way down, a rule's payloads and `rebuild` on the way up.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
+from functools import partial
+from itertools import chain, islice
 
 from .derivation import RULES, Derivation, fold, rebuild
-from .errors import NestingError, ParseError
+from .errors import GrassError, NestingError, ParseError
 from .grades import Grade, GradeValue
 from .modespace import ModeSpace
 from .syntax import (
@@ -46,41 +57,75 @@ from .syntax import (
     mode_of,
 )
 
-_TOKEN = re.compile(r"""\(|\)|[^\s()]+""")
+MAX_DEPTH = 1000  # parentheses
+# Forms in one type or term.  The recursive type reader this loop replaced
+# stopped near 990 at the default recursion limit of 1000; the writers and
+# type_wf still recurse on a type's depth.
+MAX_FORM_DEPTH = 900
+
+_OPEN_SPACE = re.compile(r"\(\s+")
 _NATURAL = re.compile(r"0|[1-9][0-9]*")
 # group 1 is `natural`'s spelling; the rest is every other one int() accepts
 _NUMBER = re.compile(r"(0|[1-9][0-9]*)|\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def tokenize(text: str) -> list[str]:
-    return _TOKEN.findall(text)
+def _tokens(text: str) -> list[str]:
+    """")", atoms, and each "(" joined to the atom after it, its head: a bare
+    "(" opens a form that is empty or starts with a form."""
+    return _OPEN_SPACE.sub("(", text).replace("(", " (").replace(")", " ) ").split()
 
 
-MAX_DEPTH = 1000
-
-
-def read_sexpr(text: str):
-    """One s-expression as nested lists of atom strings."""
+def _lists(toks: list[str], i: int) -> tuple:
+    """The item at toks[i] as nested lists of atom strings, and the index
+    after it."""
     stack: list[list] = [[]]  # the open lists, outermost first
-    for tok in tokenize(text):
-        if len(stack) == 1 and stack[0]:
-            raise ParseError("trailing tokens after expression")
-        if tok == "(":
-            if len(stack) > MAX_DEPTH:
-                raise NestingError("input nested too deeply")
-            stack.append([])
-        elif tok == ")":
+    for j in range(i, len(toks)):
+        tok = toks[j]
+        if tok == ")":
             if len(stack) == 1:
                 raise ParseError("unexpected closing parenthesis")
             done = stack.pop()
             stack[-1].append(done)
+        elif tok[0] == "(":
+            if len(stack) > MAX_DEPTH:
+                raise NestingError("input nested too deeply")
+            stack.append([tok[1:]] if len(tok) > 1 else [])
         else:
             stack[-1].append(tok)
-    if len(stack) > 1:
-        raise ParseError("missing closing parenthesis")
-    if not stack[0]:
-        raise ParseError("unexpected end of input")
-    return stack[0][0]
+        if len(stack) == 1:
+            return stack[0][0], j + 1
+    raise ParseError("missing closing parenthesis" if stack[1:] else "unexpected end of input")
+
+
+def read_sexpr(text: str):
+    """One s-expression as nested lists of atom strings."""
+    toks = _tokens(text)
+    tree, end = _lists(toks, 0)
+    if end < len(toks):
+        raise ParseError("trailing tokens after expression")
+    return tree
+
+
+def _scan(toks: list[str]) -> dict[int, list[int]]:
+    """By the index of each "(", the indices of the items after its head and
+    then of its ")"."""
+    items: dict[int, list[int]] = {}
+    opens: list[int] = []
+    for j, tok in enumerate(toks):
+        if opens:
+            items[opens[-1]].append(j)
+        if tok == ")":
+            opens.pop()
+        elif tok[0] == "(":
+            opens.append(j)
+            items[j] = []
+    return items
+
+
+def _count(form: tuple, i: int, items: dict) -> None:
+    """Check the item count of the type or term form at toks[i]."""
+    if len(items[i]) != len(form[2]):
+        raise ParseError(f"form {form[3]!r} expects {len(form[2]) - 1} arguments")
 
 
 def natural(atom, what: str) -> int:
@@ -108,10 +153,12 @@ def show_grade(value: GradeValue) -> str:
 # ---------------------------------------------------------------------------
 # Types
 
-_FUN_HEAD = re.compile(r"^-o\{(?P<q>[^:{}]+):(?P<m>[^:{}]+)\}$")
-_DROP_HEAD = re.compile(r"^down\{(?P<q>[^,{}]+),(?P<n>[^<{}]+)<=(?P<m>[^{}]+)\}$")
-_RAISE_HEAD = re.compile(r"^up\{(?P<m>[^<{}]+)<=(?P<n>[^{}]+)\}$")
 _UNIT_ATOM = re.compile(r"^I@(?P<m>\S+)$")
+_TYPE_HEADS = {
+    TFun: re.compile(r"^-o\{(?P<q>[^:{}]+):(?P<m>[^:{}]+)\}$"),
+    TDrop: re.compile(r"^down\{(?P<q>[^,{}]+),(?P<n>[^<{}]+)<=(?P<m>[^{}]+)\}$"),
+    TRaise: re.compile(r"^up\{(?P<m>[^<{}]+)<=(?P<n>[^{}]+)\}$"),
+}
 
 
 def type_to_sexpr(ty: Type) -> str:
@@ -133,83 +180,50 @@ def type_to_sexpr(ty: Type) -> str:
     raise ParseError(f"not a type: {ty!r}")
 
 
-def type_from_tree(tree, space: ModeSpace) -> Type:
-    if isinstance(tree, str):
-        m = _UNIT_ATOM.match(tree)
-        if m:
-            return TUnit(m.group("m"))
-        if tree in space.base_types:
-            return TBase(tree, space.base_types[tree])
-        raise ParseError(f"unknown type atom {tree!r}")
-    if not tree:
-        raise ParseError("empty type expression")
-    head = tree[0]
-    if head == "*":
-        _arity_check(tree, 3)
-        return TTensor(type_from_tree(tree[1], space), type_from_tree(tree[2], space))
-    if head == "+":
-        _arity_check(tree, 3)
-        return TSum(type_from_tree(tree[1], space), type_from_tree(tree[2], space))
-    m = _FUN_HEAD.match(head) if isinstance(head, str) else None
+def _type_atom(atom: str, space: ModeSpace) -> Type:
+    m = _UNIT_ATOM.match(atom)
     if m:
-        _arity_check(tree, 3)
-        arg = type_from_tree(tree[1], space)
-        arg_mode = m.group("m")
-        alg = space.mode(arg_mode).algebra
-        return TFun(arg, Grade(alg.id, grade_value(m.group("q"))),
-                    type_from_tree(tree[2], space))
-    m = _DROP_HEAD.match(head) if isinstance(head, str) else None
-    if m:
-        _arity_check(tree, 2)
-        high = m.group("m")
-        alg = space.mode(high).algebra
-        return TDrop(Grade(alg.id, grade_value(m.group("q"))), m.group("n"), high,
-                     type_from_tree(tree[1], space))
-    m = _RAISE_HEAD.match(head) if isinstance(head, str) else None
-    if m:
-        _arity_check(tree, 2)
-        return TRaise(m.group("m"), m.group("n"), type_from_tree(tree[1], space))
-    raise ParseError(f"unknown type form {head!r}")
+        return TUnit(m.group("m"))
+    if atom in space.base_types:
+        return TBase(atom, space.base_types[atom])
+    raise ParseError(f"unknown type atom {atom!r}")
 
 
-def _arity_check(tree, n):
-    if len(tree) != n:
-        raise ParseError(f"form {tree[0]!r} expects {n - 1} arguments")
+def _type_head(tok: str, toks: list[str], i: int, cx: tuple) -> tuple:
+    """The form the type token toks[i] opens: (former, head data, item kinds
+    and a None, head).  When checking, its item count is checked before the
+    head's mode and grade are read, and a -o form's argument is read first."""
+    head, space, items = tok[1:], cx[1], cx[3]
+    if not head:
+        raise ParseError("empty type expression" if toks[i + 1:i + 2] == [")"]
+                         else f"unknown type form {_lists(toks, i + 1)[0]!r}")
+    m = None
+    if head == "*" or head == "+":
+        cls = TTensor if head == "*" else TSum
+    else:
+        for cls, pattern in _TYPE_HEADS.items():
+            if m := pattern.match(head):
+                break
+        else:
+            raise ParseError(f"unknown type form {head!r}")
+    form = cls, (), ("type", "type", None) if cls is not TDrop and cls is not TRaise else ("type", None), head
+    if items is not None:
+        _count(form, i, items)
+    if cls is TTensor or cls is TSum:
+        return form
+    if cls is TRaise:
+        return cls, (m["m"], m["n"]), form[2], head
+    try:
+        grade = Grade(space.mode(m["m"]).algebra.id, grade_value(m["q"]))
+    except GrassError:
+        if cls is TFun and items is not None:
+            _item("type", i + 1, toks[i + 1], enumerate(toks[i + 2:items[i][1]], i + 2), cx)
+        raise
+    return cls, grade if cls is TFun else (grade, m["n"], m["m"]), form[2], head
 
 
 # ---------------------------------------------------------------------------
-# Field kinds and terms
-
-
-def _atom(tree) -> str:
-    if not isinstance(tree, str):
-        raise ParseError(f"expected an atom, got {tree!r}")
-    return tree
-
-
-def _list(tree) -> list:
-    if not isinstance(tree, list):
-        raise ParseError(f"expected a list, got {tree!r}")
-    return tree
-
-
-# one writer and one reader per field kind of derivation.RULES and syntax.TERMS
-_WRITE = {
-    "name": str,
-    "mode": str,
-    "type": type_to_sexpr,
-    "grade": show_grade,
-    "grades": lambda vs: "(" + " ".join(map(show_grade, vs)) + ")",
-    "perm": lambda perm: "(" + " ".join(map(str, perm)) + ")",
-}
-_READ = {  # a term field (name, mode or grade) is read with no mode space
-    "name": lambda tree, space=None: _atom(tree),
-    "mode": lambda tree, space=None: _atom(tree),
-    "type": type_from_tree,
-    "grade": lambda tree, space=None: grade_value(_atom(tree)),
-    "grades": lambda tree, space: tuple(grade_value(_atom(v)) for v in _list(tree)),
-    "perm": lambda tree, space: tuple(natural(v, "a context position") for v in _list(tree)),
-}
+# Terms
 
 # former -> (head spelling, head pattern).  Every former declares its grade
 # and mode fields first; the head carries them, one "{}" and one pattern
@@ -235,6 +249,16 @@ _PLAIN_HEADS = {head: cls for cls, (head, pattern) in _SPELLINGS.items() if patt
 _HEAD_PATTERNS = {cls: re.compile(pattern) for cls, (_, pattern) in _SPELLINGS.items() if pattern}
 _STAR_ATOM = _HEAD_PATTERNS.pop(Star)  # the one former read from an atom
 
+# one writer per field kind of derivation.RULES and syntax.TERMS
+_WRITE = {
+    "name": str,
+    "mode": str,
+    "type": type_to_sexpr,
+    "grade": show_grade,
+    "grades": lambda vs: "(" + " ".join(map(show_grade, vs)) + ")",
+    "perm": lambda perm: "(" + " ".join(map(str, perm)) + ")",
+}
+
 
 def term_to_sexpr(t: Term) -> str:
     cls = type(t)
@@ -252,47 +276,113 @@ def term_to_sexpr(t: Term) -> str:
     return "(" + " ".join(parts) + ")"
 
 
-def term_from_tree(tree) -> Term:
-    if isinstance(tree, str):
-        m = _STAR_ATOM.match(tree)
-        return Star(m.group("m")) if m else Var(tree)
-    if not tree:
-        raise ParseError("empty term expression")
-    head, args = tree[0], tree[1:]
-    if not isinstance(head, str):
-        raise ParseError("term form must start with an atom")
-    cls = _PLAIN_HEADS.get(head)
-    if cls is None:
-        for cls, pattern in _HEAD_PATTERNS.items():
-            m = pattern.match(head)
-            if m:
-                args[:0] = m.groups()
-                break
-        else:
-            raise ParseError(f"unknown term form {head!r}")
-    n_head, _, readers = _CODEC[cls]
-    _arity_check(tree, 4 if cls is Case else 1 + len(readers) - n_head)
-    if cls is Case:
-        b1, b2 = args[2:]
-        if not (isinstance(b1, list) and len(b1) == 2 and isinstance(b2, list) and len(b2) == 2):
-            raise ParseError("case branches must look like (x body)")
-        args[2:] = [*b1, *b2]
-    return cls(*[r(a) for r, a in zip(readers, args)])
-
-
-# former -> (number of head fields, writer and reader of each field in
-# declaration order); a grade or mode is read from its head pattern group, a
-# name from its atom
+# former -> (number of head fields, writer of each field in declaration order,
+# kind of each item after the head and a None)
 _CODEC = {
     cls: (sum(k in ("grade", "mode") for k in kinds),
           tuple(term_to_sexpr if isinstance(k, tuple) else _WRITE[k] for k in kinds),
-          tuple(term_from_tree if isinstance(k, tuple) else _READ[k] for k in kinds))
+          ("term", "branch", "branch", None) if cls is Case else
+          (*("term" if isinstance(k, tuple) else k for k in kinds if k not in ("grade", "mode")), None))
     for cls, kinds in TERMS.items()
 }
+_BRANCH = (tuple, None, ("name", "term", None), None)
+_BRANCHES = "case branches must look like (x body)"
+
+
+def _term_atom(atom: str) -> Term:
+    m = _STAR_ATOM.match(atom)
+    return Star(m.group("m")) if m else Var(atom)
+
+
+def _term_head(tok: str, toks: list[str], i: int, items) -> tuple:
+    """The form the term token toks[i] opens: (former, head fields, item kinds
+    and a None, head).  When checking, its item count and a case's branches
+    are checked before its head's grade is read."""
+    head = tok[1:]
+    if not head:
+        raise ParseError("empty term expression" if toks[i + 1:i + 2] == [")"]
+                         else "term form must start with an atom")
+    cls, groups = _PLAIN_HEADS.get(head), ()
+    if cls is None:
+        for cls, pattern in _HEAD_PATTERNS.items():
+            if m := pattern.match(head):
+                groups = m.groups()
+                break
+        else:
+            raise ParseError(f"unknown term form {head!r}")
+    if items is not None:
+        _count((cls, None, _CODEC[cls][2], head), i, items)
+        if cls is Case and any(toks[b][0] != "(" or len(items[b]) + (len(toks[b]) > 1) != 3
+                               for b in items[i][1:3]):
+            raise ParseError(_BRANCHES)
+    fields = tuple(grade_value(g) if k == "grade" else g for k, g in zip(TERMS[cls], groups))
+    return cls, fields, _CODEC[cls][2], head
+
+
+def _item(want: str, i: int, tok: str, it, cx: tuple, cap: int = MAX_FORM_DEPTH):
+    """The type or term (`want`) at toks[i] == tok, its other tokens read from
+    `it`, nested at most `cap` forms deep.  `cx` is (tokens, mode space, this
+    text's type atoms and heads by token, the items of `_scan` when checking)."""
+    toks, space, memo, items = cx
+    stack: list[tuple] = []  # per open form, the one it is in and that one's items
+    form = args = None
+    for i, tok in chain(((i, tok),), it):
+        if tok == ")":
+            cls, data, kinds, head = form
+            if len(args) != len(kinds) - 1:
+                raise ParseError(f"form {head!r} expects {len(kinds) - 1} arguments" if head
+                                 else _BRANCHES)
+            if cls is TFun:
+                value = TFun(args[0], data, args[1])
+            elif cls is Case:
+                value = Case(*data, args[0], *args[1], *args[2])
+            else:
+                value = cls(args) if data is None else cls(*data, *args)
+            form, args = stack.pop()
+            if form is None:
+                return value
+            args.append(value)
+            want = form[2][len(args)]
+            continue
+        if want is None:
+            raise ParseError(f"form {form[3]!r} expects {len(form[2]) - 1} arguments" if form[3]
+                             else _BRANCHES)
+        if tok[0] == "(":
+            if len(stack) >= cap:
+                raise NestingError("input nested too deeply")
+            stack.append((form, args))
+            args = []
+            if want == "type":
+                form = memo.get(tok) if items is None else None
+                if form is None:
+                    form = memo[tok] = _type_head(tok, toks, i, cx)
+            elif want == "term":
+                form = _term_head(tok, toks, i, items)
+            elif want == "branch":
+                form, args = _BRANCH, [tok[1:]] if len(tok) > 1 else []
+            else:
+                raise ParseError(f"expected an atom, got {_lists(toks, i)[0]!r}")
+            want = form[2][len(args)]
+            continue
+        if want == "type":
+            value = memo.get(tok) or memo.setdefault(tok, _type_atom(tok, space))
+        elif want == "term":
+            value = _term_atom(tok)
+        elif want == "name":
+            value = tok
+        else:
+            raise ParseError(_BRANCHES)
+        if form is None:
+            return value
+        args.append(value)
+        want = form[2][len(args)]
+    raise ParseError("missing closing parenthesis")
 
 
 # ---------------------------------------------------------------------------
 # Derivations: (rule payload... premises...)
+
+_RULE_HEADS = {"(" + rule: (rule, kinds) for rule, (_build, _binds, kinds) in RULES.items()}
 
 
 def _write(d: Derivation, premises: list[str]) -> str:
@@ -306,41 +396,111 @@ def derivation_to_sexpr(d: Derivation) -> str:
     return fold(d, _write)
 
 
-def _premise_trees(tree) -> list:
-    """The premise trees of a (rule payload... premises...) form."""
-    if not isinstance(tree, list) or not tree or not isinstance(tree[0], str):
-        raise ParseError("derivation must be a (rule ...) form")
-    if tree[0] not in RULES:
-        raise ParseError(f"unknown rule {tree[0]!r}")
-    np = len(RULES[tree[0]][2])
-    if len(tree) <= np:
-        raise ParseError(f"rule {tree[0]} expects {np} payload items")
-    return tree[1 + np:]
+def _listed(kind: str, i: int, tok: str, it, cx: tuple, depth: int):
+    """The payload item of field kind `kind` opened by toks[i] == tok, a "(",
+    in a rule form `depth` parentheses deep."""
+    toks = cx[0]
+    room = MAX_DEPTH - 1 - depth  # parentheses
+    if kind == "type":
+        return _item("type", i, tok, it, cx, min(room, MAX_FORM_DEPTH))
+    if kind != "grades" and kind != "perm":
+        raise ParseError(f"expected an atom, got {_lists(toks, i)[0]!r}")
+    if room < 1:
+        raise NestingError("input nested too deeply")
+    read = grade_value if kind == "grades" else partial(natural, what="a context position")
+    values = [read(tok[1:])] if len(tok) > 1 else []
+    for i, tok in it:
+        if tok == ")":
+            return tuple(values)
+        if tok[0] == "(" and kind == "grades":
+            raise ParseError(f"expected an atom, got {_lists(toks, i)[0]!r}")
+        values.append(read(_lists(toks, i)[0] if tok[0] == "(" else tok))
+    raise ParseError("missing closing parenthesis")
 
 
-def _from_text(build, text: str, *args):
-    """build(tree, *args) for the tree of the text; running out of stack
-    in the recursive type and term readers is a NestingError."""
-    tree = read_sexpr(text)
+def _derivation(i: int, tok: str, it, cx: tuple) -> Derivation:
+    """The derivation at toks[i] == tok, read as `_item` reads a type.  When
+    checking, a payload's fault waits for its rule's ")"."""
+    toks, space, memo, items = cx
+    rules: list[tuple] = []  # per open rule form: rule, payload, premises, fault
+    for i, tok in chain(((i, tok),), it):
+        if tok == ")":
+            rule, payload, premises, fault = rules.pop()
+            if fault is not None:
+                raise fault
+            d = rebuild(space, rule, tuple(premises), tuple(payload))
+            if not rules:
+                return d
+            rules[-1][2].append(d)
+            continue
+        if tok not in _RULE_HEADS:
+            raise ParseError(f"unknown rule {tok[1:]!r}" if tok[0] == "(" and len(tok) > 1
+                             else "derivation must be a (rule ...) form")
+        rule, kinds = _RULE_HEADS[tok]
+        if len(rules) >= MAX_DEPTH:
+            raise NestingError("input nested too deeply")
+        if items is not None and len(items[i]) <= len(kinds):
+            raise ParseError(f"rule {rule} expects {len(kinds)} payload items")
+        payload, fault = [], None
+        for kind in kinds:
+            i, tok = next(it, (i, ")"))
+            if tok == ")":
+                raise ParseError(f"rule {rule} expects {len(kinds)} payload items")
+            sub = it if items is None else islice(it, items[i][-1] - i if tok[0] == "(" else 0)
+            try:
+                if tok[0] == "(":
+                    payload.append(_listed(kind, i, tok, sub, cx, len(rules)))
+                elif kind == "type":
+                    payload.append(memo.get(tok) or memo.setdefault(tok, _type_atom(tok, space)))
+                elif kind == "grades" or kind == "perm":
+                    raise ParseError(f"expected a list, got {tok!r}")
+                else:
+                    payload.append(grade_value(tok) if kind == "grade" else tok)
+            except GrassError as e:
+                if items is None:
+                    raise
+                fault = fault or e
+                deque(sub, 0)  # to the payload item's end
+        rules.append((rule, payload, [], fault))
+    raise ParseError("missing closing parenthesis")
+
+
+def _parse(toks: list[str], want: str, space, items):
+    it = enumerate(toks)
+    i, tok = next(it, (0, ")"))
+    if tok == ")":
+        raise ParseError("unexpected closing parenthesis")
+    cx = (toks, space, {}, items)
+    value = _derivation(i, tok, it, cx) if want == "rule" else _item(want, i, tok, it, cx)
+    if next(it, None) is not None:
+        raise ParseError("trailing tokens after expression")
+    return value
+
+
+def _read(text: str, want: str, space: ModeSpace | None = None):
+    """The derivation, type or term (`want`) that is all of `text`.  A faulty
+    text is read again, checking, so that its first fault is reported."""
+    toks = _tokens(text)
     try:
-        return build(tree, *args)
+        return _parse(toks, want, space, None)
+    except (GrassError, RecursionError):
+        read_sexpr(text)  # raises a nesting fault
+    try:
+        return _parse(toks, want, space, _scan(toks))
     except RecursionError:
         raise NestingError("input nested too deeply") from None
 
 
 def derivation_from_sexpr(text: str, space: ModeSpace) -> Derivation:
-    def read(tree, premises: list[Derivation]) -> Derivation:
-        payload = tuple([_READ[k](t, space) for k, t in zip(RULES[tree[0]][2], tree[1:])])
-        return rebuild(space, tree[0], tuple(premises), payload)
-    return _from_text(lambda tree: fold(tree, read, children=_premise_trees), text)
+    return _read(text, "rule", space)
 
 
 def term_from_sexpr(text: str) -> Term:
-    return _from_text(term_from_tree, text)
+    return _read(text, "term")
 
 
 def type_from_sexpr(text: str, space: ModeSpace) -> Type:
-    return _from_text(type_from_tree, text, space)
+    return _read(text, "type", space)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grass.derivation import RULES, check_derivation
-from grass.errors import GrassError, ParseError
+from grass.errors import CheckError, GrassError, InputError, NestingError, ParseError
 from grass.gen import Gen
 from grass.grades import Grade
 from grass.oracles import to_locally_nameless
@@ -216,3 +216,119 @@ def test_a_number_has_one_spelling(atom):
         derivation_from_sexpr(f"(exchange ({atom} 0) (pairI (var x P) (var y P)))", lu)
     assert derivation_to_sexpr(derivation_from_sexpr("(unitE 10 (unitI L) (unitI L))", lu)) \
         == "(unitE 10 (unitI L) (unitI L))"
+
+
+# Every refusal of the four readers, with its exact message.  An input with
+# two faults pins the order they are reported in: nesting faults first, then,
+# depth first, a form's rule and item count on the way down and its payloads
+# and rebuild on the way up.
+REFUSALS = [
+    # nesting
+    ("read_sexpr", "", ParseError, "unexpected end of input"),
+    ("read_sexpr", ")", ParseError, "unexpected closing parenthesis"),
+    ("read_sexpr", "(a", ParseError, "missing closing parenthesis"),
+    ("read_sexpr", "a )", ParseError, "trailing tokens after expression"),
+    ("read_sexpr", "(a) (b", ParseError, "trailing tokens after expression"),
+    ("read_sexpr", "(" * 1001 + ")" * 1001, NestingError, "input nested too deeply"),
+    # types
+    ("type", "R", ParseError, "unknown type atom 'R'"),
+    ("type", "()", ParseError, "empty type expression"),
+    ("type", "(bogus P Q)", ParseError, "unknown type form 'bogus'"),
+    ("type", "((* P P) P)", ParseError, "unknown type form ['*', 'P', 'P']"),
+    ("type", "(+ P P P)", ParseError, "form '+' expects 2 arguments"),
+    ("type", "(-o{1:L} P)", ParseError, "form '-o{1:L}' expects 2 arguments"),
+    ("type", "(down{t,L<=U} P P)", ParseError, "form 'down{t,L<=U}' expects 1 arguments"),
+    ("type", "(up{L<=U})", ParseError, "form 'up{L<=U}' expects 1 arguments"),
+    ("type", "(down{t,L<=Z} P)", InputError, "unknown mode 'Z'"),
+    ("type", "(-o{01:L} P P)", ParseError, "expected a grade, got '01'"),
+    ("type", "(* bogus)", ParseError, "form '*' expects 2 arguments"),
+    ("type", "(* (+ P) bogus)", ParseError, "form '+' expects 2 arguments"),
+    ("type", "(* (* P bogus) bogus2)", ParseError, "unknown type atom 'bogus'"),
+    ("type", "(-o{1:Z} bogus P)", ParseError, "unknown type atom 'bogus'"),
+    ("type", "(-o{1:Z} P bogus)", InputError, "unknown mode 'Z'"),
+    ("type", "(down{t,L<=Z} bogus)", InputError, "unknown mode 'Z'"),
+    ("type", "(* P bogus", ParseError, "missing closing parenthesis"),
+    # terms
+    ("term", "()", ParseError, "empty term expression"),
+    ("term", "((x) y)", ParseError, "term form must start with an atom"),
+    ("term", "(*@L)", ParseError, "unknown term form '*@L'"),
+    ("term", "(app x y z)", ParseError, "form 'app' expects 2 arguments"),
+    ("term", "(lam (x) (bogus))", ParseError, "expected an atom, got ['x']"),
+    ("term", "(case@1 s x (y y))", ParseError, "case branches must look like (x body)"),
+    ("term", "(case@1 s (x x x) (y y))", ParseError, "case branches must look like (x body)"),
+    ("term", "(case@1 s ((x) x) (y y))", ParseError, "expected an atom, got ['x']"),
+    ("term", "(let*@01 x y)", ParseError, "expected a grade, got '01'"),
+    ("term", "(let*@01 x)", ParseError, "form 'let*@01' expects 2 arguments"),
+    ("term", "(app (bogus) (lam x))", ParseError, "unknown term form 'bogus'"),
+    ("term", "(case@01 s (x) (y y))", ParseError, "case branches must look like (x body)"),
+    # derivations
+    ("derivation", "x", ParseError, "derivation must be a (rule ...) form"),
+    ("derivation", "((var) x)", ParseError, "derivation must be a (rule ...) form"),
+    ("derivation", "(var x)", ParseError, "rule var expects 2 payload items"),
+    ("derivation", "(var (x) P)", ParseError, "expected an atom, got ['x']"),
+    ("derivation", "(unitE (1) (unitI L) (unitI L))", ParseError, "expected an atom, got ['1']"),
+    ("derivation", "(sub x (var x P))", ParseError, "expected a list, got 'x'"),
+    ("derivation", "(sub ((1)) (var x P))", ParseError, "expected an atom, got ['1']"),
+    ("derivation", "(sub (01) (var x P))", ParseError, "expected a grade, got '01'"),
+    ("derivation", "(exchange (01) (var x P))", ParseError,
+     "expected a context position, got '01'"),
+    ("derivation", "(exchange ((0)) (var x P))", ParseError,
+     "expected a context position, got ['0']"),
+    ("derivation", "(var x P (var y P))", CheckError,
+     "var at []: expects 0 premises and 2 payload items"),
+    ("derivation", "(var x (-o{1:Z} P P))", InputError, "unknown mode 'Z'"),
+    ("derivation", "(var x " + "(+ P " * 500 + "P" + ")" * 500 + ")", NestingError,
+     "input nested too deeply"),  # the recursion is in rebuild
+    ("derivation", "(bogus x", ParseError, "missing closing parenthesis"),
+    ("derivation", "(bogus) )", ParseError, "trailing tokens after expression"),
+    ("derivation", "(weak x bogus (bogus2))", ParseError, "unknown rule 'bogus2'"),
+    ("derivation", "(weak x bogus (var y bogus2))", ParseError, "unknown type atom 'bogus2'"),
+    ("derivation", "(weak x (* bogus) y)", ParseError, "derivation must be a (rule ...) form"),
+    ("derivation", "(exchange (0 01) (weak (x) bogus (var y P)))", ParseError,
+     "expected an atom, got ['x']"),
+]
+
+
+@pytest.mark.parametrize("reader, text, error, message", REFUSALS)
+def test_refusals_are_pinned(space, reader, text, error, message):
+    import grass.sexpr
+
+    read = {"read_sexpr": grass.sexpr.read_sexpr,
+            "type": lambda t: type_from_sexpr(t, space),
+            "term": term_from_sexpr,
+            "derivation": lambda t: derivation_from_sexpr(t, space)}[reader]
+    with pytest.raises(GrassError) as caught:
+        read(text)
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def test_the_readers_do_not_recurse():
+    """Under a recursion limit of 150, a type and a term 500 forms deep read,
+    and their depth is counted on an explicit stack."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+from grass.presets import system
+from grass.sexpr import term_from_sexpr, type_from_sexpr
+from grass.syntax import Lam, TTensor
+space = system("LfhU")[0]
+sys.setrecursionlimit(150)
+ty = type_from_sexpr("(* " * 500 + "P" + " P)" * 500, space)
+tm = term_from_sexpr("(lam x " * 500 + "x" + ")" * 500)
+depth = 0
+while isinstance(ty, TTensor):
+    ty, depth = ty.left, depth + 1
+assert depth == 500, depth
+depth = 0
+while isinstance(tm, Lam):
+    tm, depth = tm.body, depth + 1
+assert depth == 500, depth
+print("ok")
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "ok", out.stderr
