@@ -112,6 +112,11 @@ def parse_modes_text(text: str):
             continue
         if section is None:
             raise ParseError(f"declaration outside any section: {line!r}", lineno)
+        key = tuple(line.partition("=")[0].split())
+        if kind != "order" and key != ("order",):  # order pairs accumulate
+            if (section, key) in declared:
+                raise ParseError(f"repeated key {' '.join(key)!r}", lineno)
+            declared.add((section, key))
         try:
             _parse_decl_line(section, line, raw_algebras, modes, order, morphisms,
                              backend_decl, base_carriers)
@@ -210,7 +215,7 @@ def _parse_decl_line(section, line, raw_algebras, modes, order, morphisms,
             raise ValueError(f"unknown mode declaration {key!r}")
     elif kind == "order":
         lo, sep, hi = line.partition("<=")
-        if not sep:
+        if not sep or "<=" in hi:
             raise ValueError(f"order lines look like `m <= n`, got {line!r}")
         order.add((lo.strip(), hi.strip()))
     elif kind == "morphism":

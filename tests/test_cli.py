@@ -488,3 +488,28 @@ def test_non_multiplicative_arity_is_reported(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "arity-multiplicative witness=('L', 2, 2)" in out
     assert all(line.startswith("arity-multiplicative witness=('L', ") for line in out)
+
+
+@pytest.mark.parametrize("after, repeat", [
+    ("builtin = nat-discrete", "builtin = top"),
+    ("weak = false", "weak = true"),
+    ("map = to-top", "map = identity"),
+    ("budget = 4", "budget = 1"),
+    ("carrier = a b", "carrier = a"),
+])
+def test_a_key_given_twice_in_a_section_is_a_parse_error(tmp_path, capsys, after, repeat):
+    lines = (ROOT / "systems" / "lnl.modes").read_text().splitlines()
+    at = lines.index(after) + 1
+    lines.insert(at, repeat)
+    modes = _write(tmp_path, "twice.modes", "\n".join(lines) + "\n")
+    assert main(["modes-validate", modes]) == 2
+    key = repeat.split("=")[0].strip()
+    assert capsys.readouterr().err == f"parse error: line {at + 1}: repeated key {key!r}\n"
+
+
+def test_an_order_line_with_two_bounds_is_a_parse_error(tmp_path, capsys):
+    text = (ROOT / "systems" / "lnl.modes").read_text().replace("L <= U\n", "L <= U <= L\n")
+    modes = _write(tmp_path, "chain.modes", text)
+    assert main(["modes-validate", modes]) == 2
+    assert capsys.readouterr().err.startswith(
+        "parse error: line 19: order lines look like `m <= n`, got 'L <= U <= L'")
