@@ -68,6 +68,7 @@ def _strip(line: str) -> str:
 
 # section kind -> number of words of its header
 _SECTION_WORDS = {"algebra": 2, "mode": 2, "order": 1, "morphism": 3, "backend": 1, "base": 3}
+_NAMED_ORDERS = ("usual", "opposite", "discrete")  # an algebra's `order = ...` other than pairs
 
 
 def parse_modes_text(text: str):
@@ -82,7 +83,7 @@ def parse_modes_text(text: str):
     base_carriers: dict[str, tuple] = {}
 
     section: tuple | None = None
-    declared: set[tuple] = set()  # the section headers seen, a base's by its name
+    declared: set[tuple] = set()  # the section headers seen (a base's by its name), and (section, key)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
@@ -112,8 +113,9 @@ def parse_modes_text(text: str):
             continue
         if section is None:
             raise ParseError(f"declaration outside any section: {line!r}", lineno)
-        key = tuple(line.partition("=")[0].split())
-        if kind != "order" and key != ("order",):  # order pairs accumulate
+        key, _, value = line.partition("=")
+        key = tuple(key.split())
+        if kind != "order" and (key != ("order",) or value.strip() in _NAMED_ORDERS):  # pairs accumulate
             if (section, key) in declared:
                 raise ParseError(f"repeated key {' '.join(key)!r}", lineno)
             declared.add((section, key))
@@ -187,7 +189,7 @@ def _parse_decl_line(section, line, raw_algebras, modes, order, morphisms,
         elif key_parts == ["one"]:
             decl["one"] = grade_value(value)
         elif key_parts == ["order"]:
-            if value in ("usual", "opposite", "discrete"):
+            if value in _NAMED_ORDERS:
                 decl["nat_order"] = value
             else:
                 for pair in value.split():

@@ -5,25 +5,25 @@ conclusions recomputed on parse, so a parsed tree is valid by
 construction.  Annotated heads follow the surface spellings
 ``I@m``, ``-o{q:m}``, ``down{q,n<=m}``, ``up{m<=n}``, ``let*@q`` and so on.
 
-Each reader is one pass over the tokens on explicit stacks, so none
+Each reader is one shift-reduce pass over the tokens, `_parse`, so none
 recurses on the input's depth: a form is reduced at its ``)``, a type or
-term through its former and a rule through `rebuild`, with its premises
-from the stack.  Input nested more than MAX_DEPTH parentheses deep, a type
-or term nested more than MAX_FORM_DEPTH forms deep, or a RecursionError in
+term through its former and a rule through `rebuild`.  The depth bounds
+are two constants: input nested more than MAX_DEPTH parentheses deep, a
+type or term more than MAX_FORM_DEPTH forms deep, or a RecursionError in
 `rebuild` raises NestingError (a ParseError) "input nested too deeply".
 
-A faulty text is read twice: `read_sexpr` reports a nesting fault, and
-the second pass checks each form's item count at its ``(``.  So the fault
-reported is the first of a depth-first walk: a form's head and item count
-on the way down, a rule's payloads and `rebuild` on the way up.
+At a fault, a nesting fault is reported first, then the item counts of
+the forms still open, outermost first; a fault in a rule's payload waits
+for the rule's ``)``.  So the fault reported is the first of a depth-first
+walk: a form's head and item count on the way down, a rule's payload and
+`rebuild` on the way up.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from functools import partial
-from itertools import chain, islice
+from itertools import islice
 
 from .derivation import RULES, Derivation, fold, rebuild
 from .errors import GrassError, NestingError, ParseError
@@ -58,9 +58,8 @@ from .syntax import (
 )
 
 MAX_DEPTH = 1000  # parentheses
-# Forms in one type or term.  The recursive type reader this loop replaced
-# stopped near 990 at the default recursion limit of 1000; the writers and
-# type_wf still recurse on a type's depth.
+# Forms in one type or term: type_wf and the writers recurse on a type's
+# depth, and the recursive type reader this pass replaced stopped near 990.
 MAX_FORM_DEPTH = 900
 
 _OPEN_SPACE = re.compile(r"\(\s+")
@@ -75,57 +74,51 @@ def _tokens(text: str) -> list[str]:
     return _OPEN_SPACE.sub("(", text).replace("(", " (").replace(")", " ) ").split()
 
 
-def _lists(toks: list[str], i: int) -> tuple:
-    """The item at toks[i] as nested lists of atom strings, and the index
-    after it."""
-    stack: list[list] = [[]]  # the open lists, outermost first
-    for j in range(i, len(toks)):
-        tok = toks[j]
+def _scan(toks: list[str]) -> dict[int, list[int]]:
+    """By the index of each "(", the indices of the items after its head and
+    of its ")".  A nesting fault is raised as `read_sexpr` meets it."""
+    items: dict[int, list[int]] = {}
+    opens: list[int] = []
+    for j, tok in enumerate(toks):
+        if j and not opens:
+            raise ParseError("trailing tokens after expression")
+        if opens:
+            items[opens[-1]].append(j)
         if tok == ")":
-            if len(stack) == 1:
+            if not opens:
                 raise ParseError("unexpected closing parenthesis")
+            opens.pop()
+        elif tok[0] == "(":
+            if len(opens) >= MAX_DEPTH:
+                raise NestingError("input nested too deeply")
+            opens.append(j)
+            items[j] = []
+    if opens or not toks:
+        raise ParseError("missing closing parenthesis" if opens else "unexpected end of input")
+    return items
+
+
+def _lists(toks: list[str], i: int):
+    """The item at toks[i] as nested lists of atom strings."""
+    stack: list[list] = [[]]  # the open lists, outermost first
+    for tok in toks[i:]:
+        if tok == ")":
             done = stack.pop()
             stack[-1].append(done)
         elif tok[0] == "(":
-            if len(stack) > MAX_DEPTH:
-                raise NestingError("input nested too deeply")
-            stack.append([tok[1:]] if len(tok) > 1 else [])
+            stack.append([tok[1:]] if tok[1:] else [])
         else:
             stack[-1].append(tok)
         if len(stack) == 1:
-            return stack[0][0], j + 1
-    raise ParseError("missing closing parenthesis" if stack[1:] else "unexpected end of input")
+            return stack[0][0]
+    return stack[-1]  # unclosed: its nesting fault is reported instead
 
 
 def read_sexpr(text: str):
     """One s-expression as nested lists of atom strings."""
     toks = _tokens(text)
-    tree, end = _lists(toks, 0)
-    if end < len(toks):
-        raise ParseError("trailing tokens after expression")
-    return tree
-
-
-def _scan(toks: list[str]) -> dict[int, list[int]]:
-    """By the index of each "(", the indices of the items after its head and
-    then of its ")"."""
-    items: dict[int, list[int]] = {}
-    opens: list[int] = []
-    for j, tok in enumerate(toks):
-        if opens:
-            items[opens[-1]].append(j)
-        if tok == ")":
-            opens.pop()
-        elif tok[0] == "(":
-            opens.append(j)
-            items[j] = []
-    return items
-
-
-def _count(form: tuple, i: int, items: dict) -> None:
-    """Check the item count of the type or term form at toks[i]."""
-    if len(items[i]) != len(form[2]):
-        raise ParseError(f"form {form[3]!r} expects {len(form[2]) - 1} arguments")
+    _scan(toks)
+    return _lists(toks, 0)
 
 
 def natural(atom, what: str) -> int:
@@ -150,15 +143,19 @@ def show_grade(value: GradeValue) -> str:
     return str(value)
 
 
+def _atom(item) -> str:
+    if not isinstance(item, str):
+        raise ParseError(f"expected an atom, got {item!r}")
+    return item
+
+
 # ---------------------------------------------------------------------------
 # Types
 
+_FUN_HEAD = re.compile(r"^-o\{(?P<q>[^:{}]+):(?P<m>[^:{}]+)\}$")
+_DROP_HEAD = re.compile(r"^down\{(?P<q>[^,{}]+),(?P<n>[^<{}]+)<=(?P<m>[^{}]+)\}$")
+_RAISE_HEAD = re.compile(r"^up\{(?P<m>[^<{}]+)<=(?P<n>[^{}]+)\}$")
 _UNIT_ATOM = re.compile(r"^I@(?P<m>\S+)$")
-_TYPE_HEADS = {
-    TFun: re.compile(r"^-o\{(?P<q>[^:{}]+):(?P<m>[^:{}]+)\}$"),
-    TDrop: re.compile(r"^down\{(?P<q>[^,{}]+),(?P<n>[^<{}]+)<=(?P<m>[^{}]+)\}$"),
-    TRaise: re.compile(r"^up\{(?P<m>[^<{}]+)<=(?P<n>[^{}]+)\}$"),
-}
 
 
 def type_to_sexpr(ty: Type) -> str:
@@ -189,37 +186,28 @@ def _type_atom(atom: str, space: ModeSpace) -> Type:
     raise ParseError(f"unknown type atom {atom!r}")
 
 
-def _type_head(tok: str, toks: list[str], i: int, cx: tuple) -> tuple:
-    """The form the type token toks[i] opens: (former, head data, item kinds
-    and a None, head).  When checking, its item count is checked before the
-    head's mode and grade are read, and a -o form's argument is read first."""
-    head, space, items = tok[1:], cx[1], cx[3]
-    if not head:
-        raise ParseError("empty type expression" if toks[i + 1:i + 2] == [")"]
-                         else f"unknown type form {_lists(toks, i + 1)[0]!r}")
-    m = None
+# A form is (former, head fields, kinds of its items and then None, head):
+# its former takes the head fields and then the items.  A rule's form has no
+# former, and its payload kinds are followed by "rule", a premise's kind.
+def _type_form(tok: str, i: int, toks: list[str], space: ModeSpace) -> tuple:
+    """The form the type token toks[i] == tok opens.  A fault in its mode or
+    grade takes the place of the kind of the item it is met before."""
+    head = tok[1:]
     if head == "*" or head == "+":
-        cls = TTensor if head == "*" else TSum
-    else:
-        for cls, pattern in _TYPE_HEADS.items():
-            if m := pattern.match(head):
-                break
-        else:
-            raise ParseError(f"unknown type form {head!r}")
-    form = cls, (), ("type", "type", None) if cls is not TDrop and cls is not TRaise else ("type", None), head
-    if items is not None:
-        _count(form, i, items)
-    if cls is TTensor or cls is TSum:
-        return form
-    if cls is TRaise:
-        return cls, (m["m"], m["n"]), form[2], head
+        return TTensor if head == "*" else TSum, (), ("type", "type", None), head
+    m = _FUN_HEAD.match(head) or _DROP_HEAD.match(head) or _RAISE_HEAD.match(head)
+    if m is None:
+        raise ParseError("empty type expression" if not head and toks[i + 1:i + 2] == [")"]
+                         else f"unknown type form {head or _lists(toks, i + 1)!r}")
+    if m.re is _RAISE_HEAD:
+        return TRaise, (m["m"], m["n"]), ("type", None), head
     try:
         grade = Grade(space.mode(m["m"]).algebra.id, grade_value(m["q"]))
-    except GrassError:
-        if cls is TFun and items is not None:
-            _item("type", i + 1, toks[i + 1], enumerate(toks[i + 2:items[i][1]], i + 2), cx)
-        raise
-    return cls, grade if cls is TFun else (grade, m["n"], m["m"]), form[2], head
+    except GrassError as fault:  # met after a -o form's argument, before a down form's item,
+        return _closing, (), ("type", fault, None) if m.re is _FUN_HEAD else (fault, None), head  # so never built
+    if m.re is _FUN_HEAD:
+        return lambda a, b: TFun(a, grade, b), (), ("type", "type", None), head
+    return TDrop, (grade, m["n"], m["m"]), ("type", None), head
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +265,7 @@ def term_to_sexpr(t: Term) -> str:
 
 
 # former -> (number of head fields, writer of each field in declaration order,
-# kind of each item after the head and a None)
+# kinds of the items after the head and then None)
 _CODEC = {
     cls: (sum(k in ("grade", "mode") for k in kinds),
           tuple(term_to_sexpr if isinstance(k, tuple) else _WRITE[k] for k in kinds),
@@ -285,19 +273,13 @@ _CODEC = {
           (*("term" if isinstance(k, tuple) else k for k in kinds if k not in ("grade", "mode")), None))
     for cls, kinds in TERMS.items()
 }
-_BRANCH = (tuple, None, ("name", "term", None), None)
+_BRANCH = (lambda x, body: (x, body), (), ("name", "term", None), None)
 _BRANCHES = "case branches must look like (x body)"
 
 
-def _term_atom(atom: str) -> Term:
-    m = _STAR_ATOM.match(atom)
-    return Star(m.group("m")) if m else Var(atom)
-
-
-def _term_head(tok: str, toks: list[str], i: int, items) -> tuple:
-    """The form the term token toks[i] opens: (former, head fields, item kinds
-    and a None, head).  When checking, its item count and a case's branches
-    are checked before its head's grade is read."""
+def _term_form(tok: str, i: int, toks: list[str]) -> tuple:
+    """The form the term token toks[i] == tok opens.  A fault in its grade
+    takes the place of its first item's kind."""
     head = tok[1:]
     if not head:
         raise ParseError("empty term expression" if toks[i + 1:i + 2] == [")"]
@@ -310,79 +292,18 @@ def _term_head(tok: str, toks: list[str], i: int, items) -> tuple:
                 break
         else:
             raise ParseError(f"unknown term form {head!r}")
-    if items is not None:
-        _count((cls, None, _CODEC[cls][2], head), i, items)
-        if cls is Case and any(toks[b][0] != "(" or len(items[b]) + (len(toks[b]) > 1) != 3
-                               for b in items[i][1:3]):
-            raise ParseError(_BRANCHES)
-    fields = tuple(grade_value(g) if k == "grade" else g for k, g in zip(TERMS[cls], groups))
-    return cls, fields, _CODEC[cls][2], head
-
-
-def _item(want: str, i: int, tok: str, it, cx: tuple, cap: int = MAX_FORM_DEPTH):
-    """The type or term (`want`) at toks[i] == tok, its other tokens read from
-    `it`, nested at most `cap` forms deep.  `cx` is (tokens, mode space, this
-    text's type atoms and heads by token, the items of `_scan` when checking)."""
-    toks, space, memo, items = cx
-    stack: list[tuple] = []  # per open form, the one it is in and that one's items
-    form = args = None
-    for i, tok in chain(((i, tok),), it):
-        if tok == ")":
-            cls, data, kinds, head = form
-            if len(args) != len(kinds) - 1:
-                raise ParseError(f"form {head!r} expects {len(kinds) - 1} arguments" if head
-                                 else _BRANCHES)
-            if cls is TFun:
-                value = TFun(args[0], data, args[1])
-            elif cls is Case:
-                value = Case(*data, args[0], *args[1], *args[2])
-            else:
-                value = cls(args) if data is None else cls(*data, *args)
-            form, args = stack.pop()
-            if form is None:
-                return value
-            args.append(value)
-            want = form[2][len(args)]
-            continue
-        if want is None:
-            raise ParseError(f"form {form[3]!r} expects {len(form[2]) - 1} arguments" if form[3]
-                             else _BRANCHES)
-        if tok[0] == "(":
-            if len(stack) >= cap:
-                raise NestingError("input nested too deeply")
-            stack.append((form, args))
-            args = []
-            if want == "type":
-                form = memo.get(tok) if items is None else None
-                if form is None:
-                    form = memo[tok] = _type_head(tok, toks, i, cx)
-            elif want == "term":
-                form = _term_head(tok, toks, i, items)
-            elif want == "branch":
-                form, args = _BRANCH, [tok[1:]] if len(tok) > 1 else []
-            else:
-                raise ParseError(f"expected an atom, got {_lists(toks, i)[0]!r}")
-            want = form[2][len(args)]
-            continue
-        if want == "type":
-            value = memo.get(tok) or memo.setdefault(tok, _type_atom(tok, space))
-        elif want == "term":
-            value = _term_atom(tok)
-        elif want == "name":
-            value = tok
-        else:
-            raise ParseError(_BRANCHES)
-        if form is None:
-            return value
-        args.append(value)
-        want = form[2][len(args)]
-    raise ParseError("missing closing parenthesis")
+    kinds = _CODEC[cls][2]
+    try:
+        fields = tuple(grade_value(g) if k == "grade" else g for k, g in zip(TERMS[cls], groups))
+    except GrassError as fault:
+        return _closing, (), (fault, *kinds[1:]), head
+    if cls is Case:
+        return lambda s, b1, b2: Case(*fields, s, *b1, *b2), (), kinds, head
+    return cls, fields, kinds, head
 
 
 # ---------------------------------------------------------------------------
 # Derivations: (rule payload... premises...)
-
-_RULE_HEADS = {"(" + rule: (rule, kinds) for rule, (_build, _binds, kinds) in RULES.items()}
 
 
 def _write(d: Derivation, premises: list[str]) -> str:
@@ -396,111 +317,149 @@ def derivation_to_sexpr(d: Derivation) -> str:
     return fold(d, _write)
 
 
-def _listed(kind: str, i: int, tok: str, it, cx: tuple, depth: int):
-    """The payload item of field kind `kind` opened by toks[i] == tok, a "(",
-    in a rule form `depth` parentheses deep."""
-    toks = cx[0]
-    room = MAX_DEPTH - 1 - depth  # parentheses
-    if kind == "type":
-        return _item("type", i, tok, it, cx, min(room, MAX_FORM_DEPTH))
-    if kind != "grades" and kind != "perm":
-        raise ParseError(f"expected an atom, got {_lists(toks, i)[0]!r}")
-    if room < 1:
-        raise NestingError("input nested too deeply")
-    read = grade_value if kind == "grades" else partial(natural, what="a context position")
-    values = [read(tok[1:])] if len(tok) > 1 else []
-    for i, tok in it:
-        if tok == ")":
-            return tuple(values)
-        if tok[0] == "(" and kind == "grades":
-            raise ParseError(f"expected an atom, got {_lists(toks, i)[0]!r}")
-        values.append(read(_lists(toks, i)[0] if tok[0] == "(" else tok))
-    raise ParseError("missing closing parenthesis")
+_RULE_FORMS = {"(" + rule: (None, (rule, len(kinds)), (*("name" if k == "mode" else k for k in kinds), "rule"), rule)
+               for rule, (_build, _binds, kinds) in RULES.items()}
+_LISTS = {"grades": lambda v: grade_value(_atom(v)), "perm": lambda v: natural(v, "a context position")}
 
 
-def _derivation(i: int, tok: str, it, cx: tuple) -> Derivation:
-    """The derivation at toks[i] == tok, read as `_item` reads a type.  When
-    checking, a payload's fault waits for its rule's ")"."""
-    toks, space, memo, items = cx
-    rules: list[tuple] = []  # per open rule form: rule, payload, premises, fault
-    for i, tok in chain(((i, tok),), it):
-        if tok == ")":
-            rule, payload, premises, fault = rules.pop()
-            if fault is not None:
-                raise fault
-            d = rebuild(space, rule, tuple(premises), tuple(payload))
-            if not rules:
-                return d
-            rules[-1][2].append(d)
-            continue
-        if tok not in _RULE_HEADS:
-            raise ParseError(f"unknown rule {tok[1:]!r}" if tok[0] == "(" and len(tok) > 1
-                             else "derivation must be a (rule ...) form")
-        rule, kinds = _RULE_HEADS[tok]
-        if len(rules) >= MAX_DEPTH:
-            raise NestingError("input nested too deeply")
-        if items is not None and len(items[i]) <= len(kinds):
-            raise ParseError(f"rule {rule} expects {len(kinds)} payload items")
-        payload, fault = [], None
-        for kind in kinds:
-            i, tok = next(it, (i, ")"))
-            if tok == ")":
-                raise ParseError(f"rule {rule} expects {len(kinds)} payload items")
-            sub = it if items is None else islice(it, items[i][-1] - i if tok[0] == "(" else 0)
-            try:
-                if tok[0] == "(":
-                    payload.append(_listed(kind, i, tok, sub, cx, len(rules)))
-                elif kind == "type":
-                    payload.append(memo.get(tok) or memo.setdefault(tok, _type_atom(tok, space)))
-                elif kind == "grades" or kind == "perm":
-                    raise ParseError(f"expected a list, got {tok!r}")
-                else:
-                    payload.append(grade_value(tok) if kind == "grade" else tok)
-            except GrassError as e:
-                if items is None:
-                    raise
-                fault = fault or e
-                deque(sub, 0)  # to the payload item's end
-        rules.append((rule, payload, [], fault))
-    raise ParseError("missing closing parenthesis")
+def _closing(*_):
+    raise ParseError("unexpected closing parenthesis")
 
 
-def _parse(toks: list[str], want: str, space, items):
-    it = enumerate(toks)
-    i, tok = next(it, (0, ")"))
-    if tok == ")":
-        raise ParseError("unexpected closing parenthesis")
-    cx = (toks, space, {}, items)
-    value = _derivation(i, tok, it, cx) if want == "rule" else _item(want, i, tok, it, cx)
-    if next(it, None) is not None:
-        raise ParseError("trailing tokens after expression")
-    return value
+def _misplaced(want, form: tuple, tok: str, i: int, toks: list[str]) -> GrassError:
+    """The fault of toks[i] == tok where `form` wants an item of kind `want`:
+    None past its last item, or a fault of its head."""
+    if isinstance(want, GrassError):
+        return want
+    if want is None or tok == ")":
+        n, head = len(form[2]) - 1, form[3]
+        return ParseError(f"rule {head} expects {n} payload items" if head in RULES
+                          else f"form {head!r} expects {n} arguments" if head else _BRANCHES)
+    if want == "rule":
+        return ParseError(f"unknown rule {tok[1:]!r}" if tok[0] == "(" and tok[1:]
+                          else "derivation must be a (rule ...) form")
+    if want in _LISTS:
+        return ParseError(f"expected a list, got {tok!r}")
+    if want == "branch":
+        return ParseError(_BRANCHES)
+    return ParseError(f"expected an atom, got {_lists(toks, i)!r}")
 
 
-def _read(text: str, want: str, space: ModeSpace | None = None):
-    """The derivation, type or term (`want`) that is all of `text`.  A faulty
-    text is read again, checking, so that its first fault is reported."""
+def _open_fault(form: tuple, j: int, toks: list[str], items: dict) -> GrassError | None:
+    """The fault in the item count of the open type or term form at toks[j],
+    or in the shape of a case's branches."""
+    count = len(items[j]) - 1 + (form[3] is None and len(toks[j]) > 1)  # a branch's head is its name
+    if count != len(form[2]) - 1:
+        return _misplaced(None, form, ")", j, toks)
+    if "branch" in form[2] and any(toks[b][0] != "(" or len(items[b]) + (len(toks[b]) > 1) != 3
+                                   for b in items[j][1:3]):
+        return ParseError(_BRANCHES)
+    return None
+
+
+def _parse(text: str, want: str, space: ModeSpace | None = None):
+    """The rule, type or term (`want`) that is all of `text`."""
     toks = _tokens(text)
-    try:
-        return _parse(toks, want, space, None)
-    except (GrassError, RecursionError):
-        read_sexpr(text)  # raises a nesting fault
-    try:
-        return _parse(toks, want, space, _scan(toks))
-    except RecursionError:
-        raise NestingError("input nested too deeply") from None
+    if text.count("(") > MAX_DEPTH:
+        _scan(toks)  # deep nesting is refused before anything is built
+    memo: dict = {}  # type atoms and forms by token
+    faults: dict = {}  # by the "(" index of an open rule, its first payload fault
+    stack: list[tuple] = []  # per open form, the one it is in: form, items so far, "(" index
+    form, args, at = (_closing, (), (want, None), None), [], -1
+    limit = MAX_FORM_DEPTH  # the stack's length at a type or term form
+    it = enumerate(toks)
+    while True:
+        try:
+            for i, tok in it:
+                if tok == ")":
+                    if want is None:
+                        value = form[0](*form[1], *args)
+                    elif want != "rule" or form[0] is not None:
+                        raise _misplaced(want, form, tok, i, toks)
+                    elif faults and at in faults:
+                        raise faults[at]
+                    else:
+                        rule, n = form[1]
+                        value = rebuild(space, rule, args[n:], args[:n])
+                    form, args, at = stack.pop()
+                    args.append(value)
+                    want = form[2][len(args)] if len(args) < len(form[2]) else "rule"
+                elif tok[0] == "(":
+                    if want == "rule":
+                        new = _RULE_FORMS.get(tok)
+                        if new is None:
+                            raise _misplaced(want, form, tok, i, toks)
+                        limit = len(stack) + 1 + MAX_FORM_DEPTH
+                    elif want == "type":
+                        new = memo.get(tok) or memo.setdefault(tok, _type_form(tok, i, toks, space))
+                    elif want == "term":
+                        new = _term_form(tok, i, toks)
+                    elif want == "branch":
+                        new = _BRANCH
+                    elif want in _LISTS:
+                        read = _LISTS[want]
+                        values = [read(tok[1:])] if tok[1:] else []
+                        for i, tok in it:
+                            if tok == ")":
+                                break
+                            values.append(read(_lists(toks, i) if tok[0] == "(" else tok))
+                        args.append(tuple(values))
+                        want = form[2][len(args)]
+                        continue
+                    else:
+                        raise _misplaced(want, form, tok, i, toks)
+                    if len(stack) >= limit:
+                        raise NestingError("input nested too deeply")
+                    stack.append((form, args, at))
+                    form, args, at = new, [tok[1:]] if new is _BRANCH and tok[1:] else [], i
+                    want = new[2][len(args)]
+                else:
+                    if want == "type":
+                        value = memo.get(tok) or memo.setdefault(tok, _type_atom(tok, space))
+                    elif want == "name":
+                        value = tok
+                    elif want == "term":
+                        value = Star(m["m"]) if (m := _STAR_ATOM.match(tok)) else Var(tok)
+                    elif want == "grade":
+                        value = grade_value(tok)
+                    else:
+                        raise _misplaced(want, form, tok, i, toks)
+                    args.append(value)
+                    want = form[2][len(args)]
+            if stack or want is not None:
+                raise ParseError("missing closing parenthesis")
+            return args[0]
+        except (GrassError, RecursionError) as e:
+            items = _scan(toks)  # a nesting fault comes first
+            if isinstance(e, RecursionError):
+                raise NestingError("input nested too deeply") from None
+            frames = [*stack, (form, args, at)][1:]
+            rule = max((k for k, (f, _a, _j) in enumerate(frames) if f[3] in RULES), default=-1)
+            for f, _a, j in frames[rule + 1:]:
+                if fault := _open_fault(f, j, toks, items):
+                    e = fault
+                    break
+            form, args, at = frames[rule] if rule >= 0 else (None, (), -1)
+            if rule < 0 or len(args) >= form[1][1] or i == items[at][-1]:  # not in the rule's payload
+                raise e from None
+            del stack[rule + 1:]
+            faults.setdefault(at, e)
+            start = items[at][len(args)]  # skip the rest of the payload item
+            deque(islice(it, (items[start][-1] if toks[start][0] == "(" else start) - i), 0)
+            args.append(None)
+            want = form[2][len(args)]
 
 
 def derivation_from_sexpr(text: str, space: ModeSpace) -> Derivation:
-    return _read(text, "rule", space)
+    return _parse(text, "rule", space)
 
 
 def term_from_sexpr(text: str) -> Term:
-    return _read(text, "term")
+    return _parse(text, "term")
 
 
 def type_from_sexpr(text: str, space: ModeSpace) -> Type:
-    return _read(text, "type", space)
+    return _parse(text, "type", space)
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,17 @@ def test_a_key_given_twice_in_a_section_is_a_parse_error(tmp_path, capsys, after
     assert capsys.readouterr().err == f"parse error: line {at + 1}: repeated key {key!r}\n"
 
 
+def test_a_named_algebra_order_given_twice_is_a_parse_error(tmp_path, capsys):
+    lines = (ROOT / "systems" / "lnl.modes").read_text().splitlines()
+    at = lines.index("builtin = nat-discrete") + 1
+    lines[at:at] = ["order = usual", "order = opposite"]
+    modes = _write(tmp_path, "orders.modes", "\n".join(lines) + "\n")
+    assert main(["modes-validate", modes]) == 2
+    assert capsys.readouterr().err == f"parse error: line {at + 2}: repeated key 'order'\n"
+    pairs = TWO.replace("order = 0<=1\n", "order = 0<=1\norder = 0<=0 1<=1\n")
+    assert parse_modes_text(pairs)[0] == parse_modes_text(TWO)[0]  # order pairs still accumulate
+
+
 def test_an_order_line_with_two_bounds_is_a_parse_error(tmp_path, capsys):
     text = (ROOT / "systems" / "lnl.modes").read_text().replace("L <= U\n", "L <= U <= L\n")
     modes = _write(tmp_path, "chain.modes", text)

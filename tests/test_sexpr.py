@@ -234,6 +234,7 @@ REFUSALS = [
     ("type", "R", ParseError, "unknown type atom 'R'"),
     ("type", "()", ParseError, "empty type expression"),
     ("type", "(bogus P Q)", ParseError, "unknown type form 'bogus'"),
+    ("type", "(P)", ParseError, "unknown type form 'P'"),
     ("type", "((* P P) P)", ParseError, "unknown type form ['*', 'P', 'P']"),
     ("type", "(+ P P P)", ParseError, "form '+' expects 2 arguments"),
     ("type", "(-o{1:L} P)", ParseError, "form '-o{1:L}' expects 2 arguments"),
