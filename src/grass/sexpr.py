@@ -323,6 +323,8 @@ _LISTS = {"grades": lambda v: grade_value(_atom(v)), "perm": lambda v: natural(v
 
 
 def _closing(*_):
+    """The former of the text's root form and of a form with a faulty head:
+    it is called only at a ")" past the end of the text."""
     raise ParseError("unexpected closing parenthesis")
 
 
@@ -365,7 +367,7 @@ def _parse(text: str, want: str, space: ModeSpace | None = None):
     memo: dict = {}  # type atoms and forms by token
     faults: dict = {}  # by the "(" index of an open rule, its first payload fault
     stack: list[tuple] = []  # per open form, the one it is in: form, items so far, "(" index
-    form, args, at = (_closing, (), (want, None), None), [], -1
+    form, args, at = (_closing, (), (want, None), None), [], -1  # the text is the root's one item
     limit = MAX_FORM_DEPTH  # the stack's length at a type or term form
     it = enumerate(toks)
     while True:
